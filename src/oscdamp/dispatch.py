@@ -1,10 +1,15 @@
 """Redispatch chain: dP -> (dtheta, dvln) -> dlambda, predictions, rankings.
 
-The linearized load flow L dz = (dP, 0) is solved with the least-squares
-pseudo-inverse; a balanced dP lies in the range of the singular Laplacian, so
-the residual is checked rather than assumed. The first-order eigenvalue
-formula is evaluated once at the base point; predictions for finite r are
-lambda + r * dlambda and are compared against a full re-solve.
+For a single plan (``sens``, ``sweep``, ``verify``) the linearized load flow
+L dz = (dP, 0) is solved with the least-squares pseudo-inverse. Pair ranking
+instead uses that dlambda is linear in dP: one factorization of L with the
+bus-1 angle pinned (the uniform-angle vector is the only nullspace) gives a
+gain g_k per generator for the shift from generator 1 to generator k, and
+every ordered pair is g_up - g_down. Either way a balanced dP must lie in the
+range of the singular Laplacian, so the residual is checked rather than
+assumed. The first-order eigenvalue formula is evaluated once at the base
+point; predictions for finite r are lambda + r * dlambda and are compared
+against a full re-solve.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import modal, sensitivity
 from .errors import (
@@ -219,28 +225,72 @@ def sweep(
     ]
 
 
+def generator_gains(
+    network: Network,
+    op: OperatingPoint,
+    L: np.ndarray,
+    report: sensitivity.SensitivityReport,
+) -> np.ndarray:
+    """dlambda/dr per generator for a unit shift from generator 1 to it.
+
+    Column k of the right-hand side puts +1 on generator k+1 and -1 on
+    generator 1; all m-1 columns are solved in one factorization of L with the
+    bus-1 angle pinned to zero. L need not be definite. Entry 0 of the result
+    (generator 1 against itself) is zero, and the plan moving one unit from
+    ``down`` to ``up`` has dlambda = g[up] - g[down].
+    """
+    n, m = network.n, network.m
+    size = L.shape[0]
+    rhs = np.zeros((size, m - 1))
+    rhs[0, :] = -1.0
+    rhs[1:m, :] = np.eye(m - 1)
+    Y = np.zeros((size, m - 1))
+    try:
+        Y[1:] = scipy.linalg.solve(L[1:, 1:], rhs[1:], check_finite=False)
+    except np.linalg.LinAlgError:
+        raise SingularityError(
+            "linearized load flow is singular beyond the angle-reference nullspace"
+        ) from None
+    resid = np.linalg.norm(L @ Y - rhs, axis=0)
+    bound = FLOW_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    if not np.all(resid <= bound):
+        raise SingularityError(
+            f"balanced injection not in the range of L (residual {np.max(resid):.3e}); "
+            "equilibrium is near a singularity"
+        )
+    A, _ = build_incidence(network)
+    num = report.theta_coeff @ (A.T @ Y[:n])
+    if report.vln_coeff.size:
+        v_load = bus_voltages(network, op)[m:]
+        num = num + report.vln_coeff @ (Y[n:] / v_load[:, None])
+    return np.concatenate([[0.0], -num / report.alpha])
+
+
 def rank_pairs(
     network: Network,
     op: OperatingPoint,
     mode: modal.Mode,
     const_v: bool = False,
 ) -> list[PairSensitivity]:
-    """Unit-r sensitivities for every ordered generator pair, best damping first."""
+    """Unit-r sensitivities for every ordered generator pair, best damping first.
+
+    Each pair is the difference of two per-generator gains from
+    ``generator_gains``, so the whole ranking costs one grounded solve.
+    """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
     L = hessian(network, op, const_v=const_v).L
     report = sensitivity.sensitivity_coefficients(network, op, mode, const_v=const_v)
+    gains = generator_gains(network, op, L, report)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5
     labels = network.gen_labels()
     out = []
-    for up in labels:
-        for down in labels:
-            if up == down:
+    for i, up in enumerate(labels):
+        for j, down in enumerate(labels):
+            if i == j:
                 continue
-            plan = plan_between(network, up, down)
-            dl = unit_dlambda(network, op, mode, plan, const_v=const_v,
-                              report=report, L=L)
+            dl = complex(gains[i] - gains[j])
             dzeta = (-omega * omega * dl.real + sigma * omega * dl.imag) / mag3
             out.append(PairSensitivity(
                 up=up, down=down, dlambda_dr=dl,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModeError, OscdampError, ReductionError, UsageError
+from .errors import ConvergenceError, DegenerateModeError, ReductionError, UsageError
 from .network import Network
 
 INFINITE_EIG_TOL = 1e-12     # |beta| below this times the pair norm is infinite
@@ -263,10 +263,11 @@ def solve_qep(
         residual = float(
             np.linalg.norm(Q @ x) / (np.linalg.norm(x) * np.linalg.norm(Q))
         )
-        if residual > MODE_RESIDUAL_REL:
-            raise OscdampError(
+        if not residual <= MODE_RESIDUAL_REL:
+            raise ConvergenceError(
                 f"eigenpair residual {residual:.2e} exceeds {MODE_RESIDUAL_REL:.0e} "
-                f"for lambda = {lam:.6g}"
+                f"for lambda = {lam:.6g}",
+                residual=residual,
             )
         warn: list[str] = []
         gap = min(

@@ -149,6 +149,8 @@ def _parse_kv(tokens: list[str], lineno: int) -> dict[str, float]:
             raise GridFormatError(
                 f"line {lineno}: {key}={val!r} is not a number"
             ) from None
+        if not math.isfinite(out[key]):
+            raise GridFormatError(f"line {lineno}: {key}={val!r} is not a finite number")
     return out
 
 
@@ -258,10 +260,14 @@ def validate_network(network: Network) -> None:
     """Raise ValidationError on any violated structural invariant."""
     n, m = network.n, network.m
     for bus in network.buses:
+        values = (bus.v_set, bus.p_gen, bus.p_load, bus.q_load,
+                  bus.inertia_h, bus.damping_d_seconds)
+        if not all(math.isfinite(x) for x in values):
+            raise ValidationError(f"bus {bus.label!r} has a non-finite value")
         if bus.is_generator:
-            if bus.inertia_h <= 0:
+            if not bus.inertia_h > 0:
                 raise ValidationError(f"generator bus {bus.label!r} needs inertia H > 0")
-            if bus.v_set <= 0:
+            if not bus.v_set > 0:
                 raise ValidationError(f"generator bus {bus.label!r} needs V > 0")
         elif bus.inertia_h != 0:
             raise ValidationError(f"load bus {bus.label!r} must have zero inertia")
@@ -294,7 +300,7 @@ def validate_network(network: Network) -> None:
             raise ValidationError(f"network graph is disconnected; unreachable buses {labels}")
     p, _ = network.injections()
     imbalance = float(np.sum(p))
-    if abs(imbalance) > POWER_BALANCE_TOL:
+    if not abs(imbalance) <= POWER_BALANCE_TOL:
         raise ValidationError(
             f"real power does not balance: sum of injections = {imbalance:.3e} "
             "(the lossless model has no slack bus)"
@@ -525,7 +531,7 @@ def solve_power_flow(
             scale *= 0.5
         else:
             break  # no progress possible; final check below decides
-    if norm > tol:
+    if not norm <= tol:
         raise ConvergenceError(
             f"power flow did not converge: residual max-norm {norm:.3e} > {tol:.1e}",
             residual=norm,

@@ -146,3 +146,25 @@ def test_verify_green_and_deterministic():
     assert "verification PASSED" in out
     assert "FAIL" not in out.replace("FAILED", "")
     assert _run(["verify"]) == (code, out)
+
+
+def test_non_finite_grid_value_is_validation_error(tmp_path, capsys):
+    grid = tmp_path / "nan.grid"
+    text = resources.files("oscdamp").joinpath("data", "three_bus_s7.grid").read_text()
+    grid.write_text(text.replace("Pg=0.5 H=4.0", "Pg=nan H=nan"), encoding="utf-8")
+    code = main(["pf", str(grid)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "oscdamp: line 4: Pg='nan' is not a finite number\n"
+
+
+def test_eigenpair_residual_failure_is_convergence_exit(monkeypatch, capsys):
+    from oscdamp import modal
+    monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", -1.0)
+    code = main(["modes", _data_path("six_bus.grid"), "--const-v"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("oscdamp: eigenpair residual")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -8,6 +8,7 @@ import pytest
 from oscdamp import (
     ModeMatchingError,
     RedispatchPlan,
+    SingularityError,
     ValidationError,
     deltas_in_line_coords,
     flow_response,
@@ -18,8 +19,9 @@ from oscdamp import (
     unit_dlambda,
 )
 from oscdamp.cases import finite_difference_sensitivity, random_network
-from oscdamp.dispatch import match_mode
+from oscdamp.dispatch import generator_gains, match_mode
 from oscdamp.network import line_states, parse_grid_file
+from oscdamp.sensitivity import sensitivity_coefficients
 from oscdamp.study import build_study
 
 SYMMETRIC_2GEN = """
@@ -172,6 +174,66 @@ def test_rank_pairs_symmetric_two_generator_system():
     ranked = rank_pairs(net, st.op, md)
     assert len(ranked) == 2
     assert abs(ranked[0].dlambda_dr + ranked[1].dlambda_dr) < 1e-12 * abs(ranked[0].dlambda_dr)
+
+
+def _assert_rank_matches_pinv_path(net, st, md):
+    # Reference: one pseudo-inverse solve per ordered pair, ranked by the
+    # same key as rank_pairs.
+    ranked = rank_pairs(net, st.op, md, const_v=st.const_v)
+    labels = net.gen_labels()
+    ref = {
+        (up, down): unit_dlambda(net, st.op, md, plan_between(net, up, down),
+                                 const_v=st.const_v)
+        for up in labels for down in labels if up != down
+    }
+    assert len(ranked) == len(ref)
+    scale = max(abs(v) for v in ref.values())
+    for p in ranked:
+        assert abs(p.dlambda_dr - ref[(p.up, p.down)]) <= 1e-12 * scale
+    sigma, omega = md.sigma, md.omega
+    mag3 = (sigma * sigma + omega * omega) ** 1.5
+    dzeta = {pair: (-omega * omega * dl.real + sigma * omega * dl.imag) / mag3
+             for pair, dl in ref.items()}
+    ref_order = sorted(ref, key=lambda pair: (-dzeta[pair], *pair))
+    assert [(p.up, p.down) for p in ranked] == ref_order
+
+
+def test_rank_pairs_matches_pinv_path_random_suite(random_suite):
+    for net, st in random_suite:
+        _assert_rank_matches_pinv_path(net, st, st.electromechanical()[0])
+
+
+def test_rank_pairs_matches_pinv_path_fixtures(fixture_studies):
+    ranked = 0
+    for _, st in fixture_studies.values():
+        if st.network.m < 2 or not st.oscillatory():
+            continue
+        for md in st.oscillatory():
+            _assert_rank_matches_pinv_path(st.network, st, md)
+        ranked += 1
+    assert ranked == 3
+
+
+def test_generator_gains_singular_grounded_block(random_suite):
+    net, st = random_suite[0]
+    md = st.electromechanical()[0]
+    report = sensitivity_coefficients(net, st.op, md)
+    L = st.bundle.L.copy()
+    L[-1, :] = 0.0
+    L[:, -1] = 0.0
+    with pytest.raises(SingularityError):
+        generator_gains(net, st.op, L, report)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_generator_gains_nan_fails_residual_check(random_suite):
+    net, st = random_suite[0]
+    md = st.electromechanical()[0]
+    report = sensitivity_coefficients(net, st.op, md)
+    L = st.bundle.L.copy()
+    L[1, 1] = math.nan
+    with pytest.raises(SingularityError):
+        generator_gains(net, st.op, L, report)
 
 
 def test_rank_pairs_top_sign_confirmed_by_oracle():

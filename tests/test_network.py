@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscdamp import (
+    ConvergenceError,
     DomainError,
     GridFormatError,
     OperatingPoint,
@@ -22,6 +23,7 @@ from oscdamp.network import (
     flat_start,
     hessian_matrix,
     residual_vectors,
+    validate_network,
 )
 
 TWO_BUS = """
@@ -101,6 +103,31 @@ bus G1 G V=1.0 Pg=0.5 H=3.0
 bus L2 L Pl=0.2
 line t G1 L2 b=1.0
 """)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_parse_rejects_non_finite_numbers(value):
+    with pytest.raises(GridFormatError, match="line 2: H=.* not a finite number"):
+        parse_grid_file(f"bus L2 L\nbus G1 G V=1.0 H={value}\nline t G1 L2 b=1.0\n")
+
+
+@pytest.mark.parametrize("field", [
+    "v_set", "p_gen", "p_load", "q_load", "inertia_h", "damping_d_seconds",
+])
+def test_validate_rejects_non_finite_bus_fields(field):
+    from dataclasses import replace
+    net = parse_grid_file(TWO_BUS)
+    bus = replace(net.buses[0], **{field: math.nan})
+    bad = replace(net, buses=(bus,) + net.buses[1:])
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_network(bad)
+
+
+def test_power_flow_nan_residual_is_not_converged():
+    net = parse_grid_file(TWO_BUS)
+    start = OperatingPoint(delta=np.array([0.0, math.nan]), v_load=np.ones(1))
+    with pytest.raises(ConvergenceError):
+        solve_power_flow(net, initial=start, max_iter=0)
 
 
 def test_incidence_three_bus_chain():
