@@ -42,7 +42,6 @@ from .sensitivity import (
     SensitivityReport,
     const_v_coefficients,
     dlambda,
-    eigvec_line_coords,
     sensitivity_coefficients,
 )
 from .dispatch import (

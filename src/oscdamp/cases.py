@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from . import dispatch, modal, sensitivity
-from .errors import OracleError, UsageError, ValidationError
+from .errors import OracleError, OscdampError, UsageError, ValidationError
 from .network import Network, OperatingPoint, line_states, parse_grid_file, potential_energy
 from .study import Study, build_study
 
@@ -122,15 +122,14 @@ def _quantities_three_bus_s7(st: Study) -> dict[str, complex]:
     L = st.bundle.L
     dev = np.max(np.abs(L - st.bundle.assemble_from_parts()))
     out["factorization_reldev"] = dev / np.max(np.abs(L))
-    # Line part of R through both coordinate systems.
-    ls = line_states(st.network, st.op)
-    b = np.array([ln.b for ln in st.network.lines])
-    r_line_coords = float(-np.sum(b * np.exp(ls.nu) * np.cos(ls.theta)))
+    # Line part of R through both coordinate systems; in line coordinates it
+    # is -sum b e^nu cos(theta) = sum q.
+    r_line_coords = float(np.sum(st.bundle.lp_nu_nu))
     r_bus = potential_energy(st.network, st.op)
     p_inj, q_inj = st.network.injections()
-    from .network import bus_voltages, _incident_b_sums
+    from .network import bus_voltages, incident_b_sums
     v = bus_voltages(st.network, st.op)
-    bii = -_incident_b_sums(st.network)
+    bii = -incident_b_sums(st.network)
     r_bus_part = float(-np.sum(p_inj * st.op.delta + 0.5 * bii * v ** 2
                                + q_inj * np.log(v)))
     r_line_bus = r_bus - r_bus_part
@@ -146,7 +145,7 @@ def _quantities_three_bus_s9(st: Study) -> dict[str, complex]:
     dl = dispatch.unit_dlambda(st.network, st.op, mode, plan, const_v=True)
     out["re_dlambda_along_flow"] = abs(dl.real)
     out["domega_along_flow_negative"] = float(dl.imag < 0)
-    cv = sensitivity.const_v_coefficients(st.network, st.op, mode, st.dyn.m, st.dyn.d)
+    cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
     ddelta, dv = dispatch.flow_response(st.network, st.bundle.L, plan)
     dtheta, _ = dispatch.deltas_in_line_coords(st.network, st.op, ddelta, dv)
     out["dsigma_along_flow"] = abs(float(cv.a_r @ dtheta))
@@ -163,8 +162,7 @@ def _quantities_six_bus(st: Study) -> dict[str, complex]:
             em[0].swing_profile, ("G1", "G2"), ("G3",)))
         out["profile2_is_1v2"] = float(_profile_is(
             em[1].swing_profile, ("G1",), ("G2",)))
-        cv = sensitivity.const_v_coefficients(
-            st.network, st.op, em[1], st.dyn.m, st.dyn.d)
+        cv = sensitivity.const_v_coefficients(em[1], st.bundle, st.dyn)
         out["ar1_negative"] = float(cv.a_r[0] < 0)
         out["aI1_negative"] = float(cv.a_I[0] < 0)
         top_r = set(np.argsort(-np.abs(cv.a_r))[:2])
@@ -185,8 +183,7 @@ def _quantities_ten_bus(st: Study) -> dict[str, complex]:
     em = st.electromechanical()
     if em:
         out["em_real_parts_dev"] = max(abs(md.sigma + 1.0 / 26.0) for md in em)
-    ls = line_states(st.network, st.op)
-    out["tie_flow_p7"] = ls.p[6]
+    out["tie_flow_p7"] = st.bundle.lp_theta_nu[6]
     if len(em) == 3:
         out["omega_interarea"] = em[0].omega
         out["omega_local_low"] = em[1].omega
@@ -260,17 +257,12 @@ def finite_difference_sensitivity(
     if not np.any(plan.dp):
         raise ValidationError("finite differencing needs a nonzero redispatch direction")
 
-    def lam_at(r: float) -> complex:
-        shifted = network.with_redispatch(r * plan.dp)
-        st = build_study(shifted, const_v=const_v, initial=op)
-        return dispatch.match_mode(mode, st.modes).lam
-
     try:
-        lam_p = lam_at(step)
-        lam_m = lam_at(-step)
+        lam_p = dispatch.exact_mode(network, op, mode, plan, step, const_v)
+        lam_m = dispatch.exact_mode(network, op, mode, plan, -step, const_v)
     except dispatch.ModeMatchingError:
         raise
-    except Exception as exc:  # power flow divergence etc.
+    except (OscdampError, np.linalg.LinAlgError) as exc:  # power flow divergence etc.
         raise OracleError(f"oracle unavailable at step {step:g}: {exc}") from exc
     return (lam_p - lam_m) / (2.0 * step)
 
@@ -289,7 +281,6 @@ def zero_damping_variant(network: Network) -> Network:
 def random_network(
     seed: int,
     zero_damping: bool = False,
-    with_reactive: bool = True,
     max_theta: float = 0.5,
 ) -> Network:
     """Connected random test network: a load tree with leaf generators plus
@@ -317,7 +308,7 @@ def random_network(
         for _i in range(n_load):
             loads.append(dict(
                 pl=float(rng.uniform(0.0, 0.6)) * scale,
-                ql=(float(rng.uniform(-0.4, 0.4)) * scale if with_reactive else 0.0),
+                ql=float(rng.uniform(-0.4, 0.4)) * scale,
                 d=0.0 if zero_damping else (
                     float(rng.uniform(0.0, 3.0)) if rng.random() < 0.3 else 0.0),
             ))
@@ -369,7 +360,7 @@ def random_network(
             continue
         try:
             st = build_study(net)
-        except Exception:
+        except (OscdampError, np.linalg.LinAlgError):
             continue
         ls = line_states(net, st.op)
         if float(np.max(np.abs(ls.theta))) >= max_theta:

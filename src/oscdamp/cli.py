@@ -172,8 +172,7 @@ def cmd_modes(args) -> int:
 def cmd_sens(args) -> int:
     st = _load_study(args)
     mode = _select_mode(st, args)
-    report = sensitivity.sensitivity_coefficients(
-        st.network, st.op, mode, const_v=st.const_v)
+    report = sensitivity.sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn)
     print(f"mode: lambda = {g6(mode.sigma)} + {g6(mode.omega)}j  "
           f"f = {g6(mode.freq_hz)} Hz  zeta = {g6(100 * mode.damping_ratio)} %")
     print(f"alpha = {g6(report.alpha.real)} + {g6(report.alpha.imag)}j")

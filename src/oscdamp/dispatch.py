@@ -27,7 +27,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .network import Network, OperatingPoint, build_incidence, bus_voltages
+from .network import Network, OperatingPoint, build_incidence
 from .laplacian import hessian
 from .study import build_study
 
@@ -86,6 +86,17 @@ class PairSensitivity:
     dzeta_dr: float
 
 
+def _check_in_range(L: np.ndarray, dz: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise unless L dz = rhs holds for every column; NaN fails the check."""
+    resid = np.linalg.norm(L @ dz - rhs, axis=0)
+    bound = FLOW_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    if not np.all(resid <= bound):
+        raise SingularityError(
+            f"balanced injection not in the range of L (residual {np.max(resid):.3e}); "
+            "equilibrium is near a singularity"
+        )
+
+
 def flow_response(
     network: Network, L: np.ndarray, plan: RedispatchPlan
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,15 +112,8 @@ def flow_response(
     rhs = np.zeros(L.shape[0])
     rhs[:m] = plan.dp
     dz = np.linalg.pinv(L, rcond=PINV_RCOND) @ rhs
-    resid = float(np.linalg.norm(L @ dz - rhs))
-    if resid > FLOW_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
-        raise SingularityError(
-            f"balanced injection not in the range of L (residual {resid:.3e}); "
-            "equilibrium is near a singularity"
-        )
-    ddelta = dz[:n]
-    dv = dz[n:]
-    return ddelta, dv
+    _check_in_range(L, dz, rhs)
+    return dz[:n], dz[n:]
 
 
 def deltas_in_line_coords(
@@ -118,15 +122,12 @@ def deltas_in_line_coords(
     ddelta: np.ndarray,
     dv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """dtheta_k = sum_r A_rk ddelta_r and dvln_i = dV_i / V_i."""
+    """dtheta_k = sum_r A_rk ddelta_r and dvln_i = dV_i / V_i, for one move or
+    one move per column."""
     A, _ = build_incidence(network)
     dtheta = A.T @ np.asarray(ddelta)
     dv = np.asarray(dv)
-    if dv.size:
-        v = bus_voltages(network, op)
-        dvln = dv / v[network.m:]
-    else:
-        dvln = np.zeros(0)
+    dvln = (dv.T / op.v_load).T if dv.size else np.zeros(0)
     return dtheta, dvln
 
 
@@ -136,17 +137,14 @@ def unit_dlambda(
     mode: modal.Mode,
     plan: RedispatchPlan,
     const_v: bool = False,
-    report: sensitivity.SensitivityReport | None = None,
-    L: np.ndarray | None = None,
 ) -> complex:
     """dlambda/dr for a unit application of the plan, via the full chain."""
-    if L is None:
-        L = hessian(network, op, const_v=const_v).L
-    if report is None:
-        report = sensitivity.sensitivity_coefficients(network, op, mode, const_v=const_v)
-    ddelta, dv = flow_response(network, L, plan)
+    bundle = hessian(network, op, const_v=const_v)
+    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
+    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+    ddelta, dv = flow_response(network, bundle.L, plan)
     dtheta, dvln = deltas_in_line_coords(network, op, ddelta, dv)
-    return sensitivity.dlambda(report, dtheta, dvln if dvln.size else None)
+    return sensitivity.dlambda(report, dtheta, dvln)
 
 
 def match_mode(
@@ -181,27 +179,16 @@ def predict_mode(
     plan: RedispatchPlan,
     r: float,
     const_v: bool = False,
-    _slope: complex | None = None,
 ) -> ModePrediction:
     """First-order prediction lambda + r dlambda against a full re-solve."""
-    slope = _slope if _slope is not None else unit_dlambda(
-        network, op, mode, plan, const_v=const_v
-    )
-    approx = mode.lam + r * slope
-    try:
-        exact = _exact_mode(network, op, mode, plan, r, const_v)
-    except (ConvergenceError, OracleError) as exc:
-        return ModePrediction(
-            r=r, lambda_approx=approx, lambda_exact=None,
-            error=None, oracle_failure=str(exc),
-        )
-    return ModePrediction(
-        r=r, lambda_approx=approx, lambda_exact=exact,
-        error=abs(exact - approx),
-    )
+    return sweep(network, op, mode, plan, [r], const_v=const_v)[0]
 
 
-def _exact_mode(network, op, mode, plan, r, const_v) -> complex:
+def exact_mode(
+    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
+    r: float, const_v: bool = False,
+) -> complex:
+    """Eigenvalue of ``mode`` tracked through a full re-solve at redispatch r."""
     if r == 0.0:
         return mode.lam
     shifted = network.with_redispatch(r * plan.dp)
@@ -219,10 +206,20 @@ def sweep(
 ) -> list[ModePrediction]:
     """One prediction per redispatch amount; oracle failures recorded per row."""
     slope = unit_dlambda(network, op, mode, plan, const_v=const_v)
-    return [
-        predict_mode(network, op, mode, plan, float(r), const_v=const_v, _slope=slope)
-        for r in r_values
-    ]
+    rows = []
+    for r in map(float, r_values):
+        approx = mode.lam + r * slope
+        exact, failure = None, None
+        try:
+            exact = exact_mode(network, op, mode, plan, r, const_v)
+        except (ConvergenceError, OracleError) as exc:
+            failure = str(exc)
+        rows.append(ModePrediction(
+            r=r, lambda_approx=approx, lambda_exact=exact,
+            error=None if exact is None else abs(exact - approx),
+            oracle_failure=failure,
+        ))
+    return rows
 
 
 def generator_gains(
@@ -239,7 +236,7 @@ def generator_gains(
     (generator 1 against itself) is zero, and the plan moving one unit from
     ``down`` to ``up`` has dlambda = g[up] - g[down].
     """
-    n, m = network.n, network.m
+    m = network.m
     size = L.shape[0]
     rhs = np.zeros((size, m - 1))
     rhs[0, :] = -1.0
@@ -251,19 +248,9 @@ def generator_gains(
         raise SingularityError(
             "linearized load flow is singular beyond the angle-reference nullspace"
         ) from None
-    resid = np.linalg.norm(L @ Y - rhs, axis=0)
-    bound = FLOW_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    if not np.all(resid <= bound):
-        raise SingularityError(
-            f"balanced injection not in the range of L (residual {np.max(resid):.3e}); "
-            "equilibrium is near a singularity"
-        )
-    A, _ = build_incidence(network)
-    num = report.theta_coeff @ (A.T @ Y[:n])
-    if report.vln_coeff.size:
-        v_load = bus_voltages(network, op)[m:]
-        num = num + report.vln_coeff @ (Y[n:] / v_load[:, None])
-    return np.concatenate([[0.0], -num / report.alpha])
+    _check_in_range(L, Y, rhs)
+    dtheta, dvln = deltas_in_line_coords(network, op, Y[:network.n], Y[network.n:])
+    return np.concatenate([[0.0], sensitivity.dlambda(report, dtheta, dvln)])
 
 
 def rank_pairs(
@@ -279,9 +266,10 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    L = hessian(network, op, const_v=const_v).L
-    report = sensitivity.sensitivity_coefficients(network, op, mode, const_v=const_v)
-    gains = generator_gains(network, op, L, report)
+    bundle = hessian(network, op, const_v=const_v)
+    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
+    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+    gains = generator_gains(network, op, bundle.L, report)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5
     labels = network.gen_labels()

@@ -23,9 +23,9 @@ import numpy as np
 from .network import (
     Network,
     OperatingPoint,
-    bus_voltages,
     build_incidence,
     hessian_matrix,
+    incident_b_sums,
     line_states,
 )
 
@@ -47,6 +47,12 @@ class LaplacianBundle:
     lp_nu_nu: np.ndarray
     l_bus_diag: np.ndarray
     const_v: bool = False
+
+    @property
+    def A(self) -> np.ndarray:
+        """Signed bus-line incidence (n x ell): the angle block of H, transposed."""
+        nl = self.lp_theta_theta.size
+        return self.H[:nl, :self.L.shape[0] - self.l_bus_diag.size].T
 
     def assemble_from_parts(self) -> np.ndarray:
         """H^T L'_line H + L_bus, for checking the factorization identity."""
@@ -77,11 +83,9 @@ def coord_jacobian(
     A, absA = build_incidence(network)
     if const_v:
         return A.T.copy()
-    v = bus_voltages(network, op)
     H = np.zeros((2 * nl, 2 * n - m))
     H[:nl, :n] = A.T
-    for i in range(m, n):
-        H[nl:, n + i - m] = absA[i] / v[i]
+    H[nl:, n:] = absA[m:].T / op.v_load
     return H
 
 
@@ -95,18 +99,11 @@ def hessian(
     if const_v:
         l_bus = np.zeros(0)
     else:
-        n, m = network.n, network.m
-        v = bus_voltages(network, op)
+        n, m, nl = network.n, network.m, network.n_lines
         _, q_inj = network.injections()
-        _, absA = build_incidence(network)
-        b_sum = np.array([
-            sum(ln.b for ln in network.lines if i + 1 in (ln.from_bus, ln.to_bus))
-            for i in range(n)
-        ])
-        l_bus = np.empty(n - m)
-        for i in range(m, n):
-            q_incident = float(absA[i] @ ls.q)
-            l_bus[i - m] = (b_sum[i] + q_inj[i] / v[i] ** 2) - q_incident / v[i] ** 2
+        q_incident = np.abs(H[:nl, m:n]).T @ ls.q
+        l_bus = (incident_b_sums(network)[m:] + q_inj[m:] / op.v_load ** 2) \
+            - q_incident / op.v_load ** 2
     return LaplacianBundle(
         L=L,
         H=H,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -59,20 +59,18 @@ class Mode:
     """One eigenpair of the quadratic problem with derived summaries.
 
     ``x`` is in natural state order and normalized so the largest-magnitude
-    generator angle component is 1+0j. ``x_line`` is attached once the mode
-    has been pushed through the line-coordinate map.
+    generator angle component is 1+0j. ``residual`` is the backward error
+    ||Q(lam) x|| / (||x|| ||Q(lam)||_F).
     """
 
     lam: complex
     x: np.ndarray
-    alpha: complex
     residual: float
     freq_hz: float
     damping_ratio: float
     swing_profile: str
     electromechanical: bool
     warnings: tuple[str, ...] = ()
-    x_line: np.ndarray | None = None
 
     @property
     def sigma(self) -> float:
@@ -87,6 +85,8 @@ class _PencilLayout:
     """Index bookkeeping between natural z order and pencil state order."""
 
     def __init__(self, m_diag: np.ndarray, d_diag: np.ndarray):
+        if not (np.all(m_diag >= 0) and np.all(d_diag >= 0)):
+            raise UsageError("M and D diagonals must be nonnegative")
         nz = m_diag.size
         self.nz = nz
         self.dyn_z = [i for i in range(nz) if m_diag[i] > 0 or d_diag[i] > 0]
@@ -175,11 +175,20 @@ def _first_at_max(mags: np.ndarray) -> int:
     return int(np.argmax(mags >= top * (1.0 - 1e-12)))
 
 
-def _qep_matrix(lam: complex, m_diag, d_diag, L) -> np.ndarray:
-    Q = L.astype(complex).copy()
-    idx = np.arange(L.shape[0])
-    Q[idx, idx] += lam * lam * m_diag + lam * d_diag
-    return Q
+def backward_errors(
+    lams: np.ndarray, X: np.ndarray, m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray
+) -> np.ndarray:
+    """||Q(lam_k) x_k|| / (||x_k|| ||Q(lam_k)||_F) for each column x_k of X.
+
+    Q(lam) = L + diag(s) with s = lam^2 m + lam d, so the residual is
+    L X + S o X and ||Q||_F^2 = ||L||_F^2 + sum_i (|s_i|^2 + 2 Re(s_i) L_ii);
+    no Q(lam) is formed (Tisseur & Meerbergen, SIAM Review 2001).
+    """
+    S = lams * lams * m_diag[:, None] + lams * d_diag[:, None]
+    R = L @ X + S * X
+    q_norm2 = np.linalg.norm(L) ** 2 + np.sum(
+        np.abs(S) ** 2 + 2.0 * S.real * np.diag(L)[:, None], axis=0)
+    return np.linalg.norm(R, axis=0) / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
 
 
 def _swing_profile(x: np.ndarray, gen_rows: list[int], labels: tuple[str, ...]) -> str:
@@ -223,11 +232,10 @@ def solve_qep(
         raise UsageError(f"L has shape {L.shape}, expected ({nz}, {nz})")
     if n_angles is None:
         n_angles = nz
-    gen_rows = [i for i in range(nz) if m_diag[i] > 0]
+    E, J, lay = _pencil(m_diag, d_diag, L)
+    gen_rows = lay.inertial
     if gen_labels is None:
         gen_labels = tuple(str(i + 1) for i in range(len(gen_rows)))
-
-    E, J, lay = _pencil(m_diag, d_diag, L)
     (alph, beta), vr = scipy.linalg.eig(J, E, right=True, homogeneous_eigvals=True)
 
     pair_scale = np.hypot(np.abs(alph), np.abs(beta))
@@ -238,7 +246,6 @@ def solve_qep(
     spectral_scale = float(np.max(np.abs(lams))) if lams.size else 0.0
 
     kept: list[tuple[complex, np.ndarray]] = []
-    all_finite: list[complex] = list(lams)
     for idx in range(lams.size):
         lam = complex(lams[idx])
         x = vecs[lay.zcol, idx].astype(complex)
@@ -249,20 +256,23 @@ def solve_qep(
                 continue  # rigid uniform-angle mode
         if lam.imag < 0:
             continue  # conjugate partner is reported
-        kept.append((lam, x))
-
-    modes: list[Mode] = []
-    for lam, x in kept:
         xg = x[gen_rows] if gen_rows else x
         top = float(np.max(np.abs(xg))) if xg.size else 0.0
         if top > 1e-12 * float(np.max(np.abs(x))):
             x = x / xg[_first_at_max(np.abs(xg))]
         else:
             x = x / x[_first_at_max(np.abs(x))]
-        Q = _qep_matrix(lam, m_diag, d_diag, L)
-        residual = float(
-            np.linalg.norm(Q @ x) / (np.linalg.norm(x) * np.linalg.norm(Q))
-        )
+        kept.append((lam, x))
+    if not kept:
+        return []
+
+    kept_lams = np.array([lam for lam, _ in kept])
+    residuals = backward_errors(
+        kept_lams, np.column_stack([x for _, x in kept]), m_diag, d_diag, L)
+    dist = np.abs(kept_lams[:, None] - lams[None, :])
+    gaps = np.min(np.where(dist > 0, dist, np.inf), axis=1)
+    modes: list[Mode] = []
+    for (lam, x), residual, gap in zip(kept, residuals.tolist(), gaps.tolist()):
         if not residual <= MODE_RESIDUAL_REL:
             raise ConvergenceError(
                 f"eigenpair residual {residual:.2e} exceeds {MODE_RESIDUAL_REL:.0e} "
@@ -270,16 +280,11 @@ def solve_qep(
                 residual=residual,
             )
         warn: list[str] = []
-        gap = min(
-            (abs(lam - other) for other in all_finite if abs(lam - other) > 0),
-            default=math.inf,
-        )
         if gap < RESONANCE_GAP_REL * spectral_scale:
             warn.append(
                 f"near-resonant eigenvalue: gap {gap:.2e} below "
                 f"{RESONANCE_GAP_REL:.0e} of spectral scale"
             )
-        al = 2.0 * lam * (x @ (m_diag * x)) + x @ (d_diag * x)
         mag = abs(lam)
         zeta = -lam.real / mag if mag > 0 else 0.0
         xmax = float(np.max(np.abs(x)))
@@ -289,7 +294,6 @@ def solve_qep(
         modes.append(Mode(
             lam=lam,
             x=x,
-            alpha=complex(al),
             residual=residual,
             freq_hz=lam.imag / (2.0 * math.pi),
             damping_ratio=zeta,
@@ -350,8 +354,3 @@ def mode_summary(mode: Mode) -> tuple[float, float, str]:
     if mode.omega <= 0:
         raise UsageError("mode summary is defined for oscillatory modes only")
     return mode.freq_hz, 100.0 * mode.damping_ratio, mode.swing_profile
-
-
-def attach_line_coords(mode: Mode, H: np.ndarray) -> Mode:
-    """Return the mode with x' = H x attached."""
-    return replace(mode, x_line=H @ mode.x)

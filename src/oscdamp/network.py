@@ -101,6 +101,12 @@ class Network:
     def gen_labels(self) -> tuple[str, ...]:
         return tuple(b.label for b in self.buses if b.is_generator)
 
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based (from, to) bus positions, one entry per line in line order."""
+        f = np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)
+        t = np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)
+        return f, t
+
     def with_redispatch(self, dp: np.ndarray) -> "Network":
         """Return a copy with generator outputs shifted by ``dp`` (one entry per generator)."""
         dp = np.asarray(dp, dtype=float)
@@ -264,6 +270,8 @@ def validate_network(network: Network) -> None:
                   bus.inertia_h, bus.damping_d_seconds)
         if not all(math.isfinite(x) for x in values):
             raise ValidationError(f"bus {bus.label!r} has a non-finite value")
+        if bus.damping_d_seconds < 0:
+            raise ValidationError(f"bus {bus.label!r} needs damping D >= 0")
         if bus.is_generator:
             if not bus.inertia_h > 0:
                 raise ValidationError(f"generator bus {bus.label!r} needs inertia H > 0")
@@ -313,10 +321,11 @@ def validate_network(network: Network) -> None:
 
 def build_incidence(network: Network) -> tuple[np.ndarray, np.ndarray]:
     """Signed and unsigned bus-line incidence matrices, each n x ell."""
+    f, t = network.endpoints()
+    k = np.arange(network.n_lines)
     A = np.zeros((network.n, network.n_lines))
-    for ln in network.lines:
-        A[ln.from_bus - 1, ln.index - 1] = 1.0
-        A[ln.to_bus - 1, ln.index - 1] = -1.0
+    A[f, k] = 1.0
+    A[t, k] = -1.0
     return A, np.abs(A)
 
 
@@ -329,11 +338,8 @@ def flat_start(network: Network) -> OperatingPoint:
 
 def bus_voltages(network: Network, op: OperatingPoint) -> np.ndarray:
     """Voltage magnitudes over all buses: fixed set-points then load states."""
-    v = np.empty(network.n)
-    for g in range(network.m):
-        v[g] = network.buses[g].v_set
-    v[network.m:] = op.v_load
-    return v
+    v_set = [b.v_set for b in network.buses[:network.m]]
+    return np.concatenate([v_set, op.v_load])
 
 
 def line_states(network: Network, op: OperatingPoint) -> LineState:
@@ -342,20 +348,16 @@ def line_states(network: Network, op: OperatingPoint) -> LineState:
     v = bus_voltages(network, op)
     if np.any(v <= 0):
         raise DomainError("nonpositive voltage magnitude; ln V undefined")
-    nl = network.n_lines
-    theta = np.empty(nl)
-    nu = np.empty(nl)
-    for ln in network.lines:
-        f, t = ln.from_bus - 1, ln.to_bus - 1
-        theta[ln.index - 1] = op.delta[f] - op.delta[t]
-        nu[ln.index - 1] = math.log(v[f] * v[t])
+    f, t = network.endpoints()
+    theta = op.delta[f] - op.delta[t]
+    nu = np.log(v[f] * v[t])
     b = np.array([ln.b for ln in network.lines])
     p = b * np.exp(nu) * np.sin(theta)
     q = -b * np.exp(nu) * np.cos(theta)
     return LineState(theta=theta, nu=nu, p=p, q=q)
 
 
-def _incident_b_sums(network: Network) -> np.ndarray:
+def incident_b_sums(network: Network) -> np.ndarray:
     """sum of b_k over lines incident to each bus (= -b_ii)."""
     s = np.zeros(network.n)
     for ln in network.lines:
@@ -379,7 +381,7 @@ def potential_energy(network: Network, op: OperatingPoint) -> float:
     for ln in network.lines:
         f, t = ln.from_bus - 1, ln.to_bus - 1
         r -= ln.b * v[f] * v[t] * math.cos(op.delta[f] - op.delta[t])
-    b_sum = _incident_b_sums(network)
+    b_sum = incident_b_sums(network)
     for i in range(network.n):
         bii = -b_sum[i]
         r -= p_inj[i] * op.delta[i] + 0.5 * bii * v[i] ** 2 + q_inj[i] * math.log(v[i])
@@ -405,7 +407,7 @@ def residual_vectors(
         real[t] -= ls.p[k]
         qsum[f] += ls.q[k]
         qsum[t] += ls.q[k]
-    b_sum = _incident_b_sums(network)
+    b_sum = incident_b_sums(network)
     m = network.m
     loads = np.arange(m, network.n)
     reactive = qsum[loads] / v[loads] + b_sum[loads] * v[loads] - q_inj[loads] / v[loads]
@@ -446,7 +448,7 @@ def hessian_matrix(network: Network, op: OperatingPoint, const_v: bool = False) 
             L[n + f - m, n + t - m] -= wc / (v[f] * v[t])
             L[n + t - m, n + f - m] -= wc / (v[f] * v[t])
     if not const_v:
-        b_sum = _incident_b_sums(network)
+        b_sum = incident_b_sums(network)
         _, q_inj = network.injections()
         for i in range(m, n):
             L[n + i - m, n + i - m] += b_sum[i] + q_inj[i] / v[i] ** 2

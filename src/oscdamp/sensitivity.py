@@ -31,8 +31,8 @@ import numpy as np
 
 from . import modal
 from .errors import UsageError
-from .network import Network, OperatingPoint, bus_voltages, line_states
-from .laplacian import coord_jacobian
+from .network import Network, OperatingPoint
+from .laplacian import LaplacianBundle
 
 UNDAMPED_SIGMA_REL = 1e-10
 
@@ -49,7 +49,6 @@ class SensitivityReport:
     theta_coeff: np.ndarray
     vln_coeff: np.ndarray
     alpha: complex
-    mode_ref: str
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ class ConstVCoefficients:
 
     a_r: np.ndarray
     a_I: np.ndarray
-    alpha_r: float
-    alpha_I: float
     a: np.ndarray | None = None
 
     def undamped_gains(self) -> np.ndarray:
@@ -75,60 +72,47 @@ class ConstVCoefficients:
         return self.a
 
 
-def eigvec_line_coords(mode: modal.Mode, H: np.ndarray) -> np.ndarray:
-    """x' = H x: signed angle differences, then load-end x_V/V sums per line."""
-    return H @ mode.x
-
-
 def sensitivity_coefficients(
     network: Network,
     op: OperatingPoint,
     mode: modal.Mode,
-    const_v: bool = False,
+    bundle: LaplacianBundle,
+    dyn: modal.DynamicMatrices,
 ) -> SensitivityReport:
-    """Assemble the per-line and per-load-bus numerator coefficients."""
+    """Assemble the per-line and per-load-bus numerator coefficients.
+
+    ``bundle`` and ``dyn`` are the Hessian bundle and dynamic matrices of
+    ``network`` at ``op``, as a ``Study`` holds them; the voltage model is
+    the bundle's.
+    """
     n, m, nl = network.n, network.m, network.n_lines
-    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
     al = modal.alpha(mode, dyn.m, dyn.d)
-
-    H = coord_jacobian(network, op, const_v=const_v)
-    ls = line_states(network, op)
     x = mode.x
-    xp = H @ x
+    xp = bundle.H @ x
     xt = xp[:nl]
+    p, q = bundle.lp_theta_nu, bundle.lp_nu_nu
 
-    theta_coeff = np.empty(nl, dtype=complex)
-    if const_v:
-        theta_coeff[:] = -(xt ** 2) * ls.p
+    if bundle.const_v:
+        theta_coeff = -(xt ** 2) * p
         vln_coeff = np.zeros(0, dtype=complex)
     else:
-        v = bus_voltages(network, op)
         _, q_inj = network.injections()
         xv = xp[nl:]
-        xln = np.array([x[n + i - m] / v[i] for i in range(m, n)], dtype=complex)
-        for ln in network.lines:
-            k = ln.index - 1
-            f, t = ln.from_bus - 1, ln.to_bus - 1
-            both = xln[f - m] * xln[t - m] if (f >= m and t >= m) else 0.0
-            theta_coeff[k] = (2.0 * both - xt[k] ** 2) * ls.p[k] \
-                - 2.0 * xt[k] * xv[k] * ls.q[k]
-        vln_coeff = np.zeros(n - m, dtype=complex)
-        for ln in network.lines:
-            k = ln.index - 1
-            for e in (ln.from_bus - 1, ln.to_bus - 1):
-                if e < m:
-                    continue
-                i = e - m
-                c_p = 2.0 * xt[k] * (xv[k] - xln[i])
-                vln_coeff[i] += -(xt[k] ** 2) * ls.q[k] + c_p * ls.p[k]
-        for i in range(m, n):
-            vln_coeff[i - m] += -2.0 * xln[i - m] ** 2 * q_inj[i]
+        xln = x[n:] / op.v_load
+        # x^ln per bus, zero on generator buses; only load-load lines get the
+        # 2 x^ln_i x^ln_j term.
+        xln_bus = np.concatenate([np.zeros(m), xln])
+        f, t = network.endpoints()
+        both = np.where((f >= m) & (t >= m), xln_bus[f] * xln_bus[t], 0.0)
+        theta_coeff = (2.0 * both - xt ** 2) * p - 2.0 * xt * xv * q
+        abs_a_loads = np.abs(bundle.A[m:])
+        vln_coeff = abs_a_loads @ (-(xt ** 2) * q + 2.0 * xt * xv * p) \
+            - 2.0 * xln * (abs_a_loads @ (xt * p)) - 2.0 * xln ** 2 * q_inj[m:]
 
     return SensitivityReport(
         theta_coeff=theta_coeff,
         vln_coeff=vln_coeff,
         alpha=al,
-        mode_ref=f"lambda={mode.lam:.6g}",
     )
 
 
@@ -136,46 +120,49 @@ def dlambda(
     report: SensitivityReport,
     dtheta: np.ndarray,
     dvln: np.ndarray | None = None,
-) -> complex:
-    """First-order eigenvalue change for given line-coordinate moves."""
-    num = complex(report.theta_coeff @ np.asarray(dtheta))
+) -> complex | np.ndarray:
+    """First-order eigenvalue change for given line-coordinate moves.
+
+    With one move per column of ``dtheta`` and ``dvln`` the result has one
+    entry per column.
+    """
+    num = report.theta_coeff @ np.asarray(dtheta)
     if report.vln_coeff.size:
         if dvln is None:
             raise UsageError("this report has voltage coefficients; dvln is required")
-        num += complex(report.vln_coeff @ np.asarray(dvln))
+        num = num + report.vln_coeff @ np.asarray(dvln)
+    if np.ndim(num) == 0:
+        num = complex(num)  # Python complex division; NumPy's rounds differently
     return -num / report.alpha
 
 
 def const_v_coefficients(
-    network: Network,
-    op: OperatingPoint,
     mode: modal.Mode,
-    m_diag: np.ndarray,
-    d_diag: np.ndarray,
+    bundle: LaplacianBundle,
+    dyn: modal.DynamicMatrices,
 ) -> ConstVCoefficients:
     """Real/imaginary split of the constant-voltage sensitivity into line gains."""
-    if mode.x.size != network.n:
+    if not bundle.const_v or mode.x.size != bundle.H.shape[1]:
         raise UsageError(
             "constant-voltage coefficients need a mode from the constant-voltage model"
         )
     if mode.omega <= 0:
         raise UsageError("line gains are defined for oscillatory modes only")
-    H = coord_jacobian(network, op, const_v=True)
-    ls = line_states(network, op)
+    H, p = bundle.H, bundle.lp_theta_nu
     xt = H @ mode.x
-    al = modal.alpha(mode, m_diag, d_diag)
+    al = modal.alpha(mode, dyn.m, dyn.d)
     ar, ai = al.real, al.imag
     denom = ar * ar + ai * ai
     xt2 = xt ** 2
-    a_r = (ar * xt2.real + ai * xt2.imag) * ls.p / denom
-    a_I = (ar * xt2.imag - ai * xt2.real) * ls.p / denom
+    a_r = (ar * xt2.real + ai * xt2.imag) * p / denom
+    a_I = (ar * xt2.imag - ai * xt2.real) * p / denom
 
     a = None
     if abs(mode.sigma) <= UNDAMPED_SIGMA_REL * abs(mode.lam):
         # Zero damping: the eigenvector rotates to a real vector, making the
         # gains exactly real and nonnegative for flow-oriented lines.
         xr = mode.x.real
-        mx = float(xr @ (m_diag * xr))
+        mx = float(xr @ (dyn.m * xr))
         xtr = H @ xr
-        a = (xtr ** 2) * ls.p / (2.0 * mode.omega * mx)
-    return ConstVCoefficients(a_r=a_r, a_I=a_I, alpha_r=ar, alpha_I=ai, a=a)
+        a = (xtr ** 2) * p / (2.0 * mode.omega * mx)
+    return ConstVCoefficients(a_r=a_r, a_I=a_I, a=a)

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import laplacian, modal
-from .network import Network, OperatingPoint, build_incidence, solve_power_flow
+from .network import Network, OperatingPoint, solve_power_flow
 
 
 @dataclass(frozen=True)
@@ -15,8 +13,6 @@ class Study:
     network: Network
     const_v: bool
     op: OperatingPoint
-    A: np.ndarray
-    absA: np.ndarray
     bundle: laplacian.LaplacianBundle
     dyn: modal.DynamicMatrices
     modes: tuple[modal.Mode, ...]
@@ -35,7 +31,6 @@ def build_study(
 ) -> Study:
     """Solve the equilibrium and compute every modal quantity downstream of it."""
     op = solve_power_flow(network, initial=initial, const_v=const_v)
-    A, absA = build_incidence(network)
     bundle = laplacian.hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)
     modes = modal.solve_qep(
@@ -43,8 +38,7 @@ def build_study(
         n_angles=network.n,
         gen_labels=network.gen_labels(),
     )
-    modes = [modal.attach_line_coords(md, bundle.H) for md in modes]
     return Study(
-        network=network, const_v=const_v, op=op, A=A, absA=absA,
+        network=network, const_v=const_v, op=op,
         bundle=bundle, dyn=dyn, modes=tuple(modes),
     )

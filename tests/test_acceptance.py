@@ -134,7 +134,7 @@ def test_criterion_05_mode_summary_published_arithmetic():
     def summary(sigma, omega):
         lam = complex(sigma, omega)
         md = modal.Mode(
-            lam=lam, x=np.array([1.0 + 0j]), alpha=1j, residual=0.0,
+            lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
             freq_hz=omega / (2 * math.pi), damping_ratio=-sigma / abs(lam),
             swing_profile="", electromechanical=True,
         )
@@ -202,7 +202,7 @@ def test_criterion_08_special_case_collapse(fixture_studies):
         fx, st = fixture_studies[name]
         for mode in st.electromechanical():
             rep = sensitivity.sensitivity_coefficients(
-                st.network, st.op, mode, const_v=True)
+                st.network, st.op, mode, st.bundle, st.dyn)
             # Frozen voltages: the general coefficient reduces to the simple
             # -(x'_theta)^2 p_k form with the voltage sums absent.
             xt = (st.bundle.H @ mode.x)[:st.network.n_lines]
@@ -215,8 +215,7 @@ def test_criterion_08_special_case_collapse(fixture_studies):
             assert rep.vln_coeff.size == 0
 
             # The real/imaginary gain split sums back to the complex formula.
-            cv = sensitivity.const_v_coefficients(
-                st.network, st.op, mode, st.dyn.m, st.dyn.d)
+            cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
             labels = st.network.gen_labels()
             plan = dispatch.plan_between(st.network, labels[0], labels[-1])
             ddelta, dv = dispatch.flow_response(st.network, st.bundle.L, plan)

@@ -108,3 +108,61 @@ def test_random_network_determinism_and_guarantees():
 def test_zero_damping_variant_strips_damping():
     net = zero_damping_variant(random_network(4))
     assert all(b.damping_d_seconds == 0 for b in net.buses)
+
+
+def _fd_inputs():
+    net = random_network(3)
+    st = build_study(net)
+    plan = plan_between(net, *net.gen_labels()[:2])
+    return net, st, st.electromechanical()[0], plan
+
+
+def test_oracle_maps_linalg_failure_to_oracle_error(monkeypatch):
+    from oscdamp import OracleError, cases
+    net, st, md, plan = _fd_inputs()
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig did not converge")
+
+    monkeypatch.setattr(cases.dispatch, "exact_mode", broken)
+    with pytest.raises(OracleError, match="eig did not converge"):
+        finite_difference_sensitivity(net, st.op, md, plan)
+
+
+def test_oracle_lets_programming_errors_through(monkeypatch):
+    from oscdamp import cases
+    net, st, md, plan = _fd_inputs()
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cases.dispatch, "exact_mode", broken)
+    with pytest.raises(TypeError, match="bug"):
+        finite_difference_sensitivity(net, st.op, md, plan)
+
+
+def test_random_network_retries_after_linalg_failure(monkeypatch):
+    from oscdamp import cases
+    calls = []
+
+    def flaky(net, *args, **kwargs):
+        calls.append(net)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("eig did not converge")
+        return build_study(net, *args, **kwargs)
+
+    monkeypatch.setattr(cases, "build_study", flaky)
+    net = random_network(0)
+    assert len(calls) >= 2
+    assert net == calls[-1]
+
+
+def test_random_network_lets_programming_errors_through(monkeypatch):
+    from oscdamp import cases
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cases, "build_study", broken)
+    with pytest.raises(TypeError, match="bug"):
+        random_network(0)

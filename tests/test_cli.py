@@ -4,6 +4,8 @@ import io
 from contextlib import redirect_stdout
 from importlib import resources
 
+import pytest
+
 from oscdamp.cli import main
 
 
@@ -168,3 +170,20 @@ def test_eigenpair_residual_failure_is_convergence_exit(monkeypatch, capsys):
     assert captured.err.startswith("oscdamp: eigenpair residual")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("old, new, label", [
+    ("bus L3 L Pl=0.5 Ql=0.2", "bus L3 L Pl=0.5 Ql=0.2 D=-1.0", "L3"),
+    ("Pg=0.5 H=4.0 D=0.5", "Pg=0.5 H=4.0 D=-0.5", "G1"),
+])
+def test_negative_damping_is_validation_error(tmp_path, capsys, old, new, label):
+    grid = tmp_path / "negative_d.grid"
+    text = resources.files("oscdamp").joinpath("data", "three_bus_s7.grid").read_text()
+    assert old in text
+    grid.write_text(text.replace(old, new), encoding="utf-8")
+    for command in ("pf", "modes"):
+        code = main([command, str(grid)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"oscdamp: bus {label!r} needs damping D >= 0\n"

@@ -117,7 +117,7 @@ def test_deltas_linearize_the_nonlinear_map(random_suite):
         errs.append(max(
             np.max(np.abs((pert.theta - base.theta) / eps - dtheta)),
             np.max(np.abs((pert.nu - base.nu) / eps
-                          - (np.abs(st.A.T[:, net.m:]) @ dvln))),
+                          - (np.abs(st.bundle.A.T[:, net.m:]) @ dvln))),
         ))
     assert errs[0] < 1e-2
     assert errs[1] < errs[0] * 0.7  # first-order error shrinks with eps
@@ -217,7 +217,7 @@ def test_rank_pairs_matches_pinv_path_fixtures(fixture_studies):
 def test_generator_gains_singular_grounded_block(random_suite):
     net, st = random_suite[0]
     md = st.electromechanical()[0]
-    report = sensitivity_coefficients(net, st.op, md)
+    report = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
     L = st.bundle.L.copy()
     L[-1, :] = 0.0
     L[:, -1] = 0.0
@@ -229,7 +229,7 @@ def test_generator_gains_singular_grounded_block(random_suite):
 def test_generator_gains_nan_fails_residual_check(random_suite):
     net, st = random_suite[0]
     md = st.electromechanical()[0]
-    report = sensitivity_coefficients(net, st.op, md)
+    report = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
     L = st.bundle.L.copy()
     L[1, 1] = math.nan
     with pytest.raises(SingularityError):
@@ -267,7 +267,7 @@ def test_match_mode_ambiguity_raises():
     x = np.array([1.0, 0.0], dtype=complex)
     def as_mode(lam, vec):
         from oscdamp.modal import Mode
-        return Mode(lam=lam, x=vec, alpha=1j, residual=0.0,
+        return Mode(lam=lam, x=vec, residual=0.0,
                     freq_hz=lam.imag / (2 * math.pi), damping_ratio=0.0,
                     swing_profile="", electromechanical=True)
     ref = as_mode(1j, x)

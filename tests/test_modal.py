@@ -18,7 +18,7 @@ from oscdamp import (
     solve_qep,
 )
 from oscdamp.cases import random_network
-from oscdamp.modal import Mode, _pencil
+from oscdamp.modal import Mode, _pencil, backward_errors
 from oscdamp.study import build_study
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -159,6 +159,46 @@ def test_mode_residual_invariant(fixture_studies):
             assert md.residual < 1e-9
 
 
+def _dense_backward_error(lam, x, m_diag, d_diag, L) -> float:
+    """||Q(lam) x|| / (||x|| ||Q(lam)||_F) with Q(lam) formed densely."""
+    Q = L.astype(complex)
+    Q[np.diag_indices_from(Q)] += lam * lam * m_diag + lam * d_diag
+    return float(np.linalg.norm(Q @ x) / (np.linalg.norm(x) * np.linalg.norm(Q)))
+
+
+def test_mode_residual_matches_dense_reference(fixture_studies, random_suite):
+    # Exact eigenpairs have residuals at roundoff, where the two summation
+    # orders differ by a fraction of themselves; the residuals are already
+    # relative, so they are compared to 1e-12 of ||x|| ||Q(lam)||_F.
+    studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite]
+    checked = 0
+    for st in studies:
+        for md in st.modes:
+            ref = _dense_backward_error(md.lam, md.x, st.dyn.m, st.dyn.d, st.bundle.L)
+            assert abs(md.residual - ref) <= 1e-12
+            checked += 1
+    assert checked > 100
+
+
+def test_backward_errors_match_dense_reference_off_eigenpairs(random_suite):
+    # Away from eigenpairs the residual is O(1), so the Frobenius-norm
+    # identity and the L X + S o X product must match the dense form closely.
+    rng = np.random.default_rng(11)
+    for _, st in random_suite[:10]:
+        nz = st.dyn.m.size
+        lams = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        X = rng.standard_normal((nz, 4)) + 1j * rng.standard_normal((nz, 4))
+        got = backward_errors(lams, X, st.dyn.m, st.dyn.d, st.bundle.L)
+        for k in range(4):
+            ref = _dense_backward_error(lams[k], X[:, k], st.dyn.m, st.dyn.d, st.bundle.L)
+            assert abs(got[k] - ref) <= 1e-12 * ref
+
+
+def test_solve_qep_rejects_negative_damping():
+    with pytest.raises(UsageError, match="nonnegative"):
+        solve_qep(np.array([1.0, 0.0]), np.array([0.0, -1.0]), TOY_L)
+
+
 def test_ten_bus_real_parts_not_contingent(fixture_studies):
     _, st = fixture_studies["ten_bus"]
     em = st.electromechanical()
@@ -242,7 +282,7 @@ def test_alpha_matches_termwise_sum(random_suite):
 
 def test_alpha_degeneracy_raises():
     md = Mode(
-        lam=1j, x=np.array([1.0, 1.0], dtype=complex), alpha=0j, residual=0.0,
+        lam=1j, x=np.array([1.0, 1.0], dtype=complex), residual=0.0,
         freq_hz=1 / (2 * math.pi), damping_ratio=0.0, swing_profile="",
         electromechanical=True,
     )
@@ -282,7 +322,7 @@ def test_lambda_from_vector_degenerate():
 def test_mode_summary_published_arithmetic():
     def summarize(lam):
         md = Mode(
-            lam=lam, x=np.array([1.0 + 0j]), alpha=1j, residual=0.0,
+            lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
             freq_hz=lam.imag / (2 * math.pi),
             damping_ratio=-lam.real / abs(lam),
             swing_profile="", electromechanical=True,
@@ -302,7 +342,7 @@ def test_mode_summary_published_arithmetic():
 
 def test_mode_summary_requires_oscillation():
     md = Mode(
-        lam=-1.0 + 0j, x=np.array([1.0 + 0j]), alpha=1j, residual=0.0,
+        lam=-1.0 + 0j, x=np.array([1.0 + 0j]), residual=0.0,
         freq_hz=0.0, damping_ratio=1.0, swing_profile="",
         electromechanical=False,
     )

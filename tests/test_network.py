@@ -123,6 +123,23 @@ def test_validate_rejects_non_finite_bus_fields(field):
         validate_network(bad)
 
 
+@pytest.mark.parametrize("record", [
+    "bus G1 G V=1.0 H=3.0 D=-0.5\nbus L2 L\n",
+    "bus G1 G V=1.0 H=3.0\nbus L2 L D=-1.0\n",
+])
+def test_parse_rejects_negative_damping(record):
+    with pytest.raises(ValidationError, match="damping D >= 0"):
+        parse_grid_file(record + "line t G1 L2 b=1.0\n")
+
+
+def test_validate_rejects_negative_damping():
+    from dataclasses import replace
+    net = parse_grid_file(TWO_BUS)
+    bus = replace(net.buses[1], damping_d_seconds=-1e-12)
+    with pytest.raises(ValidationError, match="'L2' needs damping D >= 0"):
+        validate_network(replace(net, buses=(net.buses[0], bus)))
+
+
 def test_power_flow_nan_residual_is_not_converged():
     net = parse_grid_file(TWO_BUS)
     start = OperatingPoint(delta=np.array([0.0, math.nan]), v_load=np.ones(1))

@@ -9,7 +9,6 @@ from oscdamp import (
     UsageError,
     const_v_coefficients,
     dlambda,
-    eigvec_line_coords,
     sensitivity_coefficients,
 )
 from oscdamp.cases import random_network
@@ -25,7 +24,7 @@ def test_line_coords_three_bus_structure(fixture_studies):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     md = replace(st.modes[0], x=x)
-    xp = eigvec_line_coords(md, st.bundle.H)
+    xp = st.bundle.H @ md.x
     v = bus_voltages(st.network, st.op)
     expected = np.array([
         x[0] - x[1],
@@ -41,14 +40,14 @@ def test_line_coords_uniform_angle_vector(random_suite):
     x = np.zeros(2 * net.n - net.m, dtype=complex)
     x[:net.n] = 3.7 - 0.4j
     md = replace(st.modes[0], x=x)
-    xp = eigvec_line_coords(md, st.bundle.H)
+    xp = st.bundle.H @ md.x
     assert np.max(np.abs(xp[:net.n_lines])) == 0.0
 
 
 def test_line_coords_hand_assembly(random_suite):
     net, st = random_suite[1]
     md = st.electromechanical()[0]
-    xp = eigvec_line_coords(md, st.bundle.H)
+    xp = st.bundle.H @ md.x
     v = bus_voltages(net, st.op)
     for ln in net.lines:
         k = ln.index - 1
@@ -67,7 +66,7 @@ def test_const_v_coefficients_collapse(fixture_studies):
     from oscdamp.network import line_states
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(st.network, st.op, md, const_v=True)
+    rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
     assert rep.vln_coeff.size == 0
     ls = line_states(st.network, st.op)
     xt = (st.bundle.H @ md.x)[:st.network.n_lines]
@@ -77,7 +76,7 @@ def test_const_v_coefficients_collapse(fixture_studies):
 def test_zero_damping_makes_dlambda_imaginary(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(st.network, st.op, md, const_v=True)
+    rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
     assert abs(rep.alpha.real) < 1e-12 * abs(rep.alpha)
     plan = plan_between(st.network, "G1", "G3")
     dl = unit_dlambda(st.network, st.op, md, plan, const_v=True)
@@ -89,7 +88,7 @@ def test_report_matches_matrix_finite_difference(random_suite):
     # an arbitrary state direction, not just load-flow responses.
     net, st = random_suite[12]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md)
+    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
     rng = np.random.default_rng(5)
     n, m = net.n, net.m
     for _ in range(3):
@@ -107,14 +106,14 @@ def test_report_matches_matrix_finite_difference(random_suite):
 def test_dlambda_zero_perturbation(random_suite):
     net, st = random_suite[2]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md)
+    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
     assert dlambda(rep, np.zeros(net.n_lines), np.zeros(net.n - net.m)) == 0j
 
 
 def test_dlambda_requires_dvln_when_voltages_present(random_suite):
     net, st = random_suite[2]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md)
+    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
     with pytest.raises(UsageError):
         dlambda(rep, np.zeros(net.n_lines))
 
@@ -136,7 +135,7 @@ def test_scaling_invariance(fixture_studies):
 def test_const_v_gains_undamped_relation(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
-    cv = const_v_coefficients(st.network, st.op, md, st.dyn.m, st.dyn.d)
+    cv = const_v_coefficients(md, st.bundle, st.dyn)
     a = cv.undamped_gains()
     assert np.all(a >= 0)  # base flow orients every p_k positive
     assert np.max(np.abs(cv.a_r)) < 1e-12 * np.max(np.abs(cv.a_I))
@@ -147,7 +146,7 @@ def test_const_v_gains_decompose_dlambda(fixture_studies):
     # dsigma + j domega from the real gain split equals the complex formula.
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[1]
-    cv = const_v_coefficients(st.network, st.op, md, st.dyn.m, st.dyn.d)
+    cv = const_v_coefficients(md, st.bundle, st.dyn)
     plan = plan_between(st.network, "G2", "G3")
     ddelta, dv = flow_response(st.network, st.bundle.L, plan)
     dtheta, _ = deltas_in_line_coords(st.network, st.op, ddelta, dv)
@@ -159,7 +158,7 @@ def test_const_v_gains_decompose_dlambda(fixture_studies):
 def test_const_v_gains_reject_damped_mode_for_a(fixture_studies):
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[0]
-    cv = const_v_coefficients(st.network, st.op, md, st.dyn.m, st.dyn.d)
+    cv = const_v_coefficients(md, st.bundle, st.dyn)
     with pytest.raises(UsageError):
         cv.undamped_gains()
 
@@ -168,7 +167,7 @@ def test_const_v_coefficients_reject_full_model_mode(random_suite):
     net, st = random_suite[3]
     md = st.electromechanical()[0]
     with pytest.raises(UsageError):
-        const_v_coefficients(net, st.op, md, st.dyn.m, st.dyn.d)
+        const_v_coefficients(md, st.bundle, st.dyn)
 
 
 def test_formula_vs_oracle_on_reactive_load_system():
