@@ -49,7 +49,6 @@ from .dispatch import (
     PairSensitivity,
     RedispatchPlan,
     flow_response,
-    deltas_in_line_coords,
     plan_between,
     predict_mode,
     rank_pairs,

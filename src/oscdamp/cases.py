@@ -27,6 +27,7 @@ FIXTURE_CONST_V = {
     "ten_bus": False,
 }
 FIXTURE_NAMES = tuple(FIXTURE_CONST_V)
+MAX_THETA = 0.5  # largest |theta| a random network may have at its equilibrium
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,8 @@ def _quantities_three_bus_s9(st: Study) -> dict[str, complex]:
     out["re_dlambda_along_flow"] = abs(dl.real)
     out["domega_along_flow_negative"] = float(dl.imag < 0)
     cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
-    ddelta, dv = dispatch.flow_response(st.network, st.bundle.L, plan)
-    dtheta, _ = dispatch.deltas_in_line_coords(st.network, st.op, ddelta, dv)
-    out["dsigma_along_flow"] = abs(float(cv.a_r @ dtheta))
+    dz = dispatch.flow_response(st.network, st.bundle.L, plan)
+    out["dsigma_along_flow"] = abs(float(cv.a_r @ (st.bundle.A.T @ dz[:st.network.n])))
     return out
 
 
@@ -278,13 +278,9 @@ def zero_damping_variant(network: Network) -> Network:
     return Network(buses=buses, lines=network.lines, omega0=network.omega0)
 
 
-def random_network(
-    seed: int,
-    zero_damping: bool = False,
-    max_theta: float = 0.5,
-) -> Network:
+def random_network(seed: int, zero_damping: bool = False) -> Network:
     """Connected random test network: a load tree with leaf generators plus
-    up to two extra edges, small balanced injections, |theta| < ``max_theta``.
+    up to two extra edges, small balanced injections, |theta| < ``MAX_THETA``.
 
     Generators never neighbor each other by construction. Deterministic in
     ``seed``.
@@ -363,7 +359,7 @@ def random_network(
         except (OscdampError, np.linalg.LinAlgError):
             continue
         ls = line_states(net, st.op)
-        if float(np.max(np.abs(ls.theta))) >= max_theta:
+        if float(np.max(np.abs(ls.theta))) >= MAX_THETA:
             continue
         if np.any(st.op.v_load < 0.5):
             continue

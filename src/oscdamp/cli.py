@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import cases, dispatch, modal, sensitivity
+from . import cases, dispatch, laplacian, modal, sensitivity
 from .errors import (
     ConvergenceError,
     DegenerateModeError,
@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .network import line_states, parse_grid_file
+from .network import Network, bus_voltages, line_states, parse_grid_file, solve_power_flow
 from .study import Study, build_study
 
 EXIT_OK = 0
@@ -65,24 +65,25 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _load_study(args) -> Study:
+def _load_network(args) -> Network:
     if not os.path.exists(args.grid):
         raise _UsageAbort(f"file not found: {args.grid}")
     with open(args.grid, encoding="utf-8") as fh:
-        net = parse_grid_file(fh.read())
-    st = build_study(net, const_v=args.const_v)
-    if getattr(args, "dump_matrices", None):
-        _dump_matrices(st, args.dump_matrices)
+        return parse_grid_file(fh.read())
+
+
+def _load_study(args) -> Study:
+    st = build_study(_load_network(args), const_v=args.const_v)
+    if args.dump_matrices:
+        _dump_matrices(st.bundle, args.dump_matrices)
     return st
 
 
-def _dump_matrices(st: Study, outdir: str) -> None:
+def _dump_matrices(bundle: laplacian.LaplacianBundle, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    np.savetxt(os.path.join(outdir, "L.csv"), st.bundle.L, delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(outdir, "H.csv"), st.bundle.H, delimiter=",", fmt="%.17g")
-    blocks = np.vstack([
-        st.bundle.lp_theta_theta, st.bundle.lp_theta_nu, st.bundle.lp_nu_nu,
-    ])
+    np.savetxt(os.path.join(outdir, "L.csv"), bundle.L, delimiter=",", fmt="%.17g")
+    np.savetxt(os.path.join(outdir, "H.csv"), bundle.H, delimiter=",", fmt="%.17g")
+    blocks = np.vstack([bundle.lp_theta_theta, bundle.lp_theta_nu, bundle.lp_nu_nu])
     np.savetxt(os.path.join(outdir, "Lp_blocks.csv"), blocks, delimiter=",", fmt="%.17g")
 
 
@@ -123,14 +124,15 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_pf(args) -> int:
-    st = _load_study(args)
-    net = st.network
-    from .network import bus_voltages
-    v = bus_voltages(net, st.op)
-    rows = [[b.label, b.kind, g6(st.op.delta[b.index - 1]), g6(v[b.index - 1])]
+    net = _load_network(args)
+    op = solve_power_flow(net, const_v=args.const_v)
+    if args.dump_matrices:
+        _dump_matrices(laplacian.hessian(net, op, const_v=args.const_v), args.dump_matrices)
+    v = bus_voltages(net, op)
+    rows = [[b.label, b.kind, g6(op.delta[b.index - 1]), g6(v[b.index - 1])]
             for b in net.buses]
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))
-    ls = line_states(net, st.op)
+    ls = line_states(net, op)
     lrows = []
     for ln in net.lines:
         k = ln.index - 1
@@ -141,7 +143,7 @@ def cmd_pf(args) -> int:
     print()
     print(_table(lrows, ["line", "from", "to", "theta", "nu", "p", "q"]))
     print()
-    print(f"residual max-norm: {g6(st.op.residual_norm)}")
+    print(f"residual max-norm: {g6(op.residual_norm)}")
     return EXIT_OK
 
 

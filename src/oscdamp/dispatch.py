@@ -1,15 +1,17 @@
-"""Redispatch chain: dP -> (dtheta, dvln) -> dlambda, predictions, rankings.
+"""Redispatch chain: dP -> dz -> dlambda, predictions, rankings.
 
-For a single plan (``sens``, ``sweep``, ``verify``) the linearized load flow
-L dz = (dP, 0) is solved with the least-squares pseudo-inverse. Pair ranking
-instead uses that dlambda is linear in dP: one factorization of L with the
-bus-1 angle pinned (the uniform-angle vector is the only nullspace) gives a
-gain g_k per generator for the shift from generator 1 to generator k, and
-every ordered pair is g_up - g_down. Either way a balanced dP must lie in the
-range of the singular Laplacian, so the residual is checked rather than
-assumed. The first-order eigenvalue formula is evaluated once at the base
-point; predictions for finite r are lambda + r * dlambda and are compared
-against a full re-solve.
+dlambda is the state covector c of the sensitivity report applied to the
+state move dz, -c . dz / alpha. For a single plan (``sens``, ``sweep``,
+``verify``) the linearized load flow L dz = (dP, 0) is solved with the
+least-squares pseudo-inverse. Pair ranking instead solves the adjoint: with
+the bus-1 angle pinned (the uniform-angle vector is the only nullspace of the
+symmetric L), one solve L y = c gives the gain g_k = -y_k / alpha of the
+shift from generator 1 to generator k, and every ordered pair is
+g_up - g_down. Either way the right-hand side must lie in the range of the
+singular Laplacian, so the residual is checked rather than assumed. The
+first-order eigenvalue formula is evaluated once at the base point;
+predictions for finite r are lambda + r * dlambda and are compared against a
+full re-solve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .network import Network, OperatingPoint, build_incidence
+from .network import Network, OperatingPoint
 from .laplacian import hessian
 from .study import build_study
 
@@ -54,16 +56,16 @@ class RedispatchPlan:
             )
 
 
-def plan_between(network: Network, up: str, down: str, amount: float = 1.0) -> RedispatchPlan:
-    """Plan shifting ``amount`` from generator ``down`` to generator ``up`` (labels)."""
+def plan_between(network: Network, up: str, down: str) -> RedispatchPlan:
+    """Plan shifting one unit from generator ``down`` to generator ``up`` (labels)."""
     labels = network.gen_labels()
     if up not in labels or down not in labels:
         raise ValidationError(f"unknown generator pair {up}:{down}; generators are {labels}")
     if up == down:
         raise ValidationError("redispatch pair must name two distinct generators")
     dp = np.zeros(network.m)
-    dp[labels.index(up)] = amount
-    dp[labels.index(down)] = -amount
+    dp[labels.index(up)] = 1.0
+    dp[labels.index(down)] = -1.0
     return RedispatchPlan(dp=dp, description=f"{up}->{down}")
 
 
@@ -87,48 +89,30 @@ class PairSensitivity:
 
 
 def _check_in_range(L: np.ndarray, dz: np.ndarray, rhs: np.ndarray) -> None:
-    """Raise unless L dz = rhs holds for every column; NaN fails the check."""
-    resid = np.linalg.norm(L @ dz - rhs, axis=0)
-    bound = FLOW_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    if not np.all(resid <= bound):
+    """Raise unless L dz = rhs holds; NaN fails the check."""
+    resid = np.linalg.norm(L @ dz - rhs)
+    if not resid <= FLOW_RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
         raise SingularityError(
-            f"balanced injection not in the range of L (residual {np.max(resid):.3e}); "
+            f"right-hand side not in the range of L (residual {resid:.3e}); "
             "equilibrium is near a singularity"
         )
 
 
-def flow_response(
-    network: Network, L: np.ndarray, plan: RedispatchPlan
-) -> tuple[np.ndarray, np.ndarray]:
+def flow_response(network: Network, L: np.ndarray, plan: RedispatchPlan) -> np.ndarray:
     """Linearized load-flow response dz = L^+ (dP, 0) for a balanced plan.
 
     The angle part comes back in the gauge the pseudo-inverse delivers (zero
-    component along the uniform-angle nullvector); dtheta is gauge-invariant
+    component along the uniform-angle nullvector); dlambda is gauge-invariant
     anyway.
     """
-    n, m = network.n, network.m
+    m = network.m
     if plan.dp.shape != (m,):
         raise ValidationError(f"plan has {plan.dp.size} entries, network has {m} generators")
     rhs = np.zeros(L.shape[0])
     rhs[:m] = plan.dp
     dz = np.linalg.pinv(L, rcond=PINV_RCOND) @ rhs
     _check_in_range(L, dz, rhs)
-    return dz[:n], dz[n:]
-
-
-def deltas_in_line_coords(
-    network: Network,
-    op: OperatingPoint,
-    ddelta: np.ndarray,
-    dv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """dtheta_k = sum_r A_rk ddelta_r and dvln_i = dV_i / V_i, for one move or
-    one move per column."""
-    A, _ = build_incidence(network)
-    dtheta = A.T @ np.asarray(ddelta)
-    dv = np.asarray(dv)
-    dvln = (dv.T / op.v_load).T if dv.size else np.zeros(0)
-    return dtheta, dvln
+    return dz
 
 
 def unit_dlambda(
@@ -142,9 +126,7 @@ def unit_dlambda(
     bundle = hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)
     report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
-    ddelta, dv = flow_response(network, bundle.L, plan)
-    dtheta, dvln = deltas_in_line_coords(network, op, ddelta, dv)
-    return sensitivity.dlambda(report, dtheta, dvln)
+    return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
 
 
 def match_mode(
@@ -223,34 +205,30 @@ def sweep(
 
 
 def generator_gains(
-    network: Network,
-    op: OperatingPoint,
-    L: np.ndarray,
-    report: sensitivity.SensitivityReport,
+    L: np.ndarray, report: sensitivity.SensitivityReport, m: int
 ) -> np.ndarray:
     """dlambda/dr per generator for a unit shift from generator 1 to it.
 
-    Column k of the right-hand side puts +1 on generator k+1 and -1 on
-    generator 1; all m-1 columns are solved in one factorization of L with the
-    bus-1 angle pinned to zero. L need not be definite. Entry 0 of the result
-    (generator 1 against itself) is zero, and the plan moving one unit from
-    ``down`` to ``up`` has dlambda = g[up] - g[down].
+    The shift's response dz_k solves L dz_k = e_k - e_1 with the bus-1 angle
+    pinned to zero, so by the symmetry of L, c . dz_k = y_k for the adjoint
+    L y = c (same pin), c being the report's state covector. The real and
+    imaginary parts of c are solved in one real factorization; L need not be
+    definite. Entry 0 of the result (generator 1 against itself) is zero, and
+    the plan moving one unit from ``down`` to ``up`` has
+    dlambda = g[up] - g[down].
     """
-    m = network.m
-    size = L.shape[0]
-    rhs = np.zeros((size, m - 1))
-    rhs[0, :] = -1.0
-    rhs[1:m, :] = np.eye(m - 1)
-    Y = np.zeros((size, m - 1))
+    c = report.state_coeff
+    y = np.zeros(L.shape[0], dtype=complex)
     try:
-        Y[1:] = scipy.linalg.solve(L[1:, 1:], rhs[1:], check_finite=False)
+        parts = scipy.linalg.solve(
+            L[1:, 1:], np.column_stack([c.real[1:], c.imag[1:]]), check_finite=False)
     except np.linalg.LinAlgError:
         raise SingularityError(
             "linearized load flow is singular beyond the angle-reference nullspace"
         ) from None
-    _check_in_range(L, Y, rhs)
-    dtheta, dvln = deltas_in_line_coords(network, op, Y[:network.n], Y[network.n:])
-    return np.concatenate([[0.0], sensitivity.dlambda(report, dtheta, dvln)])
+    y[1:] = parts[:, 0] + 1j * parts[:, 1]
+    _check_in_range(L, y, c)
+    return np.concatenate([[0.0], -y[1:m] / report.alpha])
 
 
 def rank_pairs(
@@ -269,7 +247,7 @@ def rank_pairs(
     bundle = hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)
     report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
-    gains = generator_gains(network, op, bundle.L, report)
+    gains = generator_gains(bundle.L, report, network.m)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5
     labels = network.gen_labels()

@@ -36,6 +36,7 @@ DEFAULT_OMEGA0 = 2.0 * math.pi * 60.0
 
 POWER_BALANCE_TOL = 1e-9
 PF_ACCEPT_TOL = 1e-10
+PF_ACCEPT_ULPS = 64
 PF_TARGET_TOL = 1e-13
 PF_MAX_ITER = 50
 
@@ -470,7 +471,6 @@ def solve_power_flow(
     network: Network,
     initial: OperatingPoint | None = None,
     const_v: bool = False,
-    tol: float = PF_ACCEPT_TOL,
     max_iter: int = PF_MAX_ITER,
 ) -> OperatingPoint:
     """Newton solve of the lossless power flow from a flat (or given) start.
@@ -478,7 +478,10 @@ def solve_power_flow(
     The angle reference delta_1 = 0 is pinned and the bus-1 real-power
     equation dropped (redundant under exact balance). Steps are halved when
     the residual norm would increase. The iteration targets well below the
-    acceptance tolerance so downstream finite differencing stays clean.
+    acceptance tolerance so downstream finite differencing stays clean. The
+    residual is accepted at PF_ACCEPT_TOL, or at PF_ACCEPT_ULPS roundoff units
+    of the largest incident susceptance sum when that is larger: the line
+    terms of a stiff grid cancel to no better than that.
     """
     n, m = network.n, network.m
     op = initial if initial is not None else flat_start(network)
@@ -495,9 +498,10 @@ def solve_power_flow(
 
     res = _pf_residual(network, pack(), const_v)
     norm = float(np.max(np.abs(res)))
-    target = min(tol, PF_TARGET_TOL)
+    tol = max(PF_ACCEPT_TOL,
+              PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(incident_b_sums(network))))
     for _ in range(max_iter):
-        if norm < target:
+        if norm < PF_TARGET_TOL:
             break
         L = hessian_matrix(network, pack(), const_v=const_v)
         J = L[np.ix_(keep, keep)]

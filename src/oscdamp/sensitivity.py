@@ -16,11 +16,16 @@ in line quantities:
                     + 2 x'_theta_k (x'_nu_k - x^ln_i) p_k ] - 2 (x^ln_i)^2 Q_i
 
 where x^ln_i = x_{V_i} / V_i and the 2 x^ln_i x^ln_j term appears only when
-both ends of line k are load buses. These coefficients reproduce the
-directional derivative of x^T L x for arbitrary state directions, which a
-finite-difference eigenvalue oracle confirms to ~1e-10 relative along
-redispatch directions. Everything is quadratic in x, so the assembled dlam is
-invariant under rescaling of the eigenvector.
+both ends of line k are load buses. Since dtheta = A^T ddelta and
+dln V = dV / V, the numerator is one covector in state coordinates,
+
+    c = (A theta_coeff, vln_coeff / V),      dlam = - c . dz / alpha,
+
+for a state move dz = (ddelta, dV). It reproduces the directional derivative
+of x^T L x for arbitrary state directions, which a finite-difference
+eigenvalue oracle confirms to ~1e-10 relative along redispatch directions.
+Everything is quadratic in x, so the assembled dlam is invariant under
+rescaling of the eigenvector.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ class SensitivityReport:
     """Numerator coefficients of the sensitivity formula for one mode.
 
     ``theta_coeff`` has one complex entry per line, ``vln_coeff`` one per load
-    bus (empty in constant-voltage models). dlam for a given state move is
-    -(theta_coeff . dtheta + vln_coeff . dvln) / alpha.
+    bus (empty in constant-voltage models). ``state_coeff`` is the same
+    numerator in state coordinates, one entry per entry of the mode's x:
+    dlam for a state move dz is -state_coeff . dz / alpha.
     """
 
     theta_coeff: np.ndarray
     vln_coeff: np.ndarray
+    state_coeff: np.ndarray
     alpha: complex
 
 
@@ -83,8 +90,10 @@ def sensitivity_coefficients(
 
     ``bundle`` and ``dyn`` are the Hessian bundle and dynamic matrices of
     ``network`` at ``op``, as a ``Study`` holds them; the voltage model is
-    the bundle's.
+    the bundle's, and ``mode`` must come from it.
     """
+    if mode.x.size != bundle.L.shape[0]:
+        raise UsageError("the mode and the Hessian bundle come from different voltage models")
     n, m, nl = network.n, network.m, network.n_lines
     al = modal.alpha(mode, dyn.m, dyn.d)
     x = mode.x
@@ -94,7 +103,7 @@ def sensitivity_coefficients(
 
     if bundle.const_v:
         theta_coeff = -(xt ** 2) * p
-        vln_coeff = np.zeros(0, dtype=complex)
+        vln_coeff = vln_state = np.zeros(0, dtype=complex)
     else:
         _, q_inj = network.injections()
         xv = xp[nl:]
@@ -108,32 +117,20 @@ def sensitivity_coefficients(
         abs_a_loads = np.abs(bundle.A[m:])
         vln_coeff = abs_a_loads @ (-(xt ** 2) * q + 2.0 * xt * xv * p) \
             - 2.0 * xln * (abs_a_loads @ (xt * p)) - 2.0 * xln ** 2 * q_inj[m:]
+        vln_state = vln_coeff / op.v_load
 
     return SensitivityReport(
         theta_coeff=theta_coeff,
         vln_coeff=vln_coeff,
+        state_coeff=np.concatenate([bundle.A @ theta_coeff, vln_state]),
         alpha=al,
     )
 
 
-def dlambda(
-    report: SensitivityReport,
-    dtheta: np.ndarray,
-    dvln: np.ndarray | None = None,
-) -> complex | np.ndarray:
-    """First-order eigenvalue change for given line-coordinate moves.
-
-    With one move per column of ``dtheta`` and ``dvln`` the result has one
-    entry per column.
-    """
-    num = report.theta_coeff @ np.asarray(dtheta)
-    if report.vln_coeff.size:
-        if dvln is None:
-            raise UsageError("this report has voltage coefficients; dvln is required")
-        num = num + report.vln_coeff @ np.asarray(dvln)
-    if np.ndim(num) == 0:
-        num = complex(num)  # Python complex division; NumPy's rounds differently
-    return -num / report.alpha
+def dlambda(report: SensitivityReport, dz: np.ndarray) -> complex:
+    """First-order eigenvalue change for one state move dz = (ddelta, dV)."""
+    # Python complex division; NumPy's rounds differently.
+    return -complex(report.state_coeff @ dz) / report.alpha
 
 
 def const_v_coefficients(
@@ -150,12 +147,7 @@ def const_v_coefficients(
         raise UsageError("line gains are defined for oscillatory modes only")
     H, p = bundle.H, bundle.lp_theta_nu
     xt = H @ mode.x
-    al = modal.alpha(mode, dyn.m, dyn.d)
-    ar, ai = al.real, al.imag
-    denom = ar * ar + ai * ai
-    xt2 = xt ** 2
-    a_r = (ar * xt2.real + ai * xt2.imag) * p / denom
-    a_I = (ar * xt2.imag - ai * xt2.real) * p / denom
+    gains = (xt ** 2 * p) / modal.alpha(mode, dyn.m, dyn.d)
 
     a = None
     if abs(mode.sigma) <= UNDAMPED_SIGMA_REL * abs(mode.lam):
@@ -165,4 +157,4 @@ def const_v_coefficients(
         mx = float(xr @ (dyn.m * xr))
         xtr = H @ xr
         a = (xtr ** 2) * p / (2.0 * mode.omega * mx)
-    return ConstVCoefficients(a_r=a_r, a_I=a_I, a=a)
+    return ConstVCoefficients(a_r=gains.real, a_I=gains.imag, a=a)

@@ -29,6 +29,20 @@ def random_suite():
     return out
 
 
+def stiff_star_grid(b: float) -> str:
+    """Three generators on one load bus over four lines of susceptance ``b``."""
+    return (
+        "bus G1 G V=1.0 Pg=0.5 H=2 D=1\n"
+        "bus G2 G V=1.02 Pg=0.3 H=1 D=1\n"
+        "bus G3 G V=0.99 Pg=-0.2 H=4.42 D=1\n"
+        "bus L4 L Pl=0.6 Ql=0.1\n"
+        f"line 1 G1 L4 b={b:g}\n"
+        f"line 2 G1 L4 b={b:g}\n"
+        f"line 3 G2 L4 b={b:g}\n"
+        f"line 4 G3 L4 b={b:g}\n"
+    )
+
+
 def balanced_directions(rng: np.random.Generator, m: int, count: int) -> list[np.ndarray]:
     """Unit-norm balanced redispatch directions over m generators."""
     dirs = []

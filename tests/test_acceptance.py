@@ -218,9 +218,9 @@ def test_criterion_08_special_case_collapse(fixture_studies):
             cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
             labels = st.network.gen_labels()
             plan = dispatch.plan_between(st.network, labels[0], labels[-1])
-            ddelta, dv = dispatch.flow_response(st.network, st.bundle.L, plan)
-            dtheta, _ = dispatch.deltas_in_line_coords(st.network, st.op, ddelta, dv)
-            dl = sensitivity.dlambda(rep, dtheta)
+            dz = dispatch.flow_response(st.network, st.bundle.L, plan)
+            dtheta = st.bundle.A.T @ dz
+            dl = sensitivity.dlambda(rep, dz)
             split = complex(float(cv.a_r @ dtheta), float(cv.a_I @ dtheta))
             rel = abs(split - dl) / max(1e-30, abs(dl))
             worst = max(worst, rel)

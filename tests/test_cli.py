@@ -8,6 +8,8 @@ import pytest
 
 from oscdamp.cli import main
 
+from conftest import stiff_star_grid
+
 
 def _data_path(name: str) -> str:
     return str(resources.files("oscdamp").joinpath("data", name))
@@ -65,6 +67,19 @@ def test_convergence_error_exit_code(tmp_path):
     )
     code, _ = _run(["pf", str(infeasible)])
     assert code == 2
+
+
+def test_pf_does_not_run_the_eigensolve(tmp_path, capsys):
+    # The power flow of this stiff grid converges, but its eigenpairs miss the
+    # QEP backward-error bound: pf succeeds and modes fails with one line.
+    grid = tmp_path / "stiff.grid"
+    grid.write_text(stiff_star_grid(1e6), encoding="utf-8")
+    assert main(["pf", str(grid)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["modes", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("oscdamp: eigenpair residual")
+    assert captured.err.count("\n") == 1
 
 
 def test_pf_and_modes_output():

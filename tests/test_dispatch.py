@@ -10,7 +10,6 @@ from oscdamp import (
     RedispatchPlan,
     SingularityError,
     ValidationError,
-    deltas_in_line_coords,
     flow_response,
     plan_between,
     predict_mode,
@@ -20,7 +19,7 @@ from oscdamp import (
 )
 from oscdamp.cases import finite_difference_sensitivity, random_network
 from oscdamp.dispatch import generator_gains, match_mode
-from oscdamp.network import line_states, parse_grid_file
+from oscdamp.network import OperatingPoint, line_states, parse_grid_file
 from oscdamp.sensitivity import sensitivity_coefficients
 from oscdamp.study import build_study
 
@@ -48,9 +47,8 @@ def test_plan_between_unknown_generator(random_suite):
 
 def test_flow_response_zero_plan(random_suite):
     net, st = random_suite[0]
-    ddelta, dv = flow_response(net, st.bundle.L, RedispatchPlan(dp=np.zeros(net.m)))
-    assert np.max(np.abs(ddelta)) == 0.0
-    assert dv.size == 0 or np.max(np.abs(dv)) == 0.0
+    dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=np.zeros(net.m)))
+    assert np.max(np.abs(dz)) == 0.0
 
 
 def test_flow_response_projector_identity(random_suite):
@@ -58,10 +56,9 @@ def test_flow_response_projector_identity(random_suite):
     for net, st in random_suite[:8]:
         dp = rng.standard_normal(net.m)
         dp -= dp.mean()
-        ddelta, dv = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
+        dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
         rhs = np.zeros(st.bundle.L.shape[0])
         rhs[:net.m] = dp
-        dz = np.concatenate([ddelta, dv])
         assert np.linalg.norm(st.bundle.L @ dz - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -72,7 +69,8 @@ def test_flow_response_matches_gauge_fixed_solve(random_suite):
     net, st = random_suite[4]
     dp = rng.standard_normal(net.m)
     dp -= dp.mean()
-    ddelta, dv = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
+    dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
+    ddelta, dv = dz[:net.n], dz[net.n:]
     size = st.bundle.L.shape[0]
     keep = np.ones(size, bool)
     keep[0] = False
@@ -86,38 +84,34 @@ def test_flow_response_matches_gauge_fixed_solve(random_suite):
         assert np.max(np.abs(dv - pinned[net.n:])) < 1e-10
 
 
-def test_deltas_in_line_coords_gauge_invariance(random_suite):
+def test_coord_jacobian_gauge_invariance(random_suite):
     net, st = random_suite[5]
-    dtheta, dvln = deltas_in_line_coords(
-        net, st.op, np.full(net.n, 0.3), np.zeros(net.n - net.m))
-    assert np.max(np.abs(dtheta)) == 0.0
-    assert np.max(np.abs(dvln)) == 0.0
+    dz = np.concatenate([np.full(net.n, 0.3), np.zeros(net.n - net.m)])
+    assert np.max(np.abs(st.bundle.H @ dz)) == 0.0
 
 
-def test_deltas_in_line_coords_chain(fixture_studies):
+def test_incidence_chain(fixture_studies):
     _, st = fixture_studies["three_bus_s7"]
     eps = 1e-3
-    dtheta, _ = deltas_in_line_coords(
-        st.network, st.op, np.array([eps, 0.0, 0.0]), np.zeros(2))
+    dtheta = st.bundle.A.T @ np.array([eps, 0.0, 0.0])
     assert np.allclose(dtheta, [eps, 0.0])
 
 
-def test_deltas_linearize_the_nonlinear_map(random_suite):
+def test_coord_jacobian_linearizes_the_nonlinear_map(random_suite):
     net, st = random_suite[6]
     rng = np.random.default_rng(2)
     ddelta = rng.standard_normal(net.n)
     dv = rng.standard_normal(net.n - net.m)
-    dtheta, dvln = deltas_in_line_coords(net, st.op, ddelta, dv)
+    dline = st.bundle.H @ np.concatenate([ddelta, dv])
+    dtheta, dnu = dline[:net.n_lines], dline[net.n_lines:]
     base = line_states(net, st.op)
     errs = []
     for eps in (1e-4, 5e-5):
-        from oscdamp.network import OperatingPoint
         op2 = OperatingPoint(st.op.delta + eps * ddelta, st.op.v_load + eps * dv)
         pert = line_states(net, op2)
         errs.append(max(
             np.max(np.abs((pert.theta - base.theta) / eps - dtheta)),
-            np.max(np.abs((pert.nu - base.nu) / eps
-                          - (np.abs(st.bundle.A.T[:, net.m:]) @ dvln))),
+            np.max(np.abs((pert.nu - base.nu) / eps - dnu)),
         ))
     assert errs[0] < 1e-2
     assert errs[1] < errs[0] * 0.7  # first-order error shrinks with eps
@@ -222,7 +216,7 @@ def test_generator_gains_singular_grounded_block(random_suite):
     L[-1, :] = 0.0
     L[:, -1] = 0.0
     with pytest.raises(SingularityError):
-        generator_gains(net, st.op, L, report)
+        generator_gains(L, report, net.m)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -233,7 +227,7 @@ def test_generator_gains_nan_fails_residual_check(random_suite):
     L = st.bundle.L.copy()
     L[1, 1] = math.nan
     with pytest.raises(SingularityError):
-        generator_gains(net, st.op, L, report)
+        generator_gains(L, report, net.m)
 
 
 def test_rank_pairs_top_sign_confirmed_by_oracle():

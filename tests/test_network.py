@@ -17,14 +17,19 @@ from oscdamp import (
     potential_energy,
     solve_power_flow,
 )
-from oscdamp.cases import _read_data, random_network
+from oscdamp.cases import FIXTURE_NAMES, _read_data, load_fixture, random_network
 from oscdamp.network import (
+    PF_ACCEPT_TOL,
+    PF_ACCEPT_ULPS,
     bus_voltages,
     flat_start,
     hessian_matrix,
+    incident_b_sums,
     residual_vectors,
     validate_network,
 )
+
+from conftest import stiff_star_grid
 
 TWO_BUS = """
 bus G1 G V=1.0 Pg=0.0 H=3.0 D=0.0
@@ -145,6 +150,23 @@ def test_power_flow_nan_residual_is_not_converged():
     start = OperatingPoint(delta=np.array([0.0, math.nan]), v_load=np.ones(1))
     with pytest.raises(ConvergenceError):
         solve_power_flow(net, initial=start, max_iter=0)
+
+
+def test_power_flow_accepts_roundoff_of_stiff_lines():
+    # Newton stalls near 7e-9 on b = 1e7 lines, a few ulps of the 4e7
+    # susceptance sum at L4: above the absolute bound, inside the scaled one.
+    net = parse_grid_file(stiff_star_grid(1e7))
+    op = solve_power_flow(net)
+    assert PF_ACCEPT_TOL < op.residual_norm <= PF_ACCEPT_ULPS * np.finfo(float).eps * 4e7
+    real, reactive = residual_vectors(net, op)
+    assert np.max(np.abs(np.concatenate([real, reactive]))) == op.residual_norm
+
+
+def test_power_flow_bound_is_absolute_on_moderate_grids(random_suite):
+    nets = [load_fixture(name).network for name in FIXTURE_NAMES]
+    nets += [net for net, _ in random_suite]
+    worst = max(float(np.max(incident_b_sums(net))) for net in nets)
+    assert PF_ACCEPT_ULPS * np.finfo(float).eps * worst < PF_ACCEPT_TOL
 
 
 def test_incidence_three_bus_chain():

@@ -86,7 +86,20 @@ def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
     assert counts["laplacian.hessian"] == 1
     assert counts["network.hessian_matrix"] == 1
     assert counts["laplacian.coord_jacobian"] == 1
+    assert counts["network.build_incidence"] == 1
     assert counts["network.line_states"] == 1
     assert counts["modal.build_dynamic_matrices"] == 1
     assert counts["sensitivity.sensitivity_coefficients"] == 1
     assert counts["dispatch.flow_response"] == 0
+
+
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
+def test_unit_dlambda_builds_one_bundle(fixture_studies, counts, name):
+    _, st = fixture_studies[name]
+    plan = dispatch.plan_between(st.network, "G1", "G3")
+    dispatch.unit_dlambda(st.network, st.op, st.electromechanical()[0], plan,
+                          const_v=st.const_v)
+    assert counts["laplacian.hessian"] == 1
+    assert counts["network.build_incidence"] == 1
+    assert counts["sensitivity.sensitivity_coefficients"] == 1
+    assert counts["dispatch.flow_response"] == 1

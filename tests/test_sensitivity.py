@@ -12,7 +12,7 @@ from oscdamp import (
     sensitivity_coefficients,
 )
 from oscdamp.cases import random_network
-from oscdamp.dispatch import deltas_in_line_coords, flow_response, plan_between, unit_dlambda
+from oscdamp.dispatch import flow_response, plan_between, rank_pairs, unit_dlambda
 from oscdamp.network import OperatingPoint, bus_voltages
 from oscdamp.laplacian import hessian
 from oscdamp.study import build_study
@@ -84,7 +84,7 @@ def test_zero_damping_makes_dlambda_imaginary(fixture_studies):
 
 
 def test_report_matches_matrix_finite_difference(random_suite):
-    # x^T dL x assembled from the report equals the direct bilinear form along
+    # x^T dL x from the state covector equals the direct bilinear form along
     # an arbitrary state direction, not just load-flow responses.
     net, st = random_suite[12]
     md = st.electromechanical()[0]
@@ -93,8 +93,7 @@ def test_report_matches_matrix_finite_difference(random_suite):
     n, m = net.n, net.m
     for _ in range(3):
         dz = rng.standard_normal(2 * n - m)
-        dtheta, dvln = deltas_in_line_coords(net, st.op, dz[:n], dz[n:])
-        assembled = complex(rep.theta_coeff @ dtheta + rep.vln_coeff @ dvln)
+        assembled = complex(rep.state_coeff @ dz)
         eps = 1e-6
         op_p = OperatingPoint(st.op.delta + eps * dz[:n], st.op.v_load + eps * dz[n:])
         op_m = OperatingPoint(st.op.delta - eps * dz[:n], st.op.v_load - eps * dz[n:])
@@ -107,15 +106,51 @@ def test_dlambda_zero_perturbation(random_suite):
     net, st = random_suite[2]
     md = st.electromechanical()[0]
     rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
-    assert dlambda(rep, np.zeros(net.n_lines), np.zeros(net.n - net.m)) == 0j
+    assert dlambda(rep, np.zeros(2 * net.n - net.m)) == 0j
 
 
-def test_dlambda_requires_dvln_when_voltages_present(random_suite):
+def _all_oscillatory(fixture_studies, random_suite):
+    studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite]
+    return [(st, md) for st in studies for md in st.oscillatory()]
+
+
+def test_state_coeff_is_the_pullback_of_the_line_coefficients(fixture_studies, random_suite):
+    # state_coeff . dz equals theta_coeff . dtheta + vln_coeff . dvln with
+    # dtheta = A^T ddelta and dvln = dV / V, for arbitrary state moves.
+    rng = np.random.default_rng(8)
+    for st, md in _all_oscillatory(fixture_studies, random_suite):
+        n = st.network.n
+        rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+        assert rep.state_coeff.shape == md.x.shape
+        dz = rng.standard_normal(md.x.size)
+        dtheta = st.bundle.A.T @ dz[:n]
+        dvln = dz[n:] / st.op.v_load if rep.vln_coeff.size else np.zeros(0)
+        line = rep.theta_coeff @ dtheta + rep.vln_coeff @ dvln
+        assert abs(rep.state_coeff @ dz - line) <= 1e-12 * abs(line)
+
+
+def test_state_coeff_is_gauge_invariant(fixture_studies, random_suite):
+    # A uniform angle shift moves no line angle, so the angle part of the
+    # covector sums to zero up to roundoff.
+    for st, md in _all_oscillatory(fixture_studies, random_suite):
+        rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+        angle = rep.state_coeff[:st.network.n]
+        assert abs(angle.sum()) <= 1e-13 * np.abs(rep.theta_coeff).sum()
+
+
+def test_mode_from_the_other_voltage_model_is_rejected(fixture_studies, random_suite):
+    _, cv = fixture_studies["six_bus"]
+    cv_mode = cv.electromechanical()[0]
+    full = build_study(cv.network)
+    with pytest.raises(UsageError):
+        rank_pairs(cv.network, full.op, cv_mode)
+    with pytest.raises(UsageError):
+        sensitivity_coefficients(cv.network, full.op, cv_mode, full.bundle, full.dyn)
     net, st = random_suite[2]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+    plan = plan_between(net, *net.gen_labels()[:2])
     with pytest.raises(UsageError):
-        dlambda(rep, np.zeros(net.n_lines))
+        unit_dlambda(net, st.op, md, plan, const_v=True)
 
 
 def test_scaling_invariance(fixture_studies):
@@ -148,8 +183,7 @@ def test_const_v_gains_decompose_dlambda(fixture_studies):
     md = st.electromechanical()[1]
     cv = const_v_coefficients(md, st.bundle, st.dyn)
     plan = plan_between(st.network, "G2", "G3")
-    ddelta, dv = flow_response(st.network, st.bundle.L, plan)
-    dtheta, _ = deltas_in_line_coords(st.network, st.op, ddelta, dv)
+    dtheta = st.bundle.A.T @ flow_response(st.network, st.bundle.L, plan)
     dl = unit_dlambda(st.network, st.op, md, plan, const_v=True)
     split = complex(cv.a_r @ dtheta, cv.a_I @ dtheta)
     assert abs(split - dl) < 1e-12 * abs(dl)
