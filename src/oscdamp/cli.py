@@ -83,7 +83,7 @@ def _dump_matrices(bundle: laplacian.LaplacianBundle, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     np.savetxt(os.path.join(outdir, "L.csv"), bundle.L, delimiter=",", fmt="%.17g")
     np.savetxt(os.path.join(outdir, "H.csv"), bundle.H, delimiter=",", fmt="%.17g")
-    blocks = np.vstack([bundle.lp_theta_theta, bundle.lp_theta_nu, bundle.lp_nu_nu])
+    blocks = np.vstack([-bundle.lp_nu_nu, bundle.lp_theta_nu, bundle.lp_nu_nu])
     np.savetxt(os.path.join(outdir, "Lp_blocks.csv"), blocks, delimiter=",", fmt="%.17g")
 
 
@@ -134,8 +134,7 @@ def cmd_pf(args) -> int:
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))
     ls = line_states(net, op)
     lrows = []
-    for ln in net.lines:
-        k = ln.index - 1
+    for k, ln in enumerate(net.lines):
         lrows.append([
             ln.label, net.buses[ln.from_bus - 1].label, net.buses[ln.to_bus - 1].label,
             g6(ls.theta[k]), g6(ls.nu[k]), g6(ls.p[k]), g6(ls.q[k]),
@@ -180,8 +179,7 @@ def cmd_sens(args) -> int:
     print(f"alpha = {g6(report.alpha.real)} + {g6(report.alpha.imag)}j")
     print()
     rows = []
-    for ln in st.network.lines:
-        c = report.theta_coeff[ln.index - 1]
+    for ln, c in zip(st.network.lines, report.theta_coeff):
         rows.append([ln.label, g6(c.real), g6(c.imag), g6(abs(c / report.alpha))])
     print(_table(rows, ["line", "dtheta_coeff_re", "dtheta_coeff_im", "|coeff/alpha|"]))
     if report.vln_coeff.size:

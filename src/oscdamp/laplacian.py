@@ -34,15 +34,14 @@ from .network import (
 class LaplacianBundle:
     """Hessian L plus its line-coordinate factorization pieces.
 
-    ``lp_theta_theta``, ``lp_theta_nu``, ``lp_nu_nu`` are the diagonals of the
-    2x2 block structure of L'_line, equal elementwise to (-q, p, q). With
+    The 2x2 block structure of L'_line has the diagonals (-q, p, q); the
+    bundle keeps ``lp_theta_nu = p`` and ``lp_nu_nu = q``. With
     ``const_v`` there are no voltage coordinates: H has only the theta rows
     and ``l_bus_diag`` is empty.
     """
 
     L: np.ndarray
     H: np.ndarray
-    lp_theta_theta: np.ndarray
     lp_theta_nu: np.ndarray
     lp_nu_nu: np.ndarray
     l_bus_diag: np.ndarray
@@ -51,14 +50,14 @@ class LaplacianBundle:
     @property
     def A(self) -> np.ndarray:
         """Signed bus-line incidence (n x ell): the angle block of H, transposed."""
-        nl = self.lp_theta_theta.size
+        nl = self.lp_nu_nu.size
         return self.H[:nl, :self.L.shape[0] - self.l_bus_diag.size].T
 
     def assemble_from_parts(self) -> np.ndarray:
         """H^T L'_line H + L_bus, for checking the factorization identity."""
-        nl = self.lp_theta_theta.size
+        nl = self.lp_nu_nu.size
         Ht = self.H[:nl]
-        out = Ht.T @ (self.lp_theta_theta[:, None] * Ht)
+        out = Ht.T @ (-self.lp_nu_nu[:, None] * Ht)
         if not self.const_v:
             Hv = self.H[nl:]
             out += Ht.T @ (self.lp_theta_nu[:, None] * Hv)
@@ -107,7 +106,6 @@ def hessian(
     return LaplacianBundle(
         L=L,
         H=H,
-        lp_theta_theta=-ls.q,
         lp_theta_nu=ls.p.copy(),
         lp_nu_nu=ls.q.copy(),
         l_bus_diag=l_bus,

@@ -48,9 +48,8 @@ def build_dynamic_matrices(network: Network, const_v: bool = False) -> DynamicMa
     size = n if const_v else 2 * n - m
     md = np.zeros(size)
     dd = np.zeros(size)
-    for i, bus in enumerate(network.buses):
-        md[i] = 2.0 * bus.inertia_h / network.omega0
-        dd[i] = bus.damping_d_seconds / network.omega0
+    md[:n] = 2.0 * np.array([b.inertia_h for b in network.buses]) / network.omega0
+    dd[:n] = np.array([b.damping_d_seconds for b in network.buses]) / network.omega0
     return DynamicMatrices(m=md, d=dd)
 
 
@@ -81,47 +80,36 @@ class Mode:
         return self.lam.imag
 
 
-class _PencilLayout:
-    """Index bookkeeping between natural z order and pencil state order."""
-
-    def __init__(self, m_diag: np.ndarray, d_diag: np.ndarray):
-        if not (np.all(m_diag >= 0) and np.all(d_diag >= 0)):
-            raise UsageError("M and D diagonals must be nonnegative")
-        nz = m_diag.size
-        self.nz = nz
-        self.dyn_z = [i for i in range(nz) if m_diag[i] > 0 or d_diag[i] > 0]
-        self.inertial = [i for i in range(nz) if m_diag[i] > 0]
-        self.alg_z = [i for i in range(nz) if m_diag[i] == 0 and d_diag[i] == 0]
-        self.n_dyn = len(self.dyn_z)
-        self.n_speed = len(self.inertial)
-        self.size = nz + self.n_speed
-        self.zcol = np.empty(nz, dtype=int)
-        for pos, i in enumerate(self.dyn_z):
-            self.zcol[i] = pos
-        for pos, i in enumerate(self.alg_z):
-            self.zcol[i] = self.n_dyn + self.n_speed + pos
-        self.speed_col = {i: self.n_dyn + g for g, i in enumerate(self.inertial)}
-
-
 def _pencil(m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray):
-    lay = _PencilLayout(m_diag, d_diag)
-    E = np.zeros((lay.size, lay.size))
-    J = np.zeros((lay.size, lay.size))
-    ndyn = lay.n_dyn + lay.n_speed
-    E[np.arange(ndyn), np.arange(ndyn)] = 1.0
-    for i in lay.dyn_z:
-        row = lay.zcol[i]
-        if m_diag[i] > 0:
-            J[row, lay.speed_col[i]] = 1.0
-        else:
-            J[row, lay.zcol] = -L[i] / d_diag[i]
-    for i in lay.inertial:
-        row = lay.speed_col[i]
-        J[row, row] = -d_diag[i] / m_diag[i]
-        J[row, lay.zcol] += -L[i] / m_diag[i]
-    for i in lay.alg_z:
-        J[lay.zcol[i], lay.zcol] = -L[i]
-    return E, J, lay
+    """(E, J, zcol, inertial, n_dyn) of the DAE pencil.
+
+    ``zcol[i]`` is the pencil column of natural state i, ``inertial`` lists the
+    rows with m > 0 (in order; row ``inertial[g]`` has its speed in column
+    ``n_dyn - inertial.size + g``) and ``n_dyn`` counts the dynamic states,
+    speeds included: E is the identity on the first ``n_dyn`` columns.
+    """
+    if not (np.all(m_diag >= 0) and np.all(d_diag >= 0)):
+        raise UsageError("M and D diagonals must be nonnegative")
+    inertial = np.flatnonzero(m_diag > 0)
+    dynamic = (m_diag > 0) | (d_diag > 0)
+    damped = np.flatnonzero(dynamic & (m_diag == 0))
+    algebraic = np.flatnonzero(~dynamic)
+    n_dyn = np.count_nonzero(dynamic) + inertial.size
+    size = m_diag.size + inertial.size
+    zcol = np.empty(m_diag.size, dtype=int)
+    zcol[dynamic] = np.arange(n_dyn - inertial.size)
+    zcol[algebraic] = np.arange(n_dyn, size)
+    speed = np.arange(n_dyn - inertial.size, n_dyn)
+    E = np.zeros((size, size))
+    E[np.arange(n_dyn), np.arange(n_dyn)] = 1.0
+    J = np.zeros((size, size))
+    J[zcol[inertial], speed] = 1.0
+    J[np.ix_(zcol[damped], zcol)] = -L[damped] / d_diag[damped, None]
+    J[speed, speed] = -d_diag[inertial] / m_diag[inertial]
+    # Added onto the zeros, which turns a -0 quotient into +0 as it always has.
+    J[np.ix_(speed, zcol)] += -L[inertial] / m_diag[inertial, None]
+    J[np.ix_(zcol[algebraic], zcol)] = -L[algebraic]
+    return E, J, zcol, inertial, n_dyn
 
 
 def extended_jacobian(
@@ -133,7 +121,7 @@ def extended_jacobian(
     algebraic z rows; E = blockdiag(I, 0). A finite eigenvector carries
     lam * x_g in its speed block.
     """
-    E, J, _ = _pencil(np.asarray(m_diag, float), np.asarray(d_diag, float), L)
+    E, J, *_ = _pencil(np.asarray(m_diag, float), np.asarray(d_diag, float), L)
     return E, J
 
 
@@ -148,9 +136,8 @@ def reduced_jacobian(
     """
     m_diag = np.asarray(m_diag, float)
     d_diag = np.asarray(d_diag, float)
-    E, J, lay = _pencil(m_diag, d_diag, L)
-    ndyn = lay.n_dyn + lay.n_speed
-    if lay.size == ndyn:
+    _, J, _, _, ndyn = _pencil(m_diag, d_diag, L)
+    if J.shape[0] == ndyn:
         return J
     J11 = J[:ndyn, :ndyn]
     J12 = J[:ndyn, ndyn:]
@@ -191,7 +178,7 @@ def backward_errors(
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
 
 
-def _swing_profile(x: np.ndarray, gen_rows: list[int], labels: tuple[str, ...]) -> str:
+def _swing_profile(x: np.ndarray, gen_rows: np.ndarray, labels: tuple[str, ...]) -> str:
     xg = x[gen_rows]
     top = np.max(np.abs(xg))
     if top == 0:
@@ -232,10 +219,9 @@ def solve_qep(
         raise UsageError(f"L has shape {L.shape}, expected ({nz}, {nz})")
     if n_angles is None:
         n_angles = nz
-    E, J, lay = _pencil(m_diag, d_diag, L)
-    gen_rows = lay.inertial
+    E, J, zcol, gen_rows, _ = _pencil(m_diag, d_diag, L)
     if gen_labels is None:
-        gen_labels = tuple(str(i + 1) for i in range(len(gen_rows)))
+        gen_labels = tuple(str(i + 1) for i in range(gen_rows.size))
     (alph, beta), vr = scipy.linalg.eig(J, E, right=True, homogeneous_eigvals=True)
 
     pair_scale = np.hypot(np.abs(alph), np.abs(beta))
@@ -248,7 +234,7 @@ def solve_qep(
     kept: list[tuple[complex, np.ndarray]] = []
     for idx in range(lams.size):
         lam = complex(lams[idx])
-        x = vecs[lay.zcol, idx].astype(complex)
+        x = vecs[zcol, idx].astype(complex)
         if spectral_scale > 0 and abs(lam) < ZERO_MODE_REL_TOL * spectral_scale:
             xa = x[:n_angles]
             scale = float(np.max(np.abs(x))) or 1.0
@@ -256,7 +242,7 @@ def solve_qep(
                 continue  # rigid uniform-angle mode
         if lam.imag < 0:
             continue  # conjugate partner is reported
-        xg = x[gen_rows] if gen_rows else x
+        xg = x[gen_rows] if gen_rows.size else x
         top = float(np.max(np.abs(xg))) if xg.size else 0.0
         if top > 1e-12 * float(np.max(np.abs(x))):
             x = x / xg[_first_at_max(np.abs(xg))]
@@ -288,7 +274,7 @@ def solve_qep(
         mag = abs(lam)
         zeta = -lam.real / mag if mag > 0 else 0.0
         xmax = float(np.max(np.abs(x)))
-        em = lam.imag > 0 and gen_rows != [] and (
+        em = lam.imag > 0 and gen_rows.size > 0 and (
             float(np.max(np.abs(x[gen_rows]))) >= PARTICIPATION_THRESHOLD * xmax
         )
         modes.append(Mode(
@@ -297,7 +283,7 @@ def solve_qep(
             residual=residual,
             freq_hz=lam.imag / (2.0 * math.pi),
             damping_ratio=zeta,
-            swing_profile=_swing_profile(x, gen_rows, gen_labels) if gen_rows else "",
+            swing_profile=_swing_profile(x, gen_rows, gen_labels) if gen_rows.size else "",
             electromechanical=bool(em),
             warnings=tuple(warn),
         ))

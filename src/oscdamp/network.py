@@ -89,10 +89,6 @@ class Network:
     def n_lines(self) -> int:
         return len(self.lines)
 
-    @property
-    def label_to_index(self) -> dict[str, int]:
-        return {b.label: b.index for b in self.buses}
-
     def injections(self) -> tuple[np.ndarray, np.ndarray]:
         """Net (P, Q) injection vectors over all buses, load-demand sign folded in."""
         p = np.array([b.p_gen - b.p_load for b in self.buses])
@@ -107,6 +103,10 @@ class Network:
         f = np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)
         t = np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)
         return f, t
+
+    def susceptances(self) -> np.ndarray:
+        """Line susceptances b_k in line order."""
+        return np.array([ln.b for ln in self.lines], dtype=float)
 
     def with_redispatch(self, dp: np.ndarray) -> "Network":
         """Return a copy with generator outputs shifted by ``dp`` (one entry per generator)."""
@@ -352,19 +352,36 @@ def line_states(network: Network, op: OperatingPoint) -> LineState:
     f, t = network.endpoints()
     theta = op.delta[f] - op.delta[t]
     nu = np.log(v[f] * v[t])
-    b = np.array([ln.b for ln in network.lines])
+    b = network.susceptances()
     p = b * np.exp(nu) * np.sin(theta)
     q = -b * np.exp(nu) * np.cos(theta)
     return LineState(theta=theta, nu=nu, p=p, q=q)
 
 
+def _onto_buses(
+    network: Network,
+    at_from: np.ndarray,
+    at_to: np.ndarray,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-bus sums of per-line values, added onto ``start`` (default zeros):
+    line k adds ``at_from[k]`` to its from-bus and ``at_to[k]`` to its to-bus.
+
+    ``np.add.at`` is unbuffered, so each bus receives its terms in line order,
+    from-end before to-end. ``A @ v`` would reorder the sums and move
+    roundoff-level digits that the CLI prints.
+    """
+    f, t = network.endpoints()
+    out = np.zeros(network.n) if start is None else np.array(start, dtype=float)
+    np.add.at(out, np.column_stack([f, t]).ravel(),
+              np.column_stack([at_from, at_to]).ravel())
+    return out
+
+
 def incident_b_sums(network: Network) -> np.ndarray:
     """sum of b_k over lines incident to each bus (= -b_ii)."""
-    s = np.zeros(network.n)
-    for ln in network.lines:
-        s[ln.from_bus - 1] += ln.b
-        s[ln.to_bus - 1] += ln.b
-    return s
+    b = network.susceptances()
+    return _onto_buses(network, b, b)
 
 
 def potential_energy(network: Network, op: OperatingPoint) -> float:
@@ -378,15 +395,12 @@ def potential_energy(network: Network, op: OperatingPoint) -> float:
     if np.any(v <= 0):
         raise DomainError("nonpositive voltage magnitude; ln V undefined")
     p_inj, q_inj = network.injections()
-    r = 0.0
-    for ln in network.lines:
-        f, t = ln.from_bus - 1, ln.to_bus - 1
-        r -= ln.b * v[f] * v[t] * math.cos(op.delta[f] - op.delta[t])
-    b_sum = incident_b_sums(network)
-    for i in range(network.n):
-        bii = -b_sum[i]
-        r -= p_inj[i] * op.delta[i] + 0.5 * bii * v[i] ** 2 + q_inj[i] * math.log(v[i])
-    return r
+    f, t = network.endpoints()
+    d = op.delta
+    line_part = np.sum(network.susceptances() * v[f] * v[t] * np.cos(d[f] - d[t]))
+    bii = -incident_b_sums(network)
+    bus_part = np.sum(p_inj * d + 0.5 * bii * v ** 2 + q_inj * np.log(v))
+    return float(-line_part - bus_part)
 
 
 def residual_vectors(
@@ -400,17 +414,10 @@ def residual_vectors(
     ls = line_states(network, op)
     p_inj, q_inj = network.injections()
     v = bus_voltages(network, op)
-    real = -p_inj.copy()
-    qsum = np.zeros(network.n)
-    for ln in network.lines:
-        f, t, k = ln.from_bus - 1, ln.to_bus - 1, ln.index - 1
-        real[f] += ls.p[k]
-        real[t] -= ls.p[k]
-        qsum[f] += ls.q[k]
-        qsum[t] += ls.q[k]
+    real = _onto_buses(network, ls.p, -ls.p, start=-p_inj)
+    qsum = _onto_buses(network, ls.q, ls.q)
     b_sum = incident_b_sums(network)
-    m = network.m
-    loads = np.arange(m, network.n)
+    loads = np.arange(network.m, network.n)
     reactive = qsum[loads] / v[loads] + b_sum[loads] * v[loads] - q_inj[loads] / v[loads]
     return real, reactive
 
@@ -426,46 +433,37 @@ def hessian_matrix(network: Network, op: OperatingPoint, const_v: bool = False) 
     v = bus_voltages(network, op)
     d = op.delta
     size = n if const_v else 2 * n - m
+    f, t = network.endpoints()
+    w = network.susceptances() * v[f] * v[t]
+    wc = w * np.cos(d[f] - d[t])
+    ws = w * np.sin(d[f] - d[t])
+    sf, st, c, zero = ws / v[f], ws / v[t], -(wc / (v[f] * v[t])), np.zeros_like(w)
+    # The Hessian of line k's term -b V_f V_t cos(delta_f - delta_t) over
+    # (delta_f, delta_t, V_f, V_t); a V coordinate exists only at a load end.
+    block = np.moveaxis(np.array([[wc, -wc, sf, st],
+                                  [-wc, wc, -sf, -st],
+                                  [sf, -sf, zero, c],
+                                  [st, -st, c, zero]]), -1, 0)
+    k = 2 if const_v else 4
+    coord = np.stack([f, t, n + f - m, n + t - m], axis=1)[:, :k]
+    every = np.ones(f.size, dtype=bool)
+    exists = np.stack([every, every, f >= m, t >= m], axis=1)[:, :k]
+    keep = exists[:, :, None] & exists[:, None, :]
+    # Line-major, so that as in _onto_buses each entry sums its terms in line order.
     L = np.zeros((size, size))
-    for ln in network.lines:
-        f, t = ln.from_bus - 1, ln.to_bus - 1
-        w = ln.b * v[f] * v[t]
-        wc = w * math.cos(d[f] - d[t])
-        ws = w * math.sin(d[f] - d[t])
-        L[f, f] += wc
-        L[t, t] += wc
-        L[f, t] -= wc
-        L[t, f] -= wc
-        if const_v:
-            continue
-        for e in (f, t):
-            if e >= m:
-                col = n + e - m
-                L[f, col] += ws / v[e]
-                L[col, f] += ws / v[e]
-                L[t, col] -= ws / v[e]
-                L[col, t] -= ws / v[e]
-        if f >= m and t >= m:
-            L[n + f - m, n + t - m] -= wc / (v[f] * v[t])
-            L[n + t - m, n + f - m] -= wc / (v[f] * v[t])
+    np.add.at(L, (np.broadcast_to(coord[:, :, None], keep.shape)[keep],
+                  np.broadcast_to(coord[:, None, :], keep.shape)[keep]),
+              block[:, :k, :k][keep])
     if not const_v:
-        b_sum = incident_b_sums(network)
         _, q_inj = network.injections()
-        for i in range(m, n):
-            L[n + i - m, n + i - m] += b_sum[i] + q_inj[i] / v[i] ** 2
+        diag = np.arange(n, size)
+        L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
     return L
 
 
 # ---------------------------------------------------------------------------
 # Power flow
 # ---------------------------------------------------------------------------
-
-def _pf_residual(network: Network, op: OperatingPoint, const_v: bool) -> np.ndarray:
-    real, reactive = residual_vectors(network, op)
-    if const_v:
-        return real
-    return np.concatenate([real, reactive])
-
 
 def solve_power_flow(
     network: Network,
@@ -475,38 +473,40 @@ def solve_power_flow(
 ) -> OperatingPoint:
     """Newton solve of the lossless power flow from a flat (or given) start.
 
-    The angle reference delta_1 = 0 is pinned and the bus-1 real-power
-    equation dropped (redundant under exact balance). Steps are halved when
-    the residual norm would increase. The iteration targets well below the
-    acceptance tolerance so downstream finite differencing stays clean. The
-    residual is accepted at PF_ACCEPT_TOL, or at PF_ACCEPT_ULPS roundoff units
-    of the largest incident susceptance sum when that is larger: the line
-    terms of a stiff grid cancel to no better than that.
+    The state is z = (delta - delta_1, V_load), or the angles alone under
+    ``const_v``, which keeps the voltages of the start. The angle reference
+    z_1 = 0 is pinned and the bus-1 real-power equation dropped (redundant
+    under exact balance). Steps are halved when the residual norm would
+    increase. The iteration targets well below the acceptance tolerance so
+    downstream finite differencing stays clean, but stops once the residual
+    is accepted and a step no longer lowers it. The residual is accepted at
+    PF_ACCEPT_TOL, or at PF_ACCEPT_ULPS roundoff units of the largest
+    incident susceptance sum when that is larger: the line terms of a stiff
+    grid cancel to no better than that.
     """
-    n, m = network.n, network.m
+    n = network.n
     op = initial if initial is not None else flat_start(network)
-    delta = op.delta.copy() - op.delta[0]
-    v_load = np.ones(0) if const_v else op.v_load.copy()
+    z = op.delta - op.delta[0]
+    if not const_v:
+        z = np.concatenate([z, op.v_load])
 
-    # Unknowns: delta_2..delta_n (+ all load voltages); dropped equation: bus-1 real.
-    size = n if const_v else 2 * n - m
-    keep = np.ones(size, dtype=bool)
-    keep[0] = False
+    def point(z: np.ndarray) -> OperatingPoint:
+        return OperatingPoint(delta=z[:n], v_load=op.v_load if const_v else z[n:])
 
-    def pack() -> OperatingPoint:
-        return OperatingPoint(delta=delta, v_load=op.v_load if const_v else v_load)
+    def residual(z: np.ndarray) -> np.ndarray:
+        # Real then reactive balance; the reactive part has no unknowns under const_v.
+        return np.concatenate(residual_vectors(network, point(z)))[:z.size]
 
-    res = _pf_residual(network, pack(), const_v)
+    res = residual(z)
     norm = float(np.max(np.abs(res)))
     tol = max(PF_ACCEPT_TOL,
               PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(incident_b_sums(network))))
     for _ in range(max_iter):
         if norm < PF_TARGET_TOL:
             break
-        L = hessian_matrix(network, pack(), const_v=const_v)
-        J = L[np.ix_(keep, keep)]
+        J = hessian_matrix(network, point(z), const_v=const_v)[1:, 1:]
         try:
-            step = np.linalg.solve(J, res[keep])
+            step = np.linalg.solve(J, res[1:])
         except np.linalg.LinAlgError:
             raise SingularityError(
                 "power-flow Jacobian is singular beyond the angle-reference nullspace"
@@ -515,33 +515,24 @@ def solve_power_flow(
             raise SingularityError(
                 "power-flow Jacobian is singular beyond the angle-reference nullspace"
             )
-        scale = 1.0
+        scale, improved = 1.0, False
         for _halving in range(40):
-            d_try = delta.copy()
-            d_try[1:] -= scale * step[: n - 1]
-            if const_v:
-                v_try = v_load
-            else:
-                v_try = v_load - scale * step[n - 1:]
-                if np.any(v_try <= 0):
-                    scale *= 0.5
-                    continue
-            op_try = OperatingPoint(delta=d_try, v_load=op.v_load if const_v else v_try)
-            res_try = _pf_residual(network, op_try, const_v)
-            norm_try = float(np.max(np.abs(res_try)))
-            if norm_try < norm:
-                delta, res, norm = d_try, res_try, norm_try
-                if not const_v:
-                    v_load = v_try
-                break
+            z_try = z.copy()
+            z_try[1:] -= scale * step
+            if not np.any(z_try[n:] <= 0):
+                res_try = residual(z_try)
+                norm_try = float(np.max(np.abs(res_try)))
+                improved = norm_try < norm
+                # An accepted residual that a step cannot lower is at roundoff.
+                if improved or norm <= tol:
+                    break
             scale *= 0.5
-        else:
-            break  # no progress possible; final check below decides
+        if not improved:
+            break  # no progress possible; the final check below decides
+        z, res, norm = z_try, res_try, norm_try
     if not norm <= tol:
         raise ConvergenceError(
             f"power flow did not converge: residual max-norm {norm:.3e} > {tol:.1e}",
             residual=norm,
         )
-    return OperatingPoint(
-        delta=delta, v_load=op.v_load if const_v else v_load, residual_norm=norm
-    )
+    return replace(point(z), residual_norm=norm)

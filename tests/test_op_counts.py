@@ -15,7 +15,9 @@ from collections import Counter
 import pytest
 
 import oscdamp.cli  # noqa: F401  (loads every package module)
-from oscdamp import cases, dispatch, sensitivity, study
+from oscdamp import cases, dispatch, network, sensitivity, study
+
+from conftest import stiff_star_grid
 
 REBUILDS = (
     "laplacian.hessian",
@@ -29,6 +31,7 @@ COUNTED = REBUILDS + (
     "sensitivity.sensitivity_coefficients",
     "dispatch.flow_response",
     "modal.solve_qep",
+    "network.residual_vectors",
 )
 
 
@@ -103,3 +106,10 @@ def test_unit_dlambda_builds_one_bundle(fixture_studies, counts, name):
     assert counts["network.build_incidence"] == 1
     assert counts["sensitivity.sensitivity_coefficients"] == 1
     assert counts["dispatch.flow_response"] == 1
+
+
+def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
+    # The b = 1e6 star is accepted at a residual that no step can lower; the
+    # iteration must stop there instead of halving the step 40 times.
+    network.solve_power_flow(network.parse_grid_file(stiff_star_grid(1e6)))
+    assert counts["network.residual_vectors"] <= 5

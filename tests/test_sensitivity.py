@@ -49,8 +49,7 @@ def test_line_coords_hand_assembly(random_suite):
     md = st.electromechanical()[0]
     xp = st.bundle.H @ md.x
     v = bus_voltages(net, st.op)
-    for ln in net.lines:
-        k = ln.index - 1
+    for k, ln in enumerate(net.lines):
         f, t = ln.from_bus - 1, ln.to_bus - 1
         assert abs(xp[k] - (md.x[f] - md.x[t])) < 1e-14
         nu = 0j
