@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -68,8 +69,15 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
 def _load_network(args) -> Network:
     if not os.path.exists(args.grid):
         raise _UsageAbort(f"file not found: {args.grid}")
-    with open(args.grid, encoding="utf-8") as fh:
-        return parse_grid_file(fh.read())
+    try:
+        with open(args.grid, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(
+            f"{args.grid} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise _UsageAbort(f"cannot read {args.grid}: {exc.strerror or exc}") from None
+    return parse_grid_file(text)
 
 
 def _load_study(args) -> Study:
@@ -80,11 +88,13 @@ def _load_study(args) -> Study:
 
 
 def _dump_matrices(bundle: laplacian.LaplacianBundle, outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    np.savetxt(os.path.join(outdir, "L.csv"), bundle.L, delimiter=",", fmt="%.17g")
-    np.savetxt(os.path.join(outdir, "H.csv"), bundle.H, delimiter=",", fmt="%.17g")
     blocks = np.vstack([-bundle.lp_nu_nu, bundle.lp_theta_nu, bundle.lp_nu_nu])
-    np.savetxt(os.path.join(outdir, "Lp_blocks.csv"), blocks, delimiter=",", fmt="%.17g")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, matrix in (("L.csv", bundle.L), ("H.csv", bundle.H), ("Lp_blocks.csv", blocks)):
+            np.savetxt(os.path.join(outdir, name), matrix, delimiter=",", fmt="%.17g")
+    except OSError as exc:
+        raise _cannot_write(exc) from None
 
 
 def _select_mode(st: Study, args) -> modal.Mode:
@@ -112,11 +122,18 @@ def _select_mode(st: Study, args) -> modal.Mode:
     raise _UsageAbort("select a mode with --mode INDEX or --mode-hz LO:HI")
 
 
+def _cannot_write(exc: OSError) -> _UsageAbort:
+    return _UsageAbort(f"cannot write {exc.filename}: {exc.strerror or exc}")
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise _cannot_write(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +229,8 @@ def cmd_sweep(args) -> int:
         raise _UsageAbort(f"bad --r list {args.r!r}") from None
     if not r_values:
         raise _UsageAbort("--r needs at least one value")
+    if not all(math.isfinite(r) for r in r_values):
+        raise _UsageAbort(f"bad --r list {args.r!r}: amounts must be finite")
     preds = dispatch.sweep(st.network, st.op, mode, plan, r_values,
                            const_v=st.const_v)
     header = ["r", "sigma_exact", "omega_exact", "sigma_approx", "omega_approx",
@@ -277,6 +296,8 @@ def _verify_random_spotcheck(seed: int, count: int = 3) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _UsageAbort(f"--seed must be nonnegative, got {args.seed}")
     all_ok = True
     for name in cases.FIXTURE_NAMES:
         rep = cases.reproduce_case(name)

@@ -140,18 +140,16 @@ def match_mode(
     pool = [md for md in candidates if md.omega > 0]
     if not pool:
         raise ModeMatchingError("no oscillatory modes in the re-solved spectrum")
-    scores = []
-    for md in pool:
-        c = abs(np.vdot(reference.x, md.x)) / (
-            np.linalg.norm(reference.x) * np.linalg.norm(md.x)
-        )
-        scores.append((float(c), md))
-    scores.sort(key=lambda t: -t[0])
-    if len(scores) > 1 and scores[0][0] - scores[1][0] < MATCH_AMBIGUITY_GAP:
+    X = np.array([md.x for md in pool])
+    x_ref = reference.x
+    scores = np.abs(X @ np.conj(x_ref)) / (np.linalg.norm(x_ref) * np.linalg.norm(X, axis=1))
+    order = np.argsort(-scores, kind="stable")
+    if len(pool) > 1 and scores[order[0]] - scores[order[1]] < MATCH_AMBIGUITY_GAP:
         raise ModeMatchingError(
-            f"ambiguous mode match: correlations {scores[0][0]:.3f} vs {scores[1][0]:.3f}"
+            f"ambiguous mode match: correlations {scores[order[0]]:.3f} "
+            f"vs {scores[order[1]]:.3f}"
         )
-    return scores[0][1]
+    return pool[order[0]]
 
 
 def predict_mode(

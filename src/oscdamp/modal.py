@@ -156,10 +156,16 @@ def reduced_jacobian(
     return J11 - J12 @ x
 
 
-def _first_at_max(mags: np.ndarray) -> int:
-    """Lowest index within roundoff of the maximum, for deterministic gauges."""
-    top = float(np.max(mags))
-    return int(np.argmax(mags >= top * (1.0 - 1e-12)))
+def _first_at_max(mags: np.ndarray) -> np.ndarray:
+    """Per row, the lowest column within roundoff of the row maximum, for
+    deterministic gauges."""
+    top = np.max(mags, axis=1, keepdims=True)
+    return np.argmax(mags >= top * (1.0 - 1e-12), axis=1)
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs(complex), which np.abs does not always match."""
+    return np.hypot(z.real, z.imag)
 
 
 def backward_errors(
@@ -178,23 +184,33 @@ def backward_errors(
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
 
 
-def _swing_profile(x: np.ndarray, gen_rows: np.ndarray, labels: tuple[str, ...]) -> str:
-    xg = x[gen_rows]
-    top = np.max(np.abs(xg))
-    if top == 0:
-        return ""
-    phase = xg[_first_at_max(np.abs(xg))]
-    rotated = xg * (abs(phase) / phase)
-    with_group: list[tuple[str, float]] = []
-    for lab, val in zip(labels, rotated):
-        if abs(val) < PARTICIPATION_THRESHOLD * top:
-            continue
-        with_group.append((lab, float(val.real)))
-    pos = [lab for lab, re in with_group if re >= 0]
-    neg = [lab for lab, re in with_group if re < 0]
-    if pos and neg:
-        return ",".join(pos) + " <-> " + ",".join(neg)
-    return ",".join(pos or neg)
+def _swing_profiles(
+    X: np.ndarray, gen_rows: np.ndarray, labels: tuple[str, ...]
+) -> list[str]:
+    """One "G1,G2 <-> G3" string per row of X.
+
+    Each row's generator components are rotated so that the first largest is
+    real and positive; those of at least PARTICIPATION_THRESHOLD of it are
+    grouped by the sign of their real part.
+    """
+    if not gen_rows.size:
+        return [""] * X.shape[0]
+    xg = X[:, gen_rows]
+    mags = np.abs(xg)
+    top = np.max(mags, axis=1)
+    phase = xg[np.arange(xg.shape[0]), _first_at_max(mags)]
+    # An all-zero row gets a unit phase and shows no generator: its profile is empty.
+    phase = np.where(top > 0, phase, 1.0)
+    rotated = xg * (_abs(phase) / phase)[:, None]
+    shown = ~(_abs(rotated) < PARTICIPATION_THRESHOLD * top[:, None]) & (top[:, None] > 0)
+    positive = rotated.real >= 0
+    names = np.array(labels, dtype=object)
+    profiles = []
+    for row_shown, row_pos in zip(shown, positive):
+        pos = ",".join(names[row_shown & row_pos])
+        neg = ",".join(names[row_shown & ~row_pos])
+        profiles.append(pos + " <-> " + neg if pos and neg else pos or neg)
+    return profiles
 
 
 def solve_qep(
@@ -226,45 +242,52 @@ def solve_qep(
 
     pair_scale = np.hypot(np.abs(alph), np.abs(beta))
     finite = np.abs(beta) > INFINITE_EIG_TOL * pair_scale
-    lams = alph[finite] / beta[finite]
-    vecs = vr[:, finite]
+    all_lams = alph[finite] / beta[finite]
+    spectral_scale = float(np.max(np.abs(all_lams))) if all_lams.size else 0.0
+    # One eigenvector per row, in natural state order. Fancy indexing returns
+    # C-contiguous rows, so each row reduction rounds as on a lone vector.
+    X = vr.T[np.ix_(finite, zcol)].astype(complex, copy=False)
+    mags = np.abs(X)
 
-    spectral_scale = float(np.max(np.abs(lams))) if lams.size else 0.0
-
-    kept: list[tuple[complex, np.ndarray]] = []
-    for idx in range(lams.size):
-        lam = complex(lams[idx])
-        x = vecs[zcol, idx].astype(complex)
-        if spectral_scale > 0 and abs(lam) < ZERO_MODE_REL_TOL * spectral_scale:
-            xa = x[:n_angles]
-            scale = float(np.max(np.abs(x))) or 1.0
-            if np.max(np.abs(xa - np.mean(xa))) < UNIFORM_ANGLE_TOL * scale:
-                continue  # rigid uniform-angle mode
-        if lam.imag < 0:
-            continue  # conjugate partner is reported
-        xg = x[gen_rows] if gen_rows.size else x
-        top = float(np.max(np.abs(xg))) if xg.size else 0.0
-        if top > 1e-12 * float(np.max(np.abs(x))):
-            x = x / xg[_first_at_max(np.abs(xg))]
-        else:
-            x = x / x[_first_at_max(np.abs(x))]
-        kept.append((lam, x))
-    if not kept:
+    keep = all_lams.imag >= 0  # a conjugate partner is reported
+    if spectral_scale > 0:
+        small = np.flatnonzero(_abs(all_lams) < ZERO_MODE_REL_TOL * spectral_scale)
+        xa = X[small, :n_angles]
+        spread = np.max(np.abs(xa - np.mean(xa, axis=1, keepdims=True)), axis=1)
+        scale = np.max(mags[small], axis=1)
+        scale[scale == 0] = 1.0
+        keep[small[spread < UNIFORM_ANGLE_TOL * scale]] = False  # rigid uniform-angle mode
+    lams, X, mags = all_lams[keep], X[keep], mags[keep]
+    if not lams.size:
         return []
 
-    kept_lams = np.array([lam for lam, _ in kept])
-    residuals = backward_errors(
-        kept_lams, np.column_stack([x for _, x in kept]), m_diag, d_diag, L)
-    dist = np.abs(kept_lams[:, None] - lams[None, :])
+    # Gauge: the first generator angle of largest magnitude becomes 1; a mode
+    # without generator participation is pinned at its largest component.
+    cols = gen_rows if gen_rows.size else np.arange(nz)
+    on_gen = np.max(mags[:, cols], axis=1) > 1e-12 * np.max(mags, axis=1)
+    pivot = np.where(on_gen, cols[_first_at_max(mags[:, cols])], _first_at_max(mags))
+    X = X / X[np.arange(lams.size), pivot][:, None]
+    mags = np.abs(X)
+
+    # C order, as np.column_stack gave it: a Fortran-ordered X moves residuals at roundoff.
+    residuals = backward_errors(lams, np.ascontiguousarray(X.T), m_diag, d_diag, L)
+    failed = np.flatnonzero(~(residuals <= MODE_RESIDUAL_REL))
+    if failed.size:
+        residual, lam = float(residuals[failed[0]]), complex(lams[failed[0]])
+        raise ConvergenceError(
+            f"eigenpair residual {residual:.2e} exceeds {MODE_RESIDUAL_REL:.0e} "
+            f"for lambda = {lam:.6g}",
+            residual=residual,
+        )
+    dist = np.abs(lams[:, None] - all_lams[None, :])
     gaps = np.min(np.where(dist > 0, dist, np.inf), axis=1)
+    em = (lams.imag > 0) & (gen_rows.size > 0) & (
+        np.max(mags[:, gen_rows], axis=1, initial=0.0)
+        >= PARTICIPATION_THRESHOLD * np.max(mags, axis=1))
     modes: list[Mode] = []
-    for (lam, x), residual, gap in zip(kept, residuals.tolist(), gaps.tolist()):
-        if not residual <= MODE_RESIDUAL_REL:
-            raise ConvergenceError(
-                f"eigenpair residual {residual:.2e} exceeds {MODE_RESIDUAL_REL:.0e} "
-                f"for lambda = {lam:.6g}",
-                residual=residual,
-            )
+    for lam, x, residual, gap, is_em, profile in zip(
+            lams.tolist(), X, residuals.tolist(), gaps.tolist(), em.tolist(),
+            _swing_profiles(X, gen_rows, gen_labels)):
         warn: list[str] = []
         if gap < RESONANCE_GAP_REL * spectral_scale:
             warn.append(
@@ -272,19 +295,14 @@ def solve_qep(
                 f"{RESONANCE_GAP_REL:.0e} of spectral scale"
             )
         mag = abs(lam)
-        zeta = -lam.real / mag if mag > 0 else 0.0
-        xmax = float(np.max(np.abs(x)))
-        em = lam.imag > 0 and gen_rows.size > 0 and (
-            float(np.max(np.abs(x[gen_rows]))) >= PARTICIPATION_THRESHOLD * xmax
-        )
         modes.append(Mode(
             lam=lam,
             x=x,
             residual=residual,
             freq_hz=lam.imag / (2.0 * math.pi),
-            damping_ratio=zeta,
-            swing_profile=_swing_profile(x, gen_rows, gen_labels) if gen_rows.size else "",
-            electromechanical=bool(em),
+            damping_ratio=-lam.real / mag if mag > 0 else 0.0,
+            swing_profile=profile,
+            electromechanical=is_em,
             warnings=tuple(warn),
         ))
     modes.sort(key=lambda md: (md.lam.imag, md.lam.real))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +72,19 @@ class Line:
     b: float
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Network:
+    """Buses and lines of one grid.
+
+    The index and injection arrays below are built once per instance, on first
+    use, and come back read-only: every caller shares them.
+    """
+
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     omega0: float = DEFAULT_OMEGA0
@@ -81,7 +93,7 @@ class Network:
     def n(self) -> int:
         return len(self.buses)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(1 for b in self.buses if b.is_generator)
 
@@ -89,24 +101,42 @@ class Network:
     def n_lines(self) -> int:
         return len(self.lines)
 
+    @cached_property
+    def _injections(self) -> tuple[np.ndarray, np.ndarray]:
+        return (_read_only(np.array([b.p_gen - b.p_load for b in self.buses])),
+                _read_only(np.array([-b.q_load for b in self.buses])))
+
+    @cached_property
+    def _gen_labels(self) -> tuple[str, ...]:
+        return tuple(b.label for b in self.buses if b.is_generator)
+
+    @cached_property
+    def _gen_v_set(self) -> np.ndarray:
+        return _read_only(np.array([b.v_set for b in self.buses[:self.m]], dtype=float))
+
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        return (_read_only(np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)),
+                _read_only(np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)))
+
+    @cached_property
+    def _susceptances(self) -> np.ndarray:
+        return _read_only(np.array([ln.b for ln in self.lines], dtype=float))
+
     def injections(self) -> tuple[np.ndarray, np.ndarray]:
         """Net (P, Q) injection vectors over all buses, load-demand sign folded in."""
-        p = np.array([b.p_gen - b.p_load for b in self.buses])
-        q = np.array([-b.q_load for b in self.buses])
-        return p, q
+        return self._injections
 
     def gen_labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.buses if b.is_generator)
+        return self._gen_labels
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based (from, to) bus positions, one entry per line in line order."""
-        f = np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)
-        t = np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)
-        return f, t
+        return self._endpoints
 
     def susceptances(self) -> np.ndarray:
         """Line susceptances b_k in line order."""
-        return np.array([ln.b for ln in self.lines], dtype=float)
+        return self._susceptances
 
     def with_redispatch(self, dp: np.ndarray) -> "Network":
         """Return a copy with generator outputs shifted by ``dp`` (one entry per generator)."""
@@ -339,8 +369,7 @@ def flat_start(network: Network) -> OperatingPoint:
 
 def bus_voltages(network: Network, op: OperatingPoint) -> np.ndarray:
     """Voltage magnitudes over all buses: fixed set-points then load states."""
-    v_set = [b.v_set for b in network.buses[:network.m]]
-    return np.concatenate([v_set, op.v_load])
+    return np.concatenate([network._gen_v_set, op.v_load])
 
 
 def line_states(network: Network, op: OperatingPoint) -> LineState:

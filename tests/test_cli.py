@@ -202,3 +202,40 @@ def test_negative_damping_is_validation_error(tmp_path, capsys, old, new, label)
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"oscdamp: bus {label!r} needs damping D >= 0\n"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.grid"
+    text = resources.files("oscdamp").joinpath("data", "three_bus_s7.grid").read_text()
+    path.write_bytes(text.encode() + b"# caf\xe9\n")
+    return ["modes", str(path)]
+
+
+def _file_in_the_way(tmp_path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    return ["pf", _data_path("three_bus_s7.grid"),
+            "--dump-matrices", str(tmp_path / "taken" / "mats")]
+
+
+SWEEP_SIX = ["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "2",
+             "--pair", "G1:G3"]
+
+
+@pytest.mark.parametrize("make_argv, code, message", [
+    (lambda tmp: ["modes", str(tmp)], 64, "cannot read"),
+    (_not_utf8, 1, "is not UTF-8 text"),
+    (lambda tmp: ["modes", _data_path("six_bus.grid"), "--const-v",
+                  "--csv", str(tmp / "missing" / "x.csv")], 64, "cannot write"),
+    (lambda tmp: ["modes", _data_path("six_bus.grid"), "--const-v",
+                  "--csv", str(tmp)], 64, "cannot write"),
+    (_file_in_the_way, 64, "cannot write"),
+    (lambda tmp: SWEEP_SIX + ["--r", "0.003,nan"], 64, "must be finite"),
+    (lambda tmp: SWEEP_SIX + ["--r", "inf"], 64, "must be finite"),
+    (lambda tmp: ["verify", "--seed", "-1"], 64, "--seed must be nonnegative"),
+], ids=["grid-is-directory", "grid-not-utf8", "csv-missing-dir", "csv-is-directory",
+        "dump-under-file", "r-nan", "r-inf", "negative-seed"])
+def test_bad_paths_and_arguments_exit_with_one_line(tmp_path, capsys, make_argv, code, message):
+    assert main(make_argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("oscdamp: ")
+    assert message in err

@@ -318,3 +318,26 @@ def test_hessian_matches_residual_jacobian_off_equilibrium():
         rm = np.concatenate(residual_vectors(net, OperatingPoint(op.delta - dd, op.v_load - dv)))
         col = (rp - rm) / (2 * eps)
         assert np.max(np.abs(col - L[:, j])) < 1e-6
+
+
+def test_network_arrays_are_built_once_and_read_only():
+    from dataclasses import FrozenInstanceError
+
+    net = parse_grid_file(CHAIN_3)
+    for name in ("injections", "endpoints"):
+        first = getattr(net, name)()
+        assert getattr(net, name)() is first
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    b = net.susceptances()
+    assert net.susceptances() is b and not b.flags.writeable
+    assert net.gen_labels() is net.gen_labels()
+    assert not net._gen_v_set.flags.writeable
+    assert net.m == 2
+    with pytest.raises(FrozenInstanceError):
+        net.m = 3
+    shifted = net.with_redispatch(np.array([0.1, -0.1]))
+    assert shifted.injections()[0] is not net.injections()[0]
+    assert shifted.injections()[0][0] == net.injections()[0][0] + 0.1
