@@ -50,7 +50,6 @@ from .dispatch import (
     RedispatchPlan,
     flow_response,
     plan_between,
-    predict_mode,
     rank_pairs,
     sweep,
     unit_dlambda,

@@ -143,7 +143,7 @@ def _quantities_three_bus_s9(st: Study) -> dict[str, complex]:
     out["max_abs_real_part"] = max(abs(md.sigma) for md in st.modes)
     mode = st.electromechanical()[0]
     plan = dispatch.plan_between(st.network, "G1", "G3")  # along base flow
-    dl = dispatch.unit_dlambda(st.network, st.op, mode, plan, const_v=True)
+    dl = dispatch.unit_dlambda(st.network, st.op, mode, plan)
     out["re_dlambda_along_flow"] = abs(dl.real)
     out["domega_along_flow_negative"] = float(dl.imag < 0)
     cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
@@ -169,10 +169,9 @@ def _quantities_six_bus(st: Study) -> dict[str, complex]:
         top_i = set(np.argsort(-np.abs(cv.a_I))[:2])
         out["lines12_dominant"] = float(top_r == {0, 1} and top_i == {0, 1})
         plan = dispatch.plan_between(st.network, "G1", "G3")
-        pred = dispatch.predict_mode(
-            st.network, st.op, em[1], plan, 0.009, const_v=True)
-        out["table8_r009"] = pred.lambda_approx
-        ranked = dispatch.rank_pairs(st.network, st.op, em[1], const_v=True)
+        out["table8_r009"] = em[1].lam + 0.009 * dispatch.unit_dlambda(
+            st.network, st.op, em[1], plan)
+        ranked = dispatch.rank_pairs(st.network, st.op, em[1])
         out["rank_g1g3_top"] = float(
             (ranked[0].up, ranked[0].down) == ("G1", "G3"))
     return out
@@ -191,8 +190,8 @@ def _quantities_ten_bus(st: Study) -> dict[str, complex]:
         out["profile_interarea"] = float(_profile_is(
             em[0].swing_profile, ("G1", "G2"), ("G3", "G4")))
         plan = dispatch.plan_between(st.network, "G1", "G3")
-        pred = dispatch.predict_mode(st.network, st.op, em[0], plan, 0.003)
-        out["table3_r003_omega"] = pred.lambda_approx.imag
+        out["table3_r003_omega"] = (
+            em[0].lam + 0.003 * dispatch.unit_dlambda(st.network, st.op, em[0], plan)).imag
     return out
 
 
@@ -245,21 +244,24 @@ def finite_difference_sensitivity(
     mode: modal.Mode,
     plan: dispatch.RedispatchPlan,
     step: float = 1e-5,
-    const_v: bool = False,
+    const_v: bool | None = None,
 ) -> complex:
     """Central-difference slope of the matched eigenvalue along the plan.
 
     This is the ground truth every formula prediction is checked against:
-    the power flow and the eigenproblem are fully re-solved at +-step.
+    the power flow and the eigenproblem are fully re-solved at +-step, in the
+    voltage model of the mode; a ``const_v`` naming the other one is rejected.
     """
     if step <= 0:
         raise UsageError("step must be positive")
+    if const_v not in (None, dispatch.angle_only(network, mode)):
+        raise UsageError("const_v disagrees with the voltage model of the mode")
     if not np.any(plan.dp):
         raise ValidationError("finite differencing needs a nonzero redispatch direction")
 
     try:
-        lam_p = dispatch.exact_mode(network, op, mode, plan, step, const_v)
-        lam_m = dispatch.exact_mode(network, op, mode, plan, -step, const_v)
+        lam_p = dispatch.exact_mode(network, op, mode, plan, step)
+        lam_m = dispatch.exact_mode(network, op, mode, plan, -step)
     except dispatch.ModeMatchingError:
         raise
     except (OscdampError, np.linalg.LinAlgError) as exc:  # power flow divergence etc.

@@ -44,13 +44,9 @@ _CONVERGENCE_ERRORS = (
 )
 
 
-class _UsageAbort(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageAbort(message)
+        raise UsageError(message)
 
 
 def g6(x: float) -> str:
@@ -68,7 +64,7 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
 
 def _load_network(args) -> Network:
     if not os.path.exists(args.grid):
-        raise _UsageAbort(f"file not found: {args.grid}")
+        raise UsageError(f"file not found: {args.grid}")
     try:
         with open(args.grid, encoding="utf-8") as fh:
             text = fh.read()
@@ -76,7 +72,7 @@ def _load_network(args) -> Network:
         raise GridFormatError(
             f"{args.grid} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except OSError as exc:
-        raise _UsageAbort(f"cannot read {args.grid}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot read {args.grid}: {exc.strerror or exc}") from None
     return parse_grid_file(text)
 
 
@@ -106,24 +102,24 @@ def _select_mode(st: Study, args) -> modal.Mode:
             lo_s, hi_s = args.mode_hz.split(":")
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
-            raise _UsageAbort(f"bad --mode-hz window {args.mode_hz!r}, expected LO:HI") from None
+            raise UsageError(f"bad --mode-hz window {args.mode_hz!r}, expected LO:HI") from None
         hits = [md for md in osc if lo <= md.freq_hz <= hi]
         if len(hits) != 1:
-            raise _UsageAbort(
+            raise UsageError(
                 f"--mode-hz {args.mode_hz} selects {len(hits)} modes; need exactly 1"
             )
         return hits[0]
     if args.mode is not None:
         if not 1 <= args.mode <= len(osc):
-            raise _UsageAbort(
+            raise UsageError(
                 f"--mode {args.mode} out of range 1..{len(osc)}"
             )
         return osc[args.mode - 1]
-    raise _UsageAbort("select a mode with --mode INDEX or --mode-hz LO:HI")
+    raise UsageError("select a mode with --mode INDEX or --mode-hz LO:HI")
 
 
-def _cannot_write(exc: OSError) -> _UsageAbort:
-    return _UsageAbort(f"cannot write {exc.filename}: {exc.strerror or exc}")
+def _cannot_write(exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {exc.filename}: {exc.strerror or exc}")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -178,12 +174,12 @@ def cmd_modes(args) -> int:
     st = _load_study(args)
     header = ["idx", "re", "im", "f_hz", "zeta_pct", "swing_profile", "class"]
     rows = _mode_rows(st)
+    if args.csv:
+        _write_csv(args.csv, header, rows)
     print(_table(rows, header))
     hidden = len(st.modes) - len(rows)
     if hidden:
         print(f"({hidden} non-oscillatory modes not shown)")
-    if args.csv:
-        _write_csv(args.csv, header, rows)
     return EXIT_OK
 
 
@@ -211,12 +207,12 @@ def cmd_sens(args) -> int:
 
 def _parse_pair(st: Study, spec_str: str) -> dispatch.RedispatchPlan:
     if ":" not in spec_str:
-        raise _UsageAbort(f"bad --pair {spec_str!r}, expected GA:GB")
+        raise UsageError(f"bad --pair {spec_str!r}, expected GA:GB")
     up, down = spec_str.split(":", 1)
     try:
         return dispatch.plan_between(st.network, up, down)
     except ValidationError as exc:
-        raise _UsageAbort(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def cmd_sweep(args) -> int:
@@ -226,13 +222,12 @@ def cmd_sweep(args) -> int:
     try:
         r_values = [float(tok) for tok in args.r.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageAbort(f"bad --r list {args.r!r}") from None
+        raise UsageError(f"bad --r list {args.r!r}") from None
     if not r_values:
-        raise _UsageAbort("--r needs at least one value")
+        raise UsageError("--r needs at least one value")
     if not all(math.isfinite(r) for r in r_values):
-        raise _UsageAbort(f"bad --r list {args.r!r}: amounts must be finite")
-    preds = dispatch.sweep(st.network, st.op, mode, plan, r_values,
-                           const_v=st.const_v)
+        raise UsageError(f"bad --r list {args.r!r}: amounts must be finite")
+    preds = dispatch.sweep(st.network, st.op, mode, plan, r_values)
     header = ["r", "sigma_exact", "omega_exact", "sigma_approx", "omega_approx",
               "zeta_exact", "zeta_approx"]
     rows = []
@@ -250,27 +245,27 @@ def cmd_sweep(args) -> int:
                 g6(pr.lambda_approx.real), g6(pr.lambda_approx.imag),
                 g6(ze), g6(za),
             ])
+    if args.csv:
+        _write_csv(args.csv, header, rows)
     print(f"redispatch {plan.description}, mode lambda = "
           f"{g6(mode.sigma)} + {g6(mode.omega)}j")
     print(_table(rows, header))
     for r, msg in failures:
         print(f"oracle unavailable at r = {g6(r)}: {msg}")
-    if args.csv:
-        _write_csv(args.csv, header, rows)
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
     st = _load_study(args)
     mode = _select_mode(st, args)
-    ranked = dispatch.rank_pairs(st.network, st.op, mode, const_v=st.const_v)
+    ranked = dispatch.rank_pairs(st.network, st.op, mode)
     header = ["up", "down", "dzeta_dr", "dsigma_dr", "domega_dr"]
     rows = [[p.up, p.down, g6(p.dzeta_dr), g6(p.dsigma_dr), g6(p.domega_dr)]
             for p in ranked]
-    print(f"mode lambda = {g6(mode.sigma)} + {g6(mode.omega)}j")
-    print(_table(rows, header))
     if args.csv:
         _write_csv(args.csv, header, rows)
+    print(f"mode lambda = {g6(mode.sigma)} + {g6(mode.omega)}j")
+    print(_table(rows, header))
     return EXIT_OK
 
 
@@ -297,7 +292,7 @@ def _verify_random_spotcheck(seed: int, count: int = 3) -> list[str]:
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        raise _UsageAbort(f"--seed must be nonnegative, got {args.seed}")
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     all_ok = True
     for name in cases.FIXTURE_NAMES:
         rep = cases.reproduce_case(name)
@@ -378,14 +373,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageAbort as exc:
-        print(f"oscdamp: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except _UsageAbort as exc:
-        print(f"oscdamp: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _VALIDATION_ERRORS as exc:
         print(f"oscdamp: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -27,10 +27,11 @@ from .errors import (
     ModeMatchingError,
     OracleError,
     SingularityError,
+    UsageError,
     ValidationError,
 )
 from .network import Network, OperatingPoint
-from .laplacian import hessian
+from .laplacian import LaplacianBundle, hessian
 from .study import build_study
 
 PINV_RCOND = 1e-10
@@ -115,17 +116,34 @@ def flow_response(network: Network, L: np.ndarray, plan: RedispatchPlan) -> np.n
     return dz
 
 
-def unit_dlambda(
-    network: Network,
-    op: OperatingPoint,
-    mode: modal.Mode,
-    plan: RedispatchPlan,
-    const_v: bool = False,
-) -> complex:
-    """dlambda/dr for a unit application of the plan, via the full chain."""
+def angle_only(network: Network, mode: modal.Mode) -> bool:
+    """Whether ``mode`` comes from the angle-only (constant-voltage) model.
+
+    Its eigenvector has n entries there and 2n - m in the full model; any
+    other size is a usage error.
+    """
+    n, size = network.n, mode.x.size
+    if size not in (n, 2 * n - network.m):
+        raise UsageError(f"mode has {size} entries; modes of this network have "
+                         f"{n} (angle-only) or {2 * n - network.m} (full model)")
+    return size == n
+
+
+def _sensitivity(
+    network: Network, op: OperatingPoint, mode: modal.Mode
+) -> tuple[LaplacianBundle, sensitivity.SensitivityReport]:
+    """Hessian bundle and sensitivity report in the mode's own voltage model."""
+    const_v = angle_only(network, mode)
     bundle = hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)
-    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+    return bundle, sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+
+
+def unit_dlambda(
+    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan
+) -> complex:
+    """dlambda/dr for a unit application of the plan, via the full chain."""
+    bundle, report = _sensitivity(network, op, mode)
     return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
 
 
@@ -152,23 +170,13 @@ def match_mode(
     return pool[order[0]]
 
 
-def predict_mode(
-    network: Network,
-    op: OperatingPoint,
-    mode: modal.Mode,
-    plan: RedispatchPlan,
-    r: float,
-    const_v: bool = False,
-) -> ModePrediction:
-    """First-order prediction lambda + r dlambda against a full re-solve."""
-    return sweep(network, op, mode, plan, [r], const_v=const_v)[0]
-
-
 def exact_mode(
     network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
-    r: float, const_v: bool = False,
+    r: float,
 ) -> complex:
-    """Eigenvalue of ``mode`` tracked through a full re-solve at redispatch r."""
+    """Eigenvalue of ``mode`` tracked through a full re-solve at redispatch r,
+    in the mode's own voltage model."""
+    const_v = angle_only(network, mode)
     if r == 0.0:
         return mode.lam
     shifted = network.with_redispatch(r * plan.dp)
@@ -182,16 +190,22 @@ def sweep(
     mode: modal.Mode,
     plan: RedispatchPlan,
     r_values,
-    const_v: bool = False,
+    const_v: bool | None = None,
 ) -> list[ModePrediction]:
-    """One prediction per redispatch amount; oracle failures recorded per row."""
-    slope = unit_dlambda(network, op, mode, plan, const_v=const_v)
+    """One prediction per redispatch amount; oracle failures recorded per row.
+
+    The voltage model is the mode's; a ``const_v`` naming the other one is
+    rejected.
+    """
+    if const_v not in (None, angle_only(network, mode)):
+        raise UsageError("const_v disagrees with the voltage model of the mode")
+    slope = unit_dlambda(network, op, mode, plan)
     rows = []
     for r in map(float, r_values):
         approx = mode.lam + r * slope
         exact, failure = None, None
         try:
-            exact = exact_mode(network, op, mode, plan, r, const_v)
+            exact = exact_mode(network, op, mode, plan, r)
         except (ConvergenceError, OracleError) as exc:
             failure = str(exc)
         rows.append(ModePrediction(
@@ -230,10 +244,7 @@ def generator_gains(
 
 
 def rank_pairs(
-    network: Network,
-    op: OperatingPoint,
-    mode: modal.Mode,
-    const_v: bool = False,
+    network: Network, op: OperatingPoint, mode: modal.Mode
 ) -> list[PairSensitivity]:
     """Unit-r sensitivities for every ordered generator pair, best damping first.
 
@@ -242,9 +253,7 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    bundle = hessian(network, op, const_v=const_v)
-    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
-    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+    bundle, report = _sensitivity(network, op, mode)
     gains = generator_gains(bundle.L, report, network.m)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5

@@ -69,19 +69,14 @@ class LaplacianBundle:
         return out
 
 
-def coord_jacobian(
-    network: Network, op: OperatingPoint, const_v: bool = False
-) -> np.ndarray:
+def coord_jacobian(network: Network, op: OperatingPoint) -> np.ndarray:
     """Jacobian of the map from bus to line coordinates.
 
     Rows 1..ell carry the signed incidence transpose in the angle columns;
-    rows ell+1..2*ell carry |A_ik| / V_i in the load-voltage columns. With
-    ``const_v`` only the theta rows exist.
+    rows ell+1..2*ell carry |A_ik| / V_i in the load-voltage columns.
     """
     n, m, nl = network.n, network.m, network.n_lines
     A, absA = build_incidence(network)
-    if const_v:
-        return A.T.copy()
     H = np.zeros((2 * nl, 2 * n - m))
     H[:nl, :n] = A.T
     H[nl:, n:] = absA[m:].T / op.v_load
@@ -91,14 +86,18 @@ def coord_jacobian(
 def hessian(
     network: Network, op: OperatingPoint, const_v: bool = False
 ) -> LaplacianBundle:
-    """Analytic Hessian bundle at the given state (no numerical differentiation)."""
-    L = hessian_matrix(network, op, const_v=const_v)
-    H = coord_jacobian(network, op, const_v=const_v)
+    """Analytic Hessian bundle at the given state (no numerical differentiation).
+
+    L and H are built in the full model; ``const_v`` keeps their angle blocks.
+    """
+    n, m, nl = network.n, network.m, network.n_lines
+    L = hessian_matrix(network, op)
+    H = coord_jacobian(network, op)
     ls = line_states(network, op)
     if const_v:
+        L, H = L[:n, :n].copy(), H[:nl, :n].copy()
         l_bus = np.zeros(0)
     else:
-        n, m, nl = network.n, network.m, network.n_lines
         _, q_inj = network.injections()
         q_incident = np.abs(H[:nl, m:n]).T @ ls.q
         l_bus = (incident_b_sums(network)[m:] + q_inj[m:] / op.v_load ** 2) \

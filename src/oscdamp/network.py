@@ -451,17 +451,17 @@ def residual_vectors(
     return real, reactive
 
 
-def hessian_matrix(network: Network, op: OperatingPoint, const_v: bool = False) -> np.ndarray:
+def hessian_matrix(network: Network, op: OperatingPoint) -> np.ndarray:
     """Weighted-Laplacian Hessian of R in bus coordinates at the given state.
 
-    State ordering is (delta_1..delta_n, V_{m+1}..V_n); with ``const_v`` the
-    voltage block is absent and the matrix is the n x n angle Hessian at the
-    frozen voltage profile.
+    State ordering is (delta_1..delta_n, V_{m+1}..V_n). The leading n x n
+    block is the angle Hessian of the angle-only model at the voltage profile
+    of ``op``: no voltage term reaches it.
     """
     n, m = network.n, network.m
     v = bus_voltages(network, op)
     d = op.delta
-    size = n if const_v else 2 * n - m
+    size = 2 * n - m
     f, t = network.endpoints()
     w = network.susceptances() * v[f] * v[t]
     wc = w * np.cos(d[f] - d[t])
@@ -473,20 +473,17 @@ def hessian_matrix(network: Network, op: OperatingPoint, const_v: bool = False) 
                                   [-wc, wc, -sf, -st],
                                   [sf, -sf, zero, c],
                                   [st, -st, c, zero]]), -1, 0)
-    k = 2 if const_v else 4
-    coord = np.stack([f, t, n + f - m, n + t - m], axis=1)[:, :k]
+    coord = np.stack([f, t, n + f - m, n + t - m], axis=1)
     every = np.ones(f.size, dtype=bool)
-    exists = np.stack([every, every, f >= m, t >= m], axis=1)[:, :k]
+    exists = np.stack([every, every, f >= m, t >= m], axis=1)
     keep = exists[:, :, None] & exists[:, None, :]
-    # Line-major, so that as in _onto_buses each entry sums its terms in line order.
-    L = np.zeros((size, size))
-    np.add.at(L, (np.broadcast_to(coord[:, :, None], keep.shape)[keep],
-                  np.broadcast_to(coord[:, None, :], keep.shape)[keep]),
-              block[:, :k, :k][keep])
-    if not const_v:
-        _, q_inj = network.injections()
-        diag = np.arange(n, size)
-        L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
+    # Line-major, so that as in _onto_buses each entry sums its terms in line
+    # order: bincount, like np.add.at, adds its weights in input order.
+    flat = (coord[:, :, None] * size + coord[:, None, :])[keep]
+    L = np.bincount(flat, weights=block[keep], minlength=size * size).reshape(size, size)
+    _, q_inj = network.injections()
+    diag = np.arange(n, size)
+    L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
     return L
 
 
@@ -533,7 +530,7 @@ def solve_power_flow(
     for _ in range(max_iter):
         if norm < PF_TARGET_TOL:
             break
-        J = hessian_matrix(network, point(z), const_v=const_v)[1:, 1:]
+        J = hessian_matrix(network, point(z))[1:z.size, 1:z.size]
         try:
             step = np.linalg.solve(J, res[1:])
         except np.linalg.LinAlgError:

@@ -105,7 +105,7 @@ def test_criterion_03_formula_vs_oracle(fixture_studies, random_suite):
         mode = st.electromechanical()[0]
         for dp in balanced_directions(rng, net.m, 5):
             plan = dispatch.RedispatchPlan(dp=dp)
-            slope = dispatch.unit_dlambda(net, st.op, mode, plan, const_v=const_v)
+            slope = dispatch.unit_dlambda(net, st.op, mode, plan)
             fd = cases.finite_difference_sensitivity(
                 net, st.op, mode, plan, step=1e-5, const_v=const_v)
             err = abs(slope - fd) / max(1.0, abs(slope))
@@ -165,7 +165,7 @@ def test_criterion_06_zero_damping_neutrality(fixture_studies):
         mode = st.electromechanical()[0]
         for dp in balanced_directions(rng, net.m, 10):
             plan = dispatch.RedispatchPlan(dp=dp)
-            dl = dispatch.unit_dlambda(net, st.op, mode, plan, const_v=fx.const_v)
+            dl = dispatch.unit_dlambda(net, st.op, mode, plan)
             worst_dl = max(worst_dl, abs(dl.real))
             assert abs(dl.real) < 1e-10
     elapsed = time.perf_counter() - t0
@@ -181,15 +181,13 @@ def test_criterion_07_scaling_invariance(fixture_studies):
         labels = st.network.gen_labels()
         plan = dispatch.plan_between(st.network, labels[0], labels[1])
         for mode in st.electromechanical():
-            base = dispatch.unit_dlambda(st.network, st.op, mode, plan,
-                                         const_v=fx.const_v)
+            base = dispatch.unit_dlambda(st.network, st.op, mode, plan)
             for _ in range(20):
                 c = complex(rng.standard_normal(), rng.standard_normal())
                 if abs(c) < 1e-3:
                     continue
                 got = dispatch.unit_dlambda(
-                    st.network, st.op, replace(mode, x=c * mode.x), plan,
-                    const_v=fx.const_v)
+                    st.network, st.op, replace(mode, x=c * mode.x), plan)
                 rel = abs(got - base) / abs(base)
                 worst = max(worst, rel)
                 assert rel < 1e-12
@@ -236,12 +234,12 @@ def test_criterion_09_flow_direction_rule(fixture_studies):
     ls = line_states(st.network, st.op)
     assert np.all(ls.p > 0)  # base flow G1 -> B2 -> G3 in line orientation
     plan = dispatch.plan_between(st.network, "G1", "G3")
-    dl = dispatch.unit_dlambda(st.network, st.op, mode, plan, const_v=True)
+    dl = dispatch.unit_dlambda(st.network, st.op, mode, plan)
     assert dl.imag < 0
     assert abs(dl.real) < 1e-10
     against = dispatch.unit_dlambda(
         st.network, st.op, mode,
-        dispatch.plan_between(st.network, "G3", "G1"), const_v=True)
+        dispatch.plan_between(st.network, "G3", "G1"))
     assert against.imag > 0
     print(f"\nCRITERION 9 PASS: with-flow redispatch gives domega/dr = "
           f"{dl.imag:.4f} < 0 with dsigma/dr = {dl.real:.2e}")

@@ -57,7 +57,7 @@ def test_oracle_symmetric_toy_agrees_with_formula(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
     plan = plan_between(st.network, "G1", "G3")
-    slope = unit_dlambda(st.network, st.op, md, plan, const_v=True)
+    slope = unit_dlambda(st.network, st.op, md, plan)
     fd = finite_difference_sensitivity(st.network, st.op, md, plan,
                                        step=1e-5, const_v=True)
     assert abs(fd - slope) < 1e-8 * max(1.0, abs(slope))

@@ -236,6 +236,7 @@ SWEEP_SIX = ["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "2",
         "dump-under-file", "r-nan", "r-inf", "negative-seed"])
 def test_bad_paths_and_arguments_exit_with_one_line(tmp_path, capsys, make_argv, code, message):
     assert main(make_argv(tmp_path)) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.count("\n") == 1 and err.startswith("oscdamp: ")
     assert message in err

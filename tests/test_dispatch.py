@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from oscdamp import (
     ModeMatchingError,
     RedispatchPlan,
     SingularityError,
+    UsageError,
     ValidationError,
     flow_response,
     plan_between,
-    predict_mode,
     rank_pairs,
     sweep,
     unit_dlambda,
 )
 from oscdamp.cases import finite_difference_sensitivity, random_network
-from oscdamp.dispatch import generator_gains, match_mode
+from oscdamp.dispatch import exact_mode, generator_gains, match_mode
 from oscdamp.network import OperatingPoint, line_states, parse_grid_file
 from oscdamp.sensitivity import sensitivity_coefficients
 from oscdamp.study import build_study
@@ -121,7 +122,7 @@ def test_predict_identity_at_zero(random_suite):
     net, st = random_suite[7]
     md = st.electromechanical()[0]
     plan = plan_between(net, *net.gen_labels()[:2])
-    pred = predict_mode(net, st.op, md, plan, 0.0)
+    pred = sweep(net, st.op, md, plan, [0.0])[0]
     assert pred.lambda_exact == md.lam
     assert pred.lambda_approx == md.lam
     assert pred.error == 0.0
@@ -173,11 +174,10 @@ def test_rank_pairs_symmetric_two_generator_system():
 def _assert_rank_matches_pinv_path(net, st, md):
     # Reference: one pseudo-inverse solve per ordered pair, ranked by the
     # same key as rank_pairs.
-    ranked = rank_pairs(net, st.op, md, const_v=st.const_v)
+    ranked = rank_pairs(net, st.op, md)
     labels = net.gen_labels()
     ref = {
-        (up, down): unit_dlambda(net, st.op, md, plan_between(net, up, down),
-                                 const_v=st.const_v)
+        (up, down): unit_dlambda(net, st.op, md, plan_between(net, up, down))
         for up in labels for down in labels if up != down
     }
     assert len(ranked) == len(ref)
@@ -295,7 +295,54 @@ def test_prediction_error_shrinks_quadratically(random_suite):
     plan = plan_between(net, *net.gen_labels()[:2])
     errs = {}
     for r in (4e-3, 2e-3, 1e-3):
-        errs[r] = predict_mode(net, st.op, md, plan, r).error
+        errs[r] = sweep(net, st.op, md, plan, [r])[0].error
     # Halving r should shrink the first-order remainder by about 4.
     assert errs[2e-3] < errs[4e-3] * 0.35
     assert errs[1e-3] < errs[2e-3] * 0.35
+
+
+def _both_models(fixture_studies):
+    """(network, study) pairs for six_bus in the angle-only and the full model."""
+    _, cv = fixture_studies["six_bus"]
+    return [(cv.network, cv), (cv.network, build_study(cv.network))]
+
+
+def test_the_oracle_rejects_a_const_v_naming_the_other_model(fixture_studies):
+    for net, st in _both_models(fixture_studies):
+        md = st.electromechanical()[0]
+        plan = plan_between(net, "G1", "G3")
+        with pytest.raises(UsageError, match="const_v disagrees"):
+            finite_difference_sensitivity(net, st.op, md, plan, const_v=not st.const_v)
+        with pytest.raises(UsageError, match="const_v disagrees"):
+            sweep(net, st.op, md, plan, [0.003], const_v=not st.const_v)
+
+
+def test_exact_mode_re_solves_in_the_model_of_the_mode(fixture_studies):
+    for net, st in _both_models(fixture_studies):
+        md = st.electromechanical()[0]
+        plan = plan_between(net, "G1", "G3")
+        shifted = build_study(net.with_redispatch(0.003 * plan.dp),
+                              const_v=st.const_v, initial=st.op)
+        want = match_mode(md, shifted.modes).lam
+        assert exact_mode(net, st.op, md, plan, 0.003) == want
+        assert finite_difference_sensitivity(net, st.op, md, plan) == \
+            finite_difference_sensitivity(net, st.op, md, plan, const_v=st.const_v)
+
+
+def test_a_mode_of_neither_model_is_rejected(fixture_studies):
+    for net, st in _both_models(fixture_studies):
+        md = st.electromechanical()[0]
+        plan = plan_between(net, "G1", "G3")
+        # One entry short of the angle-only size, one past the full size.
+        bad = replace(md, x=md.x[:-1] if st.const_v else np.append(md.x, 0.0))
+        calls = (
+            lambda: unit_dlambda(net, st.op, bad, plan),
+            lambda: rank_pairs(net, st.op, bad),
+            lambda: exact_mode(net, st.op, bad, plan, 0.003),
+            lambda: exact_mode(net, st.op, bad, plan, 0.0),
+            lambda: sweep(net, st.op, bad, plan, [0.003]),
+            lambda: finite_difference_sensitivity(net, st.op, bad, plan),
+        )
+        for call in calls:
+            with pytest.raises(UsageError, match=f"mode has {bad.x.size} entries"):
+                call()

@@ -84,7 +84,7 @@ def test_build_study_assembles_each_matrix_once(counts):
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
 def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
     _, st = fixture_studies[name]
-    ranked = dispatch.rank_pairs(st.network, st.op, st.electromechanical()[0], const_v=st.const_v)
+    ranked = dispatch.rank_pairs(st.network, st.op, st.electromechanical()[0])
     assert len(ranked) == st.network.m * (st.network.m - 1)
     assert counts["laplacian.hessian"] == 1
     assert counts["network.hessian_matrix"] == 1
@@ -100,8 +100,7 @@ def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
 def test_unit_dlambda_builds_one_bundle(fixture_studies, counts, name):
     _, st = fixture_studies[name]
     plan = dispatch.plan_between(st.network, "G1", "G3")
-    dispatch.unit_dlambda(st.network, st.op, st.electromechanical()[0], plan,
-                          const_v=st.const_v)
+    dispatch.unit_dlambda(st.network, st.op, st.electromechanical()[0], plan)
     assert counts["laplacian.hessian"] == 1
     assert counts["network.build_incidence"] == 1
     assert counts["sensitivity.sensitivity_coefficients"] == 1
@@ -113,3 +112,10 @@ def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
     # iteration must stop there instead of halving the step 40 times.
     network.solve_power_flow(network.parse_grid_file(stiff_star_grid(1e6)))
     assert counts["network.residual_vectors"] <= 5
+
+
+@pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
+def test_reproduce_case_solves_one_eigenproblem(counts, name):
+    # The first-order predictions the fixtures check need no re-solve.
+    cases.reproduce_case(name)
+    assert counts["modal.solve_qep"] == 1
