@@ -32,8 +32,6 @@ from .modal import (
     alpha,
     build_dynamic_matrices,
     extended_jacobian,
-    lambda_from_vector,
-    mode_summary,
     reduced_jacobian,
     solve_qep,
 )

@@ -256,6 +256,7 @@ def finite_difference_sensitivity(
         raise UsageError("step must be positive")
     if const_v not in (None, dispatch.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
+    dispatch.check_plan_size(network, plan)
     if not np.any(plan.dp):
         raise ValidationError("finite differencing needs a nonzero redispatch direction")
 
@@ -280,7 +281,7 @@ def zero_damping_variant(network: Network) -> Network:
     return Network(buses=buses, lines=network.lines, omega0=network.omega0)
 
 
-def random_network(seed: int, zero_damping: bool = False) -> Network:
+def random_network(seed: int) -> Network:
     """Connected random test network: a load tree with leaf generators plus
     up to two extra edges, small balanced injections, |theta| < ``MAX_THETA``.
 
@@ -300,15 +301,14 @@ def random_network(seed: int, zero_damping: bool = False) -> Network:
                 v=float(rng.uniform(0.95, 1.08)),
                 pg=0.0,
                 h=float(rng.uniform(2.0, 8.0)),
-                d=0.0 if zero_damping else float(rng.uniform(0.0, 2.0)),
+                d=float(rng.uniform(0.0, 2.0)),
             ))
         loads = []
         for _i in range(n_load):
             loads.append(dict(
                 pl=float(rng.uniform(0.0, 0.6)) * scale,
                 ql=float(rng.uniform(-0.4, 0.4)) * scale,
-                d=0.0 if zero_damping else (
-                    float(rng.uniform(0.0, 3.0)) if rng.random() < 0.3 else 0.0),
+                d=float(rng.uniform(0.0, 3.0)) if rng.random() < 0.3 else 0.0,
             ))
         # Balance: spread total load over the generators with random weights.
         total_load = sum(ld["pl"] for ld in loads)

@@ -162,10 +162,10 @@ def cmd_pf(args) -> int:
 def _mode_rows(st: Study) -> list[list[str]]:
     rows = []
     for i, md in enumerate(st.oscillatory(), start=1):
-        f_hz, zeta_pct, profile = modal.mode_summary(md)
         rows.append([
-            str(i), g6(md.sigma), g6(md.omega), g6(f_hz), g6(zeta_pct),
-            profile, "em" if md.electromechanical else "",
+            str(i), g6(md.sigma), g6(md.omega), g6(md.freq_hz),
+            g6(100 * md.damping_ratio), md.swing_profile,
+            "em" if md.electromechanical else "",
         ])
     return rows
 

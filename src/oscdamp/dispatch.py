@@ -99,6 +99,13 @@ def _check_in_range(L: np.ndarray, dz: np.ndarray, rhs: np.ndarray) -> None:
         )
 
 
+def check_plan_size(network: Network, plan: RedispatchPlan) -> None:
+    """Raise unless the plan has one entry per generator of the network."""
+    if plan.dp.shape != (network.m,):
+        raise ValidationError(
+            f"plan has {plan.dp.size} entries, network has {network.m} generators")
+
+
 def flow_response(network: Network, L: np.ndarray, plan: RedispatchPlan) -> np.ndarray:
     """Linearized load-flow response dz = L^+ (dP, 0) for a balanced plan.
 
@@ -106,11 +113,9 @@ def flow_response(network: Network, L: np.ndarray, plan: RedispatchPlan) -> np.n
     component along the uniform-angle nullvector); dlambda is gauge-invariant
     anyway.
     """
-    m = network.m
-    if plan.dp.shape != (m,):
-        raise ValidationError(f"plan has {plan.dp.size} entries, network has {m} generators")
+    check_plan_size(network, plan)
     rhs = np.zeros(L.shape[0])
-    rhs[:m] = plan.dp
+    rhs[:network.m] = plan.dp
     dz = np.linalg.pinv(L, rcond=PINV_RCOND) @ rhs
     _check_in_range(L, dz, rhs)
     return dz

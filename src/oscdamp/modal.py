@@ -10,7 +10,6 @@ produces the infinite eigenvalues that get filtered out. State ordering is
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -59,14 +58,13 @@ class Mode:
 
     ``x`` is in natural state order and normalized so the largest-magnitude
     generator angle component is 1+0j. ``residual`` is the backward error
-    ||Q(lam) x|| / (||x|| ||Q(lam)||_F).
+    ||Q(lam) x|| / (||x|| ||Q(lam)||_F). Frequency and damping ratio are
+    derived from ``lam``.
     """
 
     lam: complex
     x: np.ndarray
     residual: float
-    freq_hz: float
-    damping_ratio: float
     swing_profile: str
     electromechanical: bool
     warnings: tuple[str, ...] = ()
@@ -78,6 +76,16 @@ class Mode:
     @property
     def omega(self) -> float:
         return self.lam.imag
+
+    @property
+    def freq_hz(self) -> float:
+        return self.lam.imag / (2.0 * math.pi)
+
+    @property
+    def damping_ratio(self) -> float:
+        """-sigma / |lam|, and 0 for lam = 0."""
+        mag = abs(self.lam)
+        return -self.lam.real / mag if mag > 0 else 0.0
 
 
 def _pencil(m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray):
@@ -294,13 +302,10 @@ def solve_qep(
                 f"near-resonant eigenvalue: gap {gap:.2e} below "
                 f"{RESONANCE_GAP_REL:.0e} of spectral scale"
             )
-        mag = abs(lam)
         modes.append(Mode(
             lam=lam,
             x=x,
             residual=residual,
-            freq_hz=lam.imag / (2.0 * math.pi),
-            damping_ratio=-lam.real / mag if mag > 0 else 0.0,
             swing_profile=profile,
             electromechanical=is_em,
             warnings=tuple(warn),
@@ -325,36 +330,3 @@ def alpha(mode: Mode, m_diag: np.ndarray, d_diag: np.ndarray) -> complex:
             f"alpha = {val:.3e} is numerically zero; sensitivity undefined"
         )
     return complex(val)
-
-
-def lambda_from_vector(
-    x: np.ndarray, m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray
-) -> tuple[complex, ...]:
-    """Eigenvalue candidates from the Hermitian quadratic x*^T Q(lam) x = 0.
-
-    Uses the conjugated forms m(x), d(x), l(x); for an exact eigenvector one
-    returned root is the mode's eigenvalue.
-    """
-    x = np.asarray(x, dtype=complex)
-    if not np.any(x):
-        raise UsageError("x must be nonzero")
-    xc = np.conj(x)
-    mb = complex(xc @ (m_diag * x))
-    db = complex(xc @ (d_diag * x))
-    lb = complex(xc @ (L @ x))
-    norm2 = float(np.linalg.norm(x)) ** 2
-    m_scale = float(np.max(m_diag, initial=0.0)) * norm2
-    d_scale = float(np.max(d_diag, initial=0.0)) * norm2
-    if abs(mb) <= 1e-14 * max(m_scale, 1e-300):
-        if abs(db) <= 1e-14 * max(d_scale, 1e-300):
-            raise DegenerateModeError("m(x) = d(x) = 0; quadratic undefined")
-        return (-lb / db,)
-    disc = cmath.sqrt(db * db - 4.0 * mb * lb)
-    return ((-db + disc) / (2.0 * mb), (-db - disc) / (2.0 * mb))
-
-
-def mode_summary(mode: Mode) -> tuple[float, float, str]:
-    """(frequency in Hz, damping ratio in percent, swing profile)."""
-    if mode.omega <= 0:
-        raise UsageError("mode summary is defined for oscillatory modes only")
-    return mode.freq_hz, 100.0 * mode.damping_ratio, mode.swing_profile

@@ -39,8 +39,6 @@ from .errors import UsageError
 from .network import Network, OperatingPoint
 from .laplacian import LaplacianBundle
 
-UNDAMPED_SIGMA_REL = 1e-10
-
 
 @dataclass(frozen=True)
 class SensitivityReport:
@@ -62,21 +60,13 @@ class SensitivityReport:
 class ConstVCoefficients:
     """Real dsigma/domega line gains for constant-voltage models.
 
-    dsigma = a_r . dtheta and domega = a_I . dtheta. For an undamped mode the
-    nonnegative gains a_k = (x'_theta_k)^2 p_k / (2 omega x^T M x) are also
-    provided; then a_r = 0 and a_I = -a.
+    dsigma = a_r . dtheta and domega = a_I . dtheta. For an undamped mode
+    a_r = 0 and a_I = -a with the nonnegative gains
+    a_k = (x'_theta_k)^2 p_k / (2 omega x^T M x).
     """
 
     a_r: np.ndarray
     a_I: np.ndarray
-    a: np.ndarray | None = None
-
-    def undamped_gains(self) -> np.ndarray:
-        if self.a is None:
-            raise UsageError(
-                "undamped line gains are defined for zero-damping modes only"
-            )
-        return self.a
 
 
 def sensitivity_coefficients(
@@ -145,16 +135,6 @@ def const_v_coefficients(
         )
     if mode.omega <= 0:
         raise UsageError("line gains are defined for oscillatory modes only")
-    H, p = bundle.H, bundle.lp_theta_nu
-    xt = H @ mode.x
-    gains = (xt ** 2 * p) / modal.alpha(mode, dyn.m, dyn.d)
-
-    a = None
-    if abs(mode.sigma) <= UNDAMPED_SIGMA_REL * abs(mode.lam):
-        # Zero damping: the eigenvector rotates to a real vector, making the
-        # gains exactly real and nonnegative for flow-oriented lines.
-        xr = mode.x.real
-        mx = float(xr @ (dyn.m * xr))
-        xtr = H @ xr
-        a = (xtr ** 2) * p / (2.0 * mode.omega * mx)
-    return ConstVCoefficients(a_r=gains.real, a_I=gains.imag, a=a)
+    xt = bundle.H @ mode.x
+    gains = (xt ** 2 * bundle.lp_theta_nu) / modal.alpha(mode, dyn.m, dyn.d)
+    return ConstVCoefficients(a_r=gains.real, a_I=gains.imag)

@@ -90,6 +90,19 @@ def test_oracle_rejects_zero_direction(fixture_studies):
             step=1e-5, const_v=True)
 
 
+def test_oracle_rejects_a_plan_of_the_wrong_size_as_the_formula_does(fixture_studies):
+    # A malformed plan is a caller error, not an oracle failure.
+    _, st = fixture_studies["ten_bus"]
+    md = st.electromechanical()[0]
+    plan = RedispatchPlan(dp=np.array([1.0, -1.0]))
+    with pytest.raises(ValidationError) as formula:
+        unit_dlambda(st.network, st.op, md, plan)
+    with pytest.raises(ValidationError) as oracle:
+        finite_difference_sensitivity(st.network, st.op, md, plan)
+    assert str(oracle.value) == str(formula.value) == \
+        "plan has 2 entries, network has 4 generators"
+
+
 def test_random_network_determinism_and_guarantees():
     for seed in (0, 1, 9):
         a = random_network(seed)

@@ -12,12 +12,10 @@ from oscdamp import (
     UsageError,
     alpha,
     extended_jacobian,
-    lambda_from_vector,
-    mode_summary,
     reduced_jacobian,
     solve_qep,
 )
-from oscdamp.cases import random_network
+from oscdamp.cases import random_network, zero_damping_variant
 from oscdamp.modal import Mode, _pencil, backward_errors
 from oscdamp.study import build_study
 
@@ -211,7 +209,7 @@ def test_ten_bus_real_parts_not_contingent(fixture_studies):
 def test_uniform_damping_pins_real_parts():
     # d_i/m_i identical on all machines, no load damping: every oscillatory
     # eigenvalue sits at -c/2.
-    net = random_network(17, zero_damping=True)
+    net = zero_damping_variant(random_network(17))
     from dataclasses import replace as drep
     buses = []
     for b in net.buses:
@@ -228,7 +226,7 @@ def test_uniform_damping_pins_real_parts():
 
 def test_zero_damping_spectrum_imaginary_and_real_vectors():
     for seed in (5, 6):
-        net = random_network(seed, zero_damping=True)
+        net = zero_damping_variant(random_network(seed))
         st = build_study(net)
         assert st.modes, "expected at least one mode"
         for md in st.modes:
@@ -284,71 +282,27 @@ def test_alpha_matches_termwise_sum(random_suite):
 def test_alpha_degeneracy_raises():
     md = Mode(
         lam=1j, x=np.array([1.0, 1.0], dtype=complex), residual=0.0,
-        freq_hz=1 / (2 * math.pi), damping_ratio=0.0, swing_profile="",
-        electromechanical=True,
+        swing_profile="", electromechanical=True,
     )
     with pytest.raises(DegenerateModeError):
         alpha(md, np.zeros(2), np.zeros(2))
 
 
-def test_lambda_from_vector_massless_row():
-    # Support only on a zero-inertia damped row: single root -l(x)/d(x).
-    m = np.array([1.0, 0.0])
-    d = np.array([0.0, 2.0])
-    L = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    roots = lambda_from_vector(np.array([0.0, 1.0]), m, d, L)
-    assert roots == (-1.5,)
-
-
-def test_lambda_from_vector_exact_eigenvector_toy():
-    roots = sorted(lambda_from_vector(np.array([1.0, -1.0]), TOY_M, TOY_D, TOY_L),
-                   key=lambda z: z.imag)
-    assert abs(roots[0] + 1j * math.sqrt(2)) < 1e-12
-    assert abs(roots[1] - 1j * math.sqrt(2)) < 1e-12
-
-
-def test_lambda_from_vector_consistency(random_suite):
-    net, st = random_suite[6]
-    md = st.electromechanical()[0]
-    roots = lambda_from_vector(md.x, st.dyn.m, st.dyn.d, st.bundle.L)
-    assert min(abs(r - md.lam) for r in roots) < 1e-9 * abs(md.lam)
-
-
-def test_lambda_from_vector_degenerate():
-    with pytest.raises(DegenerateModeError):
-        lambda_from_vector(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                           np.array([1.0, 0.0]), TOY_L)
-
-
 def test_mode_summary_published_arithmetic():
     def summarize(lam):
-        md = Mode(
-            lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
-            freq_hz=lam.imag / (2 * math.pi),
-            damping_ratio=-lam.real / abs(lam),
-            swing_profile="", electromechanical=True,
-        )
-        return mode_summary(md)
+        md = Mode(lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
+                  swing_profile="", electromechanical=True)
+        return md.freq_hz, 100.0 * md.damping_ratio
 
-    f1, z1, _ = summarize(complex(-0.175611, 9.66364))
+    f1, z1 = summarize(complex(-0.175611, 9.66364))
     assert abs(f1 / 1.53802 - 1) < 1e-5
     assert abs(z1 / 1.81694 - 1) < 1e-5
-    f2, z2, _ = summarize(complex(-0.166826, 10.8247))
+    f2, z2 = summarize(complex(-0.166826, 10.8247))
     assert abs(f2 / 1.72281 - 1) < 1e-5
     assert abs(z2 / 1.54097 - 1) < 1e-5
     # sigma = 0 gives exactly zero damping ratio.
-    _, z3, _ = summarize(complex(0.0, 5.0))
+    _, z3 = summarize(complex(0.0, 5.0))
     assert z3 == 0.0
-
-
-def test_mode_summary_requires_oscillation():
-    md = Mode(
-        lam=-1.0 + 0j, x=np.array([1.0 + 0j]), residual=0.0,
-        freq_hz=0.0, damping_ratio=1.0, swing_profile="",
-        electromechanical=False,
-    )
-    with pytest.raises(UsageError):
-        mode_summary(md)
 
 
 def test_swing_profiles_on_fixtures(fixture_studies):

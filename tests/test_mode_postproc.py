@@ -107,15 +107,12 @@ def _loop_solve_qep(m_diag, d_diag, L, n_angles=None, gen_labels=None):
                 f"near-resonant eigenvalue: gap {gap:.2e} below "
                 f"{RESONANCE_GAP_REL:.0e} of spectral scale"
             )
-        mag = abs(lam)
-        zeta = -lam.real / mag if mag > 0 else 0.0
         xmax = float(np.max(np.abs(x)))
         em = lam.imag > 0 and gen_rows.size > 0 and (
             float(np.max(np.abs(x[gen_rows]))) >= PARTICIPATION_THRESHOLD * xmax
         )
         modes.append(Mode(
-            lam=lam, x=x, residual=residual, freq_hz=lam.imag / (2.0 * math.pi),
-            damping_ratio=zeta,
+            lam=lam, x=x, residual=residual,
             swing_profile=_loop_swing_profile(x, gen_rows, gen_labels) if gen_rows.size else "",
             electromechanical=bool(em), warnings=tuple(warn),
         ))
@@ -151,8 +148,6 @@ def _assert_same_modes(got, want):
         assert np.array_equal(np.signbit(a.x.real), np.signbit(b.x.real))
         assert np.array_equal(np.signbit(a.x.imag), np.signbit(b.x.imag))
         assert _same_float(a.residual, b.residual)
-        assert _same_float(a.freq_hz, b.freq_hz)
-        assert _same_float(a.damping_ratio, b.damping_ratio)
         assert a.swing_profile == b.swing_profile
         assert a.electromechanical is b.electromechanical
         assert a.warnings == b.warnings

@@ -9,13 +9,15 @@ the defining module would miss those calls.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import oscdamp.cli  # noqa: F401  (loads every package module)
-from oscdamp import cases, dispatch, network, sensitivity, study
+from oscdamp import cases, dispatch, laplacian, network, sensitivity, study
 
 from conftest import stiff_star_grid
 
@@ -119,3 +121,19 @@ def test_reproduce_case_solves_one_eigenproblem(counts, name):
     # The first-order predictions the fixtures check need no re-solve.
     cases.reproduce_case(name)
     assert counts["modal.solve_qep"] == 1
+
+
+def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
+    # The benchmark's tracer looks up each of its TRACED names on entry, so a
+    # deleted or renamed stage function breaks traced benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses resolve string annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    original = laplacian.hessian
+    with tracer.Tracer():
+        assert dispatch.hessian is not original
+        assert dispatch.hessian is laplacian.hessian
+    assert dispatch.hessian is original and laplacian.hessian is original
