@@ -174,20 +174,47 @@ class LineState:
 # Grid file parsing
 # ---------------------------------------------------------------------------
 
-def _parse_kv(tokens: list[str], lineno: int) -> dict[str, float]:
+# Each record kind: its name in messages, its fields mapped to the Bus or
+# Network attribute each sets (an unset one keeps the dataclass default), and
+# the fields it requires. A line gives exactly one of b= and x=, and sets b.
+_RECORDS: dict[str, tuple[str, dict[str, str], tuple[str, ...]]] = {
+    "system": ("system record", {"omega0": "omega0"}, ()),
+    "G": ("generator bus",
+          {"V": "v_set", "Pg": "p_gen", "H": "inertia_h", "D": "damping_d_seconds"},
+          ("V", "H")),
+    "L": ("load bus", {"Pl": "p_load", "Ql": "q_load", "D": "damping_d_seconds"}, ()),
+    "line": ("line record", {"b": "b", "x": "x"}, ()),
+}
+
+
+def _read_fields(tokens: list[str], kind: str, lineno: int) -> dict[str, float]:
+    """Values of the ``key=value`` tokens of one record, keyed by attribute.
+
+    Rejects a field the record kind does not allow, a repeated field, a value
+    that is not a finite number, and a missing required field.
+    """
+    name, fields, required = _RECORDS[kind]
     out: dict[str, float] = {}
     for tok in tokens:
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq:
             raise GridFormatError(f"line {lineno}: expected key=value, got {tok!r}")
-        key, _, val = tok.partition("=")
-        try:
-            out[key] = float(val)
-        except ValueError:
+        if key not in fields:
             raise GridFormatError(
-                f"line {lineno}: {key}={val!r} is not a number"
-            ) from None
-        if not math.isfinite(out[key]):
+                f"line {lineno}: {name} has no field {key!r} (allowed: {' '.join(fields)})"
+            )
+        if fields[key] in out:
+            raise GridFormatError(f"line {lineno}: {key}= given twice")
+        try:
+            value = float(val)
+        except ValueError:
+            raise GridFormatError(f"line {lineno}: {key}={val!r} is not a number") from None
+        if not math.isfinite(value):
             raise GridFormatError(f"line {lineno}: {key}={val!r} is not a finite number")
+        out[fields[key]] = value
+    for key in required:
+        if fields[key] not in out:
+            raise GridFormatError(f"line {lineno}: {name} needs {key}=")
     return out
 
 
@@ -198,97 +225,60 @@ def parse_grid_file(text: str) -> Network:
     preserved within each group); line records may give either ``b=`` or
     ``x=`` (b = 1/x).
     """
-    omega0 = DEFAULT_OMEGA0
-    raw_buses: list[Bus] = []
-    raw_lines: list[tuple[int, str, str, str, float]] = []
-    seen_bus: set[str] = set()
-    seen_line: set[str] = set()
-
+    system: dict[str, float] | None = None
+    buses: dict[str, Bus] = {}
+    lines: dict[str, tuple[int, str, str, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         rec = tokens[0]
         if rec == "system":
-            kv = _parse_kv(tokens[1:], lineno)
-            if "omega0" in kv:
-                if kv["omega0"] <= 0:
-                    raise GridFormatError(f"line {lineno}: omega0 must be positive")
-                omega0 = kv["omega0"]
+            if system is not None:
+                raise GridFormatError(f"line {lineno}: second system record")
+            system = _read_fields(tokens[1:], "system", lineno)
+            if system.get("omega0", DEFAULT_OMEGA0) <= 0:
+                raise GridFormatError(f"line {lineno}: omega0 must be positive")
         elif rec == "bus":
             if len(tokens) < 3:
                 raise GridFormatError(f"line {lineno}: bus record needs a label and a kind")
             label, kind = tokens[1], tokens[2]
-            if label in seen_bus:
+            if label in buses:
                 raise GridFormatError(f"line {lineno}: duplicate bus label {label!r}")
-            seen_bus.add(label)
-            kv = _parse_kv(tokens[3:], lineno)
-            if kind == "G":
-                unknown = set(kv) - {"V", "Pg", "H", "D"}
-                if unknown:
-                    raise GridFormatError(
-                        f"line {lineno}: unknown generator fields {sorted(unknown)}"
-                    )
-                if "V" not in kv:
-                    raise GridFormatError(f"line {lineno}: generator bus needs V=")
-                if "H" not in kv:
-                    raise GridFormatError(f"line {lineno}: generator bus needs H=")
-                raw_buses.append(Bus(
-                    label=label, index=0, kind="G",
-                    v_set=kv["V"], p_gen=kv.get("Pg", 0.0),
-                    inertia_h=kv["H"], damping_d_seconds=kv.get("D", 0.0),
-                ))
-            elif kind == "L":
-                unknown = set(kv) - {"Pl", "Ql", "D"}
-                if unknown:
-                    raise GridFormatError(
-                        f"line {lineno}: unknown load fields {sorted(unknown)}"
-                    )
-                raw_buses.append(Bus(
-                    label=label, index=0, kind="L",
-                    p_load=kv.get("Pl", 0.0), q_load=kv.get("Ql", 0.0),
-                    damping_d_seconds=kv.get("D", 0.0),
-                ))
-            else:
+            if kind not in ("G", "L"):
                 raise GridFormatError(f"line {lineno}: bus kind must be G or L, got {kind!r}")
+            buses[label] = Bus(label=label, index=0, kind=kind,
+                               **_read_fields(tokens[3:], kind, lineno))
         elif rec == "line":
-            if len(tokens) < 5:
+            if len(tokens) < 4:
                 raise GridFormatError(
-                    f"line {lineno}: line record needs label, endpoints and b= or x="
-                )
-            label, frm, to = tokens[1], tokens[2], tokens[3]
-            if label in seen_line:
+                    f"line {lineno}: line record needs a label and two endpoints")
+            label, frm, to = tokens[1:4]
+            if label in lines:
                 raise GridFormatError(f"line {lineno}: duplicate line label {label!r}")
-            seen_line.add(label)
-            kv = _parse_kv(tokens[4:], lineno)
-            if ("b" in kv) == ("x" in kv):
-                raise GridFormatError(
-                    f"line {lineno}: give exactly one of b= or x="
-                )
+            kv = _read_fields(tokens[4:], "line", lineno)
+            if len(kv) != 1:
+                raise GridFormatError(f"line {lineno}: give exactly one of b= or x=")
             b = kv["b"] if "b" in kv else (1.0 / kv["x"] if kv["x"] != 0 else math.inf)
-            raw_lines.append((lineno, label, frm, to, b))
+            lines[label] = (lineno, frm, to, b)
         else:
             raise GridFormatError(f"line {lineno}: unknown record type {rec!r}")
 
-    if not raw_buses:
+    if not buses:
         raise GridFormatError("no bus records found")
-
-    # Re-index: generators first, loads after, original order kept within groups.
-    ordered = [b for b in raw_buses if b.is_generator] + \
-              [b for b in raw_buses if not b.is_generator]
-    buses = tuple(replace(b, index=i + 1) for i, b in enumerate(ordered))
-    idx = {b.label: b.index for b in buses}
-
-    lines = []
-    for k, (lineno, label, frm, to, b) in enumerate(raw_lines):
+    # Re-index: generators first, loads after, file order kept within groups.
+    ordered = sorted(buses.values(), key=lambda bus: not bus.is_generator)
+    idx = {bus.label: i for i, bus in enumerate(ordered, start=1)}
+    for lineno, frm, to, _ in lines.values():
         for lab in (frm, to):
             if lab not in idx:
                 raise GridFormatError(f"line {lineno}: unknown bus {lab!r}")
-        lines.append(Line(label=label, index=k + 1,
-                          from_bus=idx[frm], to_bus=idx[to], b=b))
-
-    network = Network(buses=buses, lines=tuple(lines), omega0=omega0)
+    network = Network(
+        buses=tuple(replace(bus, index=idx[bus.label]) for bus in ordered),
+        lines=tuple(Line(label=label, index=k, from_bus=idx[frm], to_bus=idx[to], b=b)
+                    for k, (label, (_, frm, to, b)) in enumerate(lines.items(), start=1)),
+        **(system or {}),
+    )
     validate_network(network)
     return network
 
@@ -296,6 +286,8 @@ def parse_grid_file(text: str) -> Network:
 def validate_network(network: Network) -> None:
     """Raise ValidationError on any violated structural invariant."""
     n, m = network.n, network.m
+    if not network.lines:
+        raise ValidationError("grid has no lines")
     for bus in network.buses:
         values = (bus.v_set, bus.p_gen, bus.p_load, bus.q_load,
                   bus.inertia_h, bus.damping_d_seconds)
@@ -320,6 +312,11 @@ def validate_network(network: Network) -> None:
                 f"line {ln.label!r} joins two generator buses; model generators "
                 "behind a common step-up transformer as one bus instead"
             )
+    with np.errstate(over="ignore"):
+        finite_sums = np.isfinite(incident_b_sums(network))
+    if not finite_sums.all():
+        label = network.buses[int(np.argmin(finite_sums))].label
+        raise ValidationError(f"the line susceptances at bus {label!r} sum past the float range")
     # Connectivity.
     if n > 0:
         adjacency: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
@@ -368,16 +365,20 @@ def flat_start(network: Network) -> OperatingPoint:
 
 
 def bus_voltages(network: Network, op: OperatingPoint) -> np.ndarray:
-    """Voltage magnitudes over all buses: fixed set-points then load states."""
-    return np.concatenate([network._gen_v_set, op.v_load])
+    """Voltage magnitudes over all buses: fixed set-points then load states.
+
+    Raises DomainError if any is not positive: ln V, and so R, is undefined there.
+    """
+    v = np.concatenate([network._gen_v_set, op.v_load])
+    if np.any(v <= 0):
+        raise DomainError("nonpositive voltage magnitude; ln V undefined")
+    return v
 
 
 def line_states(network: Network, op: OperatingPoint) -> LineState:
     """Per-line theta, nu = ln(V_i V_j), and the flows p = b e^nu sin(theta),
     q = -b e^nu cos(theta)."""
     v = bus_voltages(network, op)
-    if np.any(v <= 0):
-        raise DomainError("nonpositive voltage magnitude; ln V undefined")
     f, t = network.endpoints()
     theta = op.delta[f] - op.delta[t]
     nu = np.log(v[f] * v[t])
@@ -421,8 +422,6 @@ def potential_energy(network: Network, op: OperatingPoint) -> float:
     incident susceptances.
     """
     v = bus_voltages(network, op)
-    if np.any(v <= 0):
-        raise DomainError("nonpositive voltage magnitude; ln V undefined")
     p_inj, q_inj = network.injections()
     f, t = network.endpoints()
     d = op.delta

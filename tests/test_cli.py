@@ -204,6 +204,43 @@ def test_negative_damping_is_validation_error(tmp_path, capsys, old, new, label)
         assert captured.err == f"oscdamp: bus {label!r} needs damping D >= 0\n"
 
 
+TEN_BUS_LINE_1 = "line 1 G1 C7 x=0.0435\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: "system omega=50\n" + text,
+     "line 1: system record has no field 'omega' (allowed: omega0)"),
+    (lambda text: text.replace(TEN_BUS_LINE_1, "line 1 G1 C7 x=0.0435 x=9\n"),
+     "line 19: x= given twice"),
+    (lambda text: text.replace(TEN_BUS_LINE_1, "line 1 G1 C7 b=5 rate=9\n"),
+     "line 19: line record has no field 'rate' (allowed: b x)"),
+], ids=["misspelt-system-field", "repeated-line-field", "unknown-line-field"])
+def test_no_grid_field_is_silently_ignored(tmp_path, capsys, edit, message):
+    grid = tmp_path / "edited.grid"
+    text = resources.files("oscdamp").joinpath("data", "ten_bus.grid").read_text()
+    assert TEN_BUS_LINE_1 in text
+    grid.write_text(edit(text), encoding="utf-8")
+    for command in ("pf", "modes"):
+        assert main([command, str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"oscdamp: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bus G1 G V=1.0 H=3.0\n", "grid has no lines"),
+    (stiff_star_grid(1e308), "the line susceptances at bus 'G1' sum past the float range"),
+], ids=["no-lines", "b-sum-overflow"])
+def test_unusable_line_data_is_validation_error(tmp_path, capsys, text, message):
+    grid = tmp_path / "lines.grid"
+    grid.write_text(text, encoding="utf-8")
+    for command in ("pf", "modes"):
+        assert main([command, str(grid)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"oscdamp: {message}\n"
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.grid"
     text = resources.files("oscdamp").joinpath("data", "three_bus_s7.grid").read_text()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from oscdamp import (
 )
 from oscdamp.cases import FIXTURE_NAMES, _read_data, load_fixture, random_network
 from oscdamp.network import (
+    Bus,
+    Line,
     PF_ACCEPT_TOL,
     PF_ACCEPT_ULPS,
     bus_voltages,
@@ -29,7 +34,7 @@ from oscdamp.network import (
     validate_network,
 )
 
-from conftest import stiff_star_grid
+from conftest import RANDOM_SUITE_SIZE, stiff_star_grid
 
 TWO_BUS = """
 bus G1 G V=1.0 Pg=0.0 H=3.0 D=0.0
@@ -114,6 +119,60 @@ line t G1 L2 b=1.0
 def test_parse_rejects_non_finite_numbers(value):
     with pytest.raises(GridFormatError, match="line 2: H=.* not a finite number"):
         parse_grid_file(f"bus L2 L\nbus G1 G V=1.0 H={value}\nline t G1 L2 b=1.0\n")
+
+
+@pytest.mark.parametrize("records, message", [
+    ("system omega=50", "line 1: system record has no field 'omega' (allowed: omega0)"),
+    ("system omega0=50 omega0=60", "line 1: omega0= given twice"),
+    ("system omega0=50\nsystem omega0=60", "line 2: second system record"),
+    ("system omega0=0", "line 1: omega0 must be positive"),
+    ("bus G9 G V=1.0 H=3.0 Pl=1", "line 1: generator bus has no field 'Pl' (allowed: V Pg H D)"),
+    ("bus G9 G H=3.0", "line 1: generator bus needs V="),
+    ("bus G9 G V=1.0", "line 1: generator bus needs H="),
+    ("bus L9 L Pg=0", "line 1: load bus has no field 'Pg' (allowed: Pl Ql D)"),
+    ("bus L9 L D=1 D=2", "line 1: D= given twice"),
+    ("line t2 G1 L2 x=0.0435 x=9", "line 1: x= given twice"),
+    ("line t2 G1 L2 b=5 rate=9", "line 1: line record has no field 'rate' (allowed: b x)"),
+    ("line t2 G1 L2", "line 1: give exactly one of b= or x="),
+    ("line t2 G1 L2 b5", "line 1: expected key=value, got 'b5'"),
+])
+def test_parse_checks_every_field_against_its_record(records, message):
+    with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
+        parse_grid_file(records + TWO_BUS)
+
+
+def test_parse_reads_fields_in_any_order_with_dataclass_defaults():
+    net = parse_grid_file("system omega0=314.0\nbus L2 L D=0.5\nbus G1 G H=3.0 V=1.02\n"
+                          "line t L2 G1 x=0.5\n")
+    assert net.omega0 == 314.0
+    assert net.buses[0] == Bus(label="G1", index=1, kind="G", v_set=1.02, inertia_h=3.0)
+    assert net.buses[1] == Bus(label="L2", index=2, kind="L", damping_d_seconds=0.5)
+    assert net.lines[0] == Line(label="t", index=1, from_bus=2, to_bus=1, b=2.0)
+
+
+# (n_load, m, const_v) of the rank-mesh, modes-large and sweep-oracle benchmark workloads.
+BENCHMARK_GRID_SIZES = [(40, 10, False), (200, 10, False), (67, 8, True)]
+
+
+def test_parse_accepts_every_grid_the_code_runs_on():
+    for name in FIXTURE_NAMES:
+        parse_grid_file(_read_data(f"{name}.grid"))
+    # random_network lets a GridFormatError through, so a rejected draw fails here.
+    for seed in [*range(RANDOM_SUITE_SIZE), 123]:
+        random_network(seed)
+    # Every draw the benchmark grids take, the rejected ones included, must parse.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "grids.py"
+    spec = importlib.util.spec_from_file_location("perfbench_grids", path)
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    for n_load, m, const_v in BENCHMARK_GRID_SIZES:
+        for seed in range(3):
+            text, attempts = grids.synthetic_grid(n_load, m, seed, const_v)
+            rng = np.random.default_rng([seed, n_load, m])
+            for attempt in range(attempts):
+                draw = grids.grid_text(n_load, m, rng, grids.LOAD_SCALE_STEP ** attempt)
+                parse_grid_file(draw)
+            assert draw == text
 
 
 @pytest.mark.parametrize("field", [
@@ -295,6 +354,14 @@ def test_energy_rejects_nonpositive_voltage():
     bad = OperatingPoint(delta=np.zeros(2), v_load=np.array([-0.2]))
     with pytest.raises(DomainError):
         potential_energy(net, bad)
+
+
+@pytest.mark.parametrize("reader", [bus_voltages, line_states, residual_vectors, hessian_matrix])
+@pytest.mark.parametrize("v", [0.0, -0.2])
+def test_voltage_readers_reject_nonpositive_voltage(reader, v):
+    net = parse_grid_file(TWO_BUS)
+    with pytest.raises(DomainError, match="nonpositive voltage"):
+        reader(net, OperatingPoint(delta=np.zeros(2), v_load=np.array([v])))
 
 
 def test_hessian_matches_residual_jacobian_off_equilibrium():
