@@ -6,6 +6,11 @@ first-order dynamic; rows with m = d = 0 (connecting buses, load voltages)
 stay algebraic, which makes the generalized pencil (E, J) singular and
 produces the infinite eigenvalues that get filtered out. State ordering is
 (dynamic z rows, speeds, algebraic z rows), so E = blockdiag(I, 0).
+
+The pencil is solved by one LAPACK ``dggev`` (QZ) call per study, in ``qz``.
+``solve_qep`` then builds and scales only the eigenvectors it keeps, with the
+same operations ``scipy.linalg.eig`` applies, so every bit matches it;
+``scipy.linalg.eig`` is now only the reference in the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ RESONANCE_GAP_REL = 1e-8
 MODE_RESIDUAL_REL = 1e-9
 PARTICIPATION_THRESHOLD = 0.05
 ALPHA_DEGENERACY_REL = 1e-12
+# The BLAS 2-norms scipy.linalg.norm uses on a vector, for eigenvector scaling.
+_DNRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
+_DZNRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128, ilp64="preferred")
 
 
 @dataclass(frozen=True)
@@ -164,6 +172,27 @@ def reduced_jacobian(
     return J11 - J12 @ x
 
 
+def qz(J: np.ndarray, E: np.ndarray):
+    """(alphar, alphai, beta, vr) of the real pencil (J, E) from one LAPACK
+    ``dggev`` call (QZ; Moler & Stewart, SINUM 1973), which may overwrite
+    both matrices.
+
+    Eigenvalue j is (alphar[j] + i alphai[j]) / beta[j]. A conjugate pair
+    has alphai[j] > 0 and its eigenvector vr[:, j] + i vr[:, j + 1], not
+    normalized. The workspace is the size LAPACK's query returns, as in
+    ``scipy.linalg.eig``, so the results match it bit for bit.
+    """
+    if not np.all(np.isfinite(J)):
+        raise ConvergenceError("the DAE pencil has a non-finite entry; QZ not attempted")
+    ggev = scipy.linalg.lapack.dggev
+    lwork = int(ggev(J, E, lwork=-1)[-2][0])
+    alphar, alphai, beta, _, vr, _, info = ggev(
+        J, E, compute_vl=0, lwork=lwork, overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise ConvergenceError(f"QZ iteration failed (LAPACK dggev info = {info})")
+    return alphar, alphai, beta, vr
+
+
 def _first_at_max(mags: np.ndarray) -> np.ndarray:
     """Per row, the lowest column within roundoff of the row maximum, for
     deterministic gauges."""
@@ -246,26 +275,43 @@ def solve_qep(
     E, J, zcol, gen_rows, _ = _pencil(m_diag, d_diag, L)
     if gen_labels is None:
         gen_labels = tuple(str(i + 1) for i in range(gen_rows.size))
-    (alph, beta), vr = scipy.linalg.eig(J, E, right=True, homogeneous_eigvals=True)
+    if not nz:
+        return []  # LAPACK rejects an empty pencil
+    alphar, alphai, beta, vr = qz(J, E)
 
-    pair_scale = np.hypot(np.abs(alph), np.abs(beta))
-    finite = np.abs(beta) > INFINITE_EIG_TOL * pair_scale
+    # Eigenvalues as scipy.linalg.eig forms them, so that every digit matches.
+    alph = alphar + 1j * alphai
+    finite = np.abs(beta) > INFINITE_EIG_TOL * np.hypot(np.abs(alph), np.abs(beta))
     all_lams = alph[finite] / beta[finite]
     spectral_scale = float(np.max(np.abs(all_lams))) if all_lams.size else 0.0
+    # Only the upper eigenvalue of a conjugate pair is reported, so only its
+    # vector is built: the real part is LAPACK's row r and the imaginary part
+    # row r + 1, copied so that no sign of zero changes.
+    upper = alphai[finite] >= 0
+    rows, lams = np.flatnonzero(finite)[upper], all_lams[upper]
+    vt = vr.T
+    if np.all(alphai == 0):
+        V, nrm2 = vt[rows], _DNRM2
+    else:
+        V, nrm2 = np.zeros((rows.size, vt.shape[1]), complex), _DZNRM2
+        V.real = vt[rows]
+        pos = alphai[rows] > 0
+        V.imag[pos] = vt[rows[pos] + 1]
+    V /= np.array([nrm2(v) for v in V])[:, None]
     # One eigenvector per row, in natural state order. Fancy indexing returns
     # C-contiguous rows, so each row reduction rounds as on a lone vector.
-    X = vr.T[np.ix_(finite, zcol)].astype(complex, copy=False)
+    X = V[:, zcol].astype(complex, copy=False)
     mags = np.abs(X)
 
-    keep = all_lams.imag >= 0  # a conjugate partner is reported
+    keep = np.ones(lams.size, dtype=bool)
     if spectral_scale > 0:
-        small = np.flatnonzero(_abs(all_lams) < ZERO_MODE_REL_TOL * spectral_scale)
+        small = np.flatnonzero(_abs(lams) < ZERO_MODE_REL_TOL * spectral_scale)
         xa = X[small, :n_angles]
         spread = np.max(np.abs(xa - np.mean(xa, axis=1, keepdims=True)), axis=1)
         scale = np.max(mags[small], axis=1)
         scale[scale == 0] = 1.0
         keep[small[spread < UNIFORM_ANGLE_TOL * scale]] = False  # rigid uniform-angle mode
-    lams, X, mags = all_lams[keep], X[keep], mags[keep]
+    lams, X, mags = lams[keep], X[keep], mags[keep]
     if not lams.size:
         return []
 

@@ -480,6 +480,8 @@ def hessian_matrix(network: Network, op: OperatingPoint) -> np.ndarray:
     # order: bincount, like np.add.at, adds its weights in input order.
     flat = (coord[:, :, None] * size + coord[:, None, :])[keep]
     L = np.bincount(flat, weights=block[keep], minlength=size * size).reshape(size, size)
+    # Without lines bincount has no weights to add and returns int64 zeros.
+    L = L.astype(float, copy=False)
     _, q_inj = network.injections()
     diag = np.arange(n, size)
     L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oscdamp import cases
 from oscdamp.study import build_study
@@ -41,6 +42,17 @@ def stiff_star_grid(b: float) -> str:
         f"line 3 G2 L4 b={b:g}\n"
         f"line 4 G3 L4 b={b:g}\n"
     )
+
+
+def fail_qz(monkeypatch) -> None:
+    """Make every eigenvector call of LAPACK ``dggev`` report ``info = 1``."""
+    ggev = scipy.linalg.lapack.dggev
+
+    def failing(a, b, **kwargs):
+        out = ggev(a, b, **kwargs)
+        return out if kwargs.get("lwork") == -1 else out[:-1] + (1,)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dggev", failing)
 
 
 def balanced_directions(rng: np.random.Generator, m: int, count: int) -> list[np.ndarray]:

@@ -8,7 +8,7 @@ import pytest
 
 from oscdamp.cli import main
 
-from conftest import stiff_star_grid
+from conftest import fail_qz, stiff_star_grid
 
 
 def _data_path(name: str) -> str:
@@ -239,6 +239,14 @@ def test_unusable_line_data_is_validation_error(tmp_path, capsys, text, message)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"oscdamp: {message}\n"
+
+
+def test_qz_failure_exits_2_with_one_line(monkeypatch, capsys):
+    fail_qz(monkeypatch)
+    assert main(["modes", _data_path("six_bus.grid")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oscdamp: QZ iteration failed (LAPACK dggev info = 1)\n"
 
 
 def _not_utf8(tmp_path):

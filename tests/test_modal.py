@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from oscdamp import (
+    ConvergenceError,
     DegenerateModeError,
     UsageError,
     alpha,
@@ -18,6 +19,8 @@ from oscdamp import (
 from oscdamp.cases import random_network, zero_damping_variant
 from oscdamp.modal import Mode, _pencil, backward_errors
 from oscdamp.study import build_study
+
+from conftest import fail_qz
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TOY_M = np.ones(2)
@@ -196,6 +199,23 @@ def test_backward_errors_match_dense_reference_off_eigenpairs(random_suite):
 def test_solve_qep_rejects_negative_damping():
     with pytest.raises(UsageError, match="nonnegative"):
         solve_qep(np.array([1.0, 0.0]), np.array([0.0, -1.0]), TOY_L)
+
+
+def test_empty_problem_has_no_modes():
+    assert solve_qep(np.zeros(0), np.zeros(0), np.zeros((0, 0))) == []
+
+
+def test_non_finite_pencil_is_convergence_error():
+    L = TOY_L.copy()
+    L[0, 1] = np.nan
+    with pytest.raises(ConvergenceError, match="^the DAE pencil has a non-finite entry"):
+        solve_qep(TOY_M, TOY_D, L)
+
+
+def test_qz_failure_is_convergence_error(monkeypatch):
+    fail_qz(monkeypatch)
+    with pytest.raises(ConvergenceError, match=r"^QZ iteration failed \(LAPACK dggev info = 1\)$"):
+        solve_qep(TOY_M, TOY_D, TOY_L)
 
 
 def test_ten_bus_real_parts_not_contingent(fixture_studies):

@@ -177,6 +177,10 @@ RING = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.5]])
     (np.zeros(3), np.ones(3), RING),  # no inertia: no generator rows
     (np.array([1.0, 0.0, 0.0]), np.array([0.5, 0.2, 0.0]), RING),
     (np.array([2.0, 1.0, 0.0]), np.zeros(3), RING),
+    # Overdamped generators: the whole spectrum is real, so are the vectors.
+    (np.array([1.0, 1.0, 0.0]), np.array([10.0, 10.0, 0.0]), RING),
+    # A damped load adds a real eigenvalue beside the complex pairs.
+    (np.array([1.0, 1.0, 0.0]), np.array([0.1, 0.2, 3.0]), RING),
     # A damped row decoupled from the generator: its mode has an all-zero
     # generator component and an empty swing profile.
     (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.eye(2)),

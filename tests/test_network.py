@@ -24,6 +24,7 @@ from oscdamp.cases import FIXTURE_NAMES, _read_data, load_fixture, random_networ
 from oscdamp.network import (
     Bus,
     Line,
+    Network,
     PF_ACCEPT_TOL,
     PF_ACCEPT_ULPS,
     bus_voltages,
@@ -362,6 +363,15 @@ def test_voltage_readers_reject_nonpositive_voltage(reader, v):
     net = parse_grid_file(TWO_BUS)
     with pytest.raises(DomainError, match="nonpositive voltage"):
         reader(net, OperatingPoint(delta=np.zeros(2), v_load=np.array([v])))
+
+
+def test_hessian_without_lines_is_float():
+    # Built directly: the parser rejects a grid without lines, but the bus
+    # terms alone still give a well-defined (float) Hessian.
+    net = Network(buses=(Bus("G1", 1, "G"), Bus("L2", 2, "L", q_load=0.5)), lines=())
+    L = hessian_matrix(net, flat_start(net))
+    assert L.dtype == np.float64
+    assert np.array_equal(L, np.diag([0.0, 0.0, -0.5]))
 
 
 def test_hessian_matches_residual_jacobian_off_equilibrium():

@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 
 import oscdamp.cli  # noqa: F401  (loads every package module)
 from oscdamp import cases, dispatch, laplacian, network, sensitivity, study
@@ -107,6 +108,38 @@ def test_unit_dlambda_builds_one_bundle(fixture_studies, counts, name):
     assert counts["network.build_incidence"] == 1
     assert counts["sensitivity.sensitivity_coefficients"] == 1
     assert counts["dispatch.flow_response"] == 1
+
+
+@pytest.fixture
+def qz_calls(monkeypatch) -> list[int]:
+    """Pencil sizes of the ``dggev`` calls that compute eigenvectors (not the
+    workspace queries); a call of ``scipy.linalg.eig`` fails the test."""
+    sizes: list[int] = []
+    ggev = scipy.linalg.lapack.dggev
+
+    def counted(a, b, **kwargs):
+        if kwargs.get("lwork") != -1 and kwargs.get("compute_vr", 1):
+            sizes.append(a.shape[0])
+        return ggev(a, b, **kwargs)
+
+    def eig(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig called; the package calls dggev directly")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dggev", counted)
+    monkeypatch.setattr(scipy.linalg, "eig", eig)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
+def test_one_qz_per_eigensolve(qz_calls, name):
+    fx = cases.load_fixture(name)
+    st = study.build_study(fx.network, const_v=fx.const_v)
+    assert len(qz_calls) == 1
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    for r in (0.003, -0.01):
+        dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, r)
+    assert qz_calls == [qz_calls[0]] * 3
 
 
 def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
