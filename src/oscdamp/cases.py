@@ -252,8 +252,8 @@ def finite_difference_sensitivity(
     the power flow and the eigenproblem are fully re-solved at +-step, in the
     voltage model of the mode; a ``const_v`` naming the other one is rejected.
     """
-    if step <= 0:
-        raise UsageError("step must be positive")
+    if not 0 < step < np.inf:
+        raise UsageError("step must be positive and finite")
     if const_v not in (None, dispatch.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     dispatch.check_plan_size(network, plan)

@@ -50,6 +50,8 @@ class RedispatchPlan:
     def __post_init__(self):
         dp = np.asarray(self.dp, dtype=float)
         object.__setattr__(self, "dp", dp)
+        if not np.all(np.isfinite(dp)):
+            raise ValidationError("redispatch plan has a non-finite entry")
         scale = float(np.max(np.abs(dp))) if dp.size else 0.0
         if abs(float(np.sum(dp))) > BALANCE_REL_TOL * max(1.0, scale):
             raise ValidationError(
@@ -204,9 +206,12 @@ def sweep(
     """
     if const_v not in (None, angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
+    r_values = [float(r) for r in r_values]
+    if not np.all(np.isfinite(r_values)):
+        raise UsageError("redispatch amounts must be finite")
     slope = unit_dlambda(network, op, mode, plan)
     rows = []
-    for r in map(float, r_values):
+    for r in r_values:
         approx = mode.lam + r * slope
         exact, failure = None, None
         try:

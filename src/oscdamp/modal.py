@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -172,6 +173,17 @@ def reduced_jacobian(
     return J11 - J12 @ x
 
 
+@lru_cache(maxsize=64)
+def _dggev_lwork(n: int) -> int:
+    """LAPACK's optimal ``dggev`` workspace for a pencil of order n.
+
+    The query reads only n, not the entries, so one query serves every
+    pencil of that order.
+    """
+    a = np.zeros((n, n))
+    return int(scipy.linalg.lapack.dggev(a, a, lwork=-1)[-2][0])
+
+
 def qz(J: np.ndarray, E: np.ndarray):
     """(alphar, alphai, beta, vr) of the real pencil (J, E) from one LAPACK
     ``dggev`` call (QZ; Moler & Stewart, SINUM 1973), which may overwrite
@@ -184,10 +196,8 @@ def qz(J: np.ndarray, E: np.ndarray):
     """
     if not np.all(np.isfinite(J)):
         raise ConvergenceError("the DAE pencil has a non-finite entry; QZ not attempted")
-    ggev = scipy.linalg.lapack.dggev
-    lwork = int(ggev(J, E, lwork=-1)[-2][0])
-    alphar, alphai, beta, _, vr, _, info = ggev(
-        J, E, compute_vl=0, lwork=lwork, overwrite_a=1, overwrite_b=1)
+    alphar, alphai, beta, _, vr, _, info = scipy.linalg.lapack.dggev(
+        J, E, compute_vl=0, lwork=_dggev_lwork(J.shape[0]), overwrite_a=1, overwrite_b=1)
     if info != 0:
         raise ConvergenceError(f"QZ iteration failed (LAPACK dggev info = {info})")
     return alphar, alphai, beta, vr
@@ -241,11 +251,10 @@ def _swing_profiles(
     rotated = xg * (_abs(phase) / phase)[:, None]
     shown = ~(_abs(rotated) < PARTICIPATION_THRESHOLD * top[:, None]) & (top[:, None] > 0)
     positive = rotated.real >= 0
-    names = np.array(labels, dtype=object)
     profiles = []
-    for row_shown, row_pos in zip(shown, positive):
-        pos = ",".join(names[row_shown & row_pos])
-        neg = ",".join(names[row_shown & ~row_pos])
+    for row_shown, row_pos in zip(shown.tolist(), positive.tolist()):
+        pos = ",".join([lab for lab, s, p in zip(labels, row_shown, row_pos) if s and p])
+        neg = ",".join([lab for lab, s, p in zip(labels, row_shown, row_pos) if s and not p])
         profiles.append(pos + " <-> " + neg if pos and neg else pos or neg)
     return profiles
 

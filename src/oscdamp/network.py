@@ -77,25 +77,117 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Topology:
+    """The arrays of one grid that redispatch cannot change.
+
+    Each depends only on the lines, the bus order and kinds and the generator
+    voltage set-points, never on ``p_gen``. Each is built on first use and is
+    read-only, so a grid and every ``with_redispatch`` copy of it share one
+    ``_Topology``. The bus order is the validated one: generators at 1..m.
+    """
+
+    def __init__(self, buses: tuple[Bus, ...], lines: tuple[Line, ...]):
+        self.buses, self.lines = buses, lines
+        self.n = len(buses)
+        self.m = sum(1 for b in buses if b.is_generator)
+
+    @cached_property
+    def gen_labels(self) -> tuple[str, ...]:
+        return tuple(b.label for b in self.buses if b.is_generator)
+
+    @cached_property
+    def gen_v_set(self) -> np.ndarray:
+        return _read_only(np.array([b.v_set for b in self.buses[:self.m]], dtype=float))
+
+    @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        return (_read_only(np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)),
+                _read_only(np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)))
+
+    @cached_property
+    def susceptances(self) -> np.ndarray:
+        return _read_only(np.array([ln.b for ln in self.lines], dtype=float))
+
+    @cached_property
+    def b_sums(self) -> np.ndarray:
+        b = self.susceptances
+        return _read_only(self.onto_buses(b, b))
+
+    @cached_property
+    def _bus_of_end(self) -> np.ndarray:
+        """The bus of each line end, interleaved: line k's from-end, then its to-end."""
+        return _read_only(np.column_stack(self.endpoints).ravel())
+
+    def onto_buses(
+        self, at_from: np.ndarray, at_to: np.ndarray, start: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-bus sums of per-line values, added onto ``start`` (default zeros):
+        line k adds ``at_from[k]`` to its from-bus and ``at_to[k]`` to its to-bus.
+
+        ``np.add.at`` is unbuffered, so each bus receives its terms in line order,
+        from-end before to-end. ``A @ v`` would reorder the sums and move
+        roundoff-level digits that the CLI prints.
+        """
+        out = np.zeros(self.n) if start is None else np.array(start, dtype=float)
+        np.add.at(out, self._bus_of_end, np.column_stack([at_from, at_to]).ravel())
+        return out
+
+    @cached_property
+    def hessian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(take, flat, diag) for ``hessian_matrix``.
+
+        Line k's 4 x 4 block couples (delta_f, delta_t, V_f, V_t); a V
+        coordinate exists only at a load end. ``take`` picks the existing
+        entries, line-major, out of the flattened (4, 4, ell) block array,
+        ``flat`` is the flat position of each in the Hessian and ``diag``
+        lists the load-voltage diagonal.
+        """
+        n, m = self.n, self.m
+        size = 2 * n - m
+        f, t = self.endpoints
+        coord = np.stack([f, t, n + f - m, n + t - m], axis=1)
+        every = np.ones(f.size, dtype=bool)
+        exists = np.stack([every, every, f >= m, t >= m], axis=1)
+        keep = exists[:, :, None] & exists[:, None, :]
+        line, row, col = np.nonzero(keep)
+        return (_read_only((row * 4 + col) * f.size + line),
+                _read_only((coord[:, :, None] * size + coord[:, None, :])[keep]),
+                _read_only(np.arange(n, size)))
+
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        f, t = self.endpoints
+        k = np.arange(f.size)
+        A = np.zeros((self.n, f.size))
+        A[f, k] = 1.0
+        A[t, k] = -1.0
+        return _read_only(A), _read_only(np.abs(A))
+
+
 @dataclass(frozen=True)
 class Network:
     """Buses and lines of one grid.
 
-    The index and injection arrays below are built once per instance, on first
-    use, and come back read-only: every caller shares them.
+    The index and injection arrays below are built once per grid, on first
+    use, and come back read-only: every caller shares them. A
+    ``with_redispatch`` copy shares every one of them except the injections.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     omega0: float = DEFAULT_OMEGA0
 
+    @cached_property
+    def _topology(self) -> _Topology:
+        return _Topology(self.buses, self.lines)
+
     @property
     def n(self) -> int:
         return len(self.buses)
 
-    @cached_property
+    @property
     def m(self) -> int:
-        return sum(1 for b in self.buses if b.is_generator)
+        return self._topology.m
 
     @property
     def n_lines(self) -> int:
@@ -106,40 +198,29 @@ class Network:
         return (_read_only(np.array([b.p_gen - b.p_load for b in self.buses])),
                 _read_only(np.array([-b.q_load for b in self.buses])))
 
-    @cached_property
-    def _gen_labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.buses if b.is_generator)
-
-    @cached_property
+    @property
     def _gen_v_set(self) -> np.ndarray:
-        return _read_only(np.array([b.v_set for b in self.buses[:self.m]], dtype=float))
-
-    @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return (_read_only(np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)),
-                _read_only(np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)))
-
-    @cached_property
-    def _susceptances(self) -> np.ndarray:
-        return _read_only(np.array([ln.b for ln in self.lines], dtype=float))
+        return self._topology.gen_v_set
 
     def injections(self) -> tuple[np.ndarray, np.ndarray]:
         """Net (P, Q) injection vectors over all buses, load-demand sign folded in."""
         return self._injections
 
     def gen_labels(self) -> tuple[str, ...]:
-        return self._gen_labels
+        return self._topology.gen_labels
 
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based (from, to) bus positions, one entry per line in line order."""
-        return self._endpoints
+        return self._topology.endpoints
 
     def susceptances(self) -> np.ndarray:
         """Line susceptances b_k in line order."""
-        return self._susceptances
+        return self._topology.susceptances
 
     def with_redispatch(self, dp: np.ndarray) -> "Network":
-        """Return a copy with generator outputs shifted by ``dp`` (one entry per generator)."""
+        """Return a copy with generator outputs shifted by ``dp`` (one entry per
+        generator). The copy shares this grid's read-only ``_Topology``: only
+        the injections are its own."""
         dp = np.asarray(dp, dtype=float)
         if dp.shape != (self.m,):
             raise ValidationError(
@@ -148,7 +229,10 @@ class Network:
         buses = list(self.buses)
         for g in range(self.m):
             buses[g] = replace(buses[g], p_gen=buses[g].p_gen + dp[g])
-        return Network(buses=tuple(buses), lines=self.lines, omega0=self.omega0)
+        copy = Network(buses=tuple(buses), lines=self.lines, omega0=self.omega0)
+        # Where cached_property keeps its value; the frozen __setattr__ refuses it.
+        copy.__dict__["_topology"] = self._topology
+        return copy
 
 
 @dataclass(frozen=True)
@@ -288,6 +372,13 @@ def validate_network(network: Network) -> None:
     n, m = network.n, network.m
     if not network.lines:
         raise ValidationError("grid has no lines")
+    # Every array of the model reads the first m buses as the generators.
+    for position, bus in enumerate(network.buses):
+        if bus.is_generator != (position < m):
+            raise ValidationError(
+                f"bus {bus.label!r} at position {position + 1} is out of order: "
+                f"the {m} generator buses must come first"
+            )
     for bus in network.buses:
         values = (bus.v_set, bus.p_gen, bus.p_load, bus.q_load,
                   bus.inertia_h, bus.damping_d_seconds)
@@ -348,13 +439,11 @@ def validate_network(network: Network) -> None:
 # ---------------------------------------------------------------------------
 
 def build_incidence(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Signed and unsigned bus-line incidence matrices, each n x ell."""
-    f, t = network.endpoints()
-    k = np.arange(network.n_lines)
-    A = np.zeros((network.n, network.n_lines))
-    A[f, k] = 1.0
-    A[t, k] = -1.0
-    return A, np.abs(A)
+    """Signed and unsigned bus-line incidence matrices, each n x ell.
+
+    Built once per grid and read-only; ``with_redispatch`` copies share them.
+    """
+    return network._topology.incidence
 
 
 def flat_start(network: Network) -> OperatingPoint:
@@ -388,30 +477,10 @@ def line_states(network: Network, op: OperatingPoint) -> LineState:
     return LineState(theta=theta, nu=nu, p=p, q=q)
 
 
-def _onto_buses(
-    network: Network,
-    at_from: np.ndarray,
-    at_to: np.ndarray,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-bus sums of per-line values, added onto ``start`` (default zeros):
-    line k adds ``at_from[k]`` to its from-bus and ``at_to[k]`` to its to-bus.
-
-    ``np.add.at`` is unbuffered, so each bus receives its terms in line order,
-    from-end before to-end. ``A @ v`` would reorder the sums and move
-    roundoff-level digits that the CLI prints.
-    """
-    f, t = network.endpoints()
-    out = np.zeros(network.n) if start is None else np.array(start, dtype=float)
-    np.add.at(out, np.column_stack([f, t]).ravel(),
-              np.column_stack([at_from, at_to]).ravel())
-    return out
-
-
 def incident_b_sums(network: Network) -> np.ndarray:
-    """sum of b_k over lines incident to each bus (= -b_ii)."""
-    b = network.susceptances()
-    return _onto_buses(network, b, b)
+    """sum of b_k over lines incident to each bus (= -b_ii), built once per
+    grid and read-only."""
+    return network._topology.b_sums
 
 
 def potential_energy(network: Network, op: OperatingPoint) -> float:
@@ -442,8 +511,9 @@ def residual_vectors(
     ls = line_states(network, op)
     p_inj, q_inj = network.injections()
     v = bus_voltages(network, op)
-    real = _onto_buses(network, ls.p, -ls.p, start=-p_inj)
-    qsum = _onto_buses(network, ls.q, ls.q)
+    topology = network._topology
+    real = topology.onto_buses(ls.p, -ls.p, start=-p_inj)
+    qsum = topology.onto_buses(ls.q, ls.q)
     b_sum = incident_b_sums(network)
     loads = np.arange(network.m, network.n)
     reactive = qsum[loads] / v[loads] + b_sum[loads] * v[loads] - q_inj[loads] / v[loads]
@@ -467,23 +537,19 @@ def hessian_matrix(network: Network, op: OperatingPoint) -> np.ndarray:
     ws = w * np.sin(d[f] - d[t])
     sf, st, c, zero = ws / v[f], ws / v[t], -(wc / (v[f] * v[t])), np.zeros_like(w)
     # The Hessian of line k's term -b V_f V_t cos(delta_f - delta_t) over
-    # (delta_f, delta_t, V_f, V_t); a V coordinate exists only at a load end.
-    block = np.moveaxis(np.array([[wc, -wc, sf, st],
-                                  [-wc, wc, -sf, -st],
-                                  [sf, -sf, zero, c],
-                                  [st, -st, c, zero]]), -1, 0)
-    coord = np.stack([f, t, n + f - m, n + t - m], axis=1)
-    every = np.ones(f.size, dtype=bool)
-    exists = np.stack([every, every, f >= m, t >= m], axis=1)
-    keep = exists[:, :, None] & exists[:, None, :]
-    # Line-major, so that as in _onto_buses each entry sums its terms in line
+    # (delta_f, delta_t, V_f, V_t), as a (4, 4, ell) array.
+    block = np.array([[wc, -wc, sf, st],
+                      [-wc, wc, -sf, -st],
+                      [sf, -sf, zero, c],
+                      [st, -st, c, zero]])
+    take, flat, diag = network._topology.hessian_scatter
+    # Line-major, so that as in onto_buses each entry sums its terms in line
     # order: bincount, like np.add.at, adds its weights in input order.
-    flat = (coord[:, :, None] * size + coord[:, None, :])[keep]
-    L = np.bincount(flat, weights=block[keep], minlength=size * size).reshape(size, size)
+    L = np.bincount(flat, weights=block.ravel()[take],
+                    minlength=size * size).reshape(size, size)
     # Without lines bincount has no weights to add and returns int64 zeros.
     L = L.astype(float, copy=False)
     _, q_inj = network.injections()
-    diag = np.arange(n, size)
     L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
     return L
 

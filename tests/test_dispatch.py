@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from oscdamp import (
     SingularityError,
     UsageError,
     ValidationError,
+    dispatch,
     flow_response,
     plan_between,
     rank_pairs,
@@ -38,6 +40,31 @@ def test_plan_validation():
         RedispatchPlan(dp=np.array([1.0, -0.5]))
     plan = RedispatchPlan(dp=np.zeros(2))  # zero plan is balanced and legal
     assert not plan.dp.any()
+
+
+@pytest.mark.parametrize("dp", [[math.nan, 0.0, 0.0, 0.0], [math.inf, -math.inf, 0.0, 0.0]])
+def test_plan_rejects_a_non_finite_entry(dp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^redispatch plan has a non-finite entry$"):
+            RedispatchPlan(dp=dp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_and_oracle_reject_a_non_finite_amount_before_re_solving(
+        fixture_studies, monkeypatch, bad):
+    _, st = fixture_studies["ten_bus"]
+    md = st.electromechanical()[0]
+    plan = plan_between(st.network, "G1", "G3")
+
+    def no_re_solve(*args, **kwargs):
+        raise AssertionError("re-solved at a non-finite amount")
+
+    monkeypatch.setattr(dispatch, "exact_mode", no_re_solve)
+    with pytest.raises(UsageError, match="^redispatch amounts must be finite$"):
+        sweep(st.network, st.op, md, plan, [0.003, bad])
+    with pytest.raises(UsageError, match="^step must be positive and finite$"):
+        finite_difference_sensitivity(st.network, st.op, md, plan, step=bad)
 
 
 def test_plan_between_unknown_generator(random_suite):

@@ -87,6 +87,23 @@ line t G1 G2 b=1.0
 """)
 
 
+@pytest.mark.parametrize("order", [("L1", "L2", "G1", "G2"), ("L1", "G1", "G2")])
+def test_validate_rejects_generators_after_a_load(order):
+    # Built directly, so not reordered as the parser reorders: every array of
+    # the model reads the first m buses as the generators.
+    kinds = {"G1": dict(kind="G", v_set=1.0, p_gen=0.5, inertia_h=3.0),
+             "G2": dict(kind="G", v_set=1.0, inertia_h=3.0),
+             "L1": dict(kind="L", p_load=0.5), "L2": dict(kind="L")}
+    buses = tuple(Bus(label, i, **kinds[label]) for i, label in enumerate(order, start=1))
+    pos = {label: i for i, label in enumerate(order, start=1)}
+    ends = [("L1", "G1"), ("L1", "G2")] + ([("L1", "L2")] if "L2" in pos else [])
+    lines = tuple(Line(name, k, pos[a], pos[b], 5.0)
+                  for k, (name, (a, b)) in enumerate(zip("abc", ends), start=1))
+    with pytest.raises(ValidationError,
+                       match="bus 'L1' at position 1 is out of order: the 2 generator"):
+        validate_network(Network(buses=buses, lines=lines))
+
+
 def test_parse_malformed_record_reports_line_number():
     with pytest.raises(GridFormatError, match="line 3"):
         parse_grid_file("bus G1 G V=1.0 H=3.0\nbus L2 L\nline t G1 L2 b=oops\n")
@@ -418,3 +435,85 @@ def test_network_arrays_are_built_once_and_read_only():
     shifted = net.with_redispatch(np.array([0.1, -0.1]))
     assert shifted.injections()[0] is not net.injections()[0]
     assert shifted.injections()[0][0] == net.injections()[0][0] + 0.1
+
+
+def _read_only_arrays(obj):
+    """Every ndarray an object holds in its attributes, tuples unpacked."""
+    out = []
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                out.append(item)
+    return out
+
+
+def test_a_redispatched_copy_shares_the_topology_read_only(fixture_studies):
+    from oscdamp import laplacian
+
+    _, st = fixture_studies["ten_bus"]
+    net = st.network
+    shifted = net.with_redispatch(np.array([0.1, -0.1, 0.0, 0.0]))
+    assert shifted._topology is net._topology
+    for read in (build_incidence, incident_b_sums, Network.endpoints, Network.susceptances,
+                 Network.gen_labels):
+        assert read(shifted) is read(net)
+    assert shifted._gen_v_set is net._gen_v_set
+    assert shifted.injections()[0] is not net.injections()[0]
+    # A copy of a copy shares it too, and a Hessian of either leaves it unchanged.
+    again = shifted.with_redispatch(np.zeros(4))
+    assert again._topology is net._topology
+    laplacian.hessian(again, st.op)
+    arrays = _read_only_arrays(net._topology)
+    # gen_v_set, endpoints (2), susceptances, b_sums, the line-end index,
+    # hessian_scatter (3) and incidence (2).
+    assert len(arrays) == 11
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_suite):
+    # The warm copy reads arrays its parent built; the cold network, built from
+    # the same buses and lines, builds its own. Every result must match bit for bit.
+    from oscdamp import laplacian, modal
+    from oscdamp.study import build_study
+
+    nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
+    for net in nets:
+        dp = np.zeros(net.m)
+        dp[0] += 0.01
+        dp[-1] -= 0.01  # a zero shift on a grid with one generator
+        for const_v in (False, True):
+            base = build_study(net, const_v=const_v)
+            warm = net.with_redispatch(dp)
+            cold = Network(buses=warm.buses, lines=warm.lines, omega0=warm.omega0)
+            assert cold._topology is not net._topology
+            ws = build_study(warm, const_v=const_v, initial=base.op)
+            cs = build_study(cold, const_v=const_v, initial=base.op)
+            _assert_same_bits(ws.op.delta, cs.op.delta)
+            _assert_same_bits(ws.op.v_load, cs.op.v_load)
+            for a, b in zip(residual_vectors(warm, ws.op), residual_vectors(cold, ws.op)):
+                _assert_same_bits(a, b)
+            _assert_same_bits(hessian_matrix(warm, ws.op), hessian_matrix(cold, ws.op))
+            wb = laplacian.hessian(warm, ws.op, const_v=const_v)
+            cb = laplacian.hessian(cold, ws.op, const_v=const_v)
+            for field in ("L", "H", "lp_theta_nu", "lp_nu_nu", "l_bus_diag"):
+                _assert_same_bits(getattr(wb, field), getattr(cb, field))
+            dyn = modal.build_dynamic_matrices(warm, const_v=const_v)
+            wm = modal.solve_qep(dyn.m, dyn.d, wb.L, n_angles=warm.n,
+                                 gen_labels=warm.gen_labels())
+            cm = modal.solve_qep(dyn.m, dyn.d, cb.L, n_angles=cold.n,
+                                 gen_labels=cold.gen_labels())
+            assert len(wm) == len(cm) == len(ws.modes) > 0
+            for a, b, c in zip(wm, cm, ws.modes):
+                _assert_same_bits(a.x, b.x)
+                _assert_same_bits(a.x, c.x)
+                assert (a.lam, a.residual, a.swing_profile, a.warnings) == \
+                    (b.lam, b.residual, b.swing_profile, b.warnings)

@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 
 import oscdamp.cli  # noqa: F401  (loads every package module)
-from oscdamp import cases, dispatch, laplacian, network, sensitivity, study
+from oscdamp import cases, dispatch, laplacian, modal, network, sensitivity, study
 
 from conftest import stiff_star_grid
 
@@ -140,6 +140,41 @@ def test_one_qz_per_eigensolve(qz_calls, name):
     for r in (0.003, -0.01):
         dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, r)
     assert qz_calls == [qz_calls[0]] * 3
+
+
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
+def test_sweep_and_oracle_build_the_topology_once(monkeypatch, name):
+    # Every re-solve runs on a with_redispatch copy, which shares the arrays
+    # its grid built; the dggev workspace is queried once per pencil order.
+    built = []
+
+    class Topology(network._Topology):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    queries = []
+    ggev = scipy.linalg.lapack.dggev
+
+    def counted(a, b, **kwargs):
+        if kwargs.get("lwork") == -1:
+            queries.append(a.shape[0])
+        return ggev(a, b, **kwargs)
+
+    monkeypatch.setattr(network, "_Topology", Topology)
+    monkeypatch.setattr(scipy.linalg.lapack, "dggev", counted)
+    modal._dggev_lwork.cache_clear()
+    fx = cases.load_fixture(name)
+    st = study.build_study(fx.network, const_v=fx.const_v)
+    mode = st.electromechanical()[0]
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    rows = dispatch.sweep(st.network, st.op, mode, plan, [0.003, 0.01, -0.01])
+    assert all(row.lambda_exact is not None for row in rows)
+    cases.finite_difference_sensitivity(st.network, st.op, mode, plan)
+    assert len(built) == 1
+    # One pencil order throughout: the states plus one speed per generator.
+    assert queries == [st.bundle.L.shape[0] + st.network.m]
 
 
 def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
