@@ -11,7 +11,10 @@ g_up - g_down. Either way the right-hand side must lie in the range of the
 singular Laplacian, so the residual is checked rather than assumed. The
 first-order eigenvalue formula is evaluated once at the base point;
 predictions for finite r are lambda + r * dlambda and are compared against a
-full re-solve.
+full re-solve. A re-solve (``exact_mode``) reads only the matched eigenvalue,
+so it is one power flow, one Hessian, one eigensolve (``modal.eigenpairs``,
+with every check of a whole study) and one ``match_mode``: it builds no
+Hessian bundle and no ``Mode`` summaries.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .network import Network, OperatingPoint
+from .network import Network, OperatingPoint, hessian_matrix, solve_power_flow
 from .laplacian import LaplacianBundle, hessian
-from .study import build_study
 
 PINV_RCOND = 1e-10
 FLOW_RESIDUAL_TOL = 1e-9
@@ -154,27 +156,28 @@ def unit_dlambda(
     return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
 
 
-def match_mode(
-    reference: modal.Mode, candidates: list[modal.Mode] | tuple[modal.Mode, ...]
-) -> modal.Mode:
-    """Pick the oscillatory candidate whose eigenvector correlates best.
+def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
+    """Index of the oscillatory candidate whose eigenvector correlates best.
 
-    Correlation is |conj(x_ref) . x| / (|x_ref| |x|); a gap below 0.1 between
-    the two best candidates is treated as ambiguous.
+    The candidates are eigenvalues ``lams`` with eigenvectors the rows of
+    ``X``, in the order of ``modal.eigenpairs`` and ``solve_qep`` (by
+    omega, then sigma), which breaks ties. Correlation is
+    |conj(x_ref) . x| / (|x_ref| |x|); a gap below 0.1 between the two best
+    candidates is treated as ambiguous.
     """
-    pool = [md for md in candidates if md.omega > 0]
-    if not pool:
+    pool = np.flatnonzero(lams.imag > 0)
+    if not pool.size:
         raise ModeMatchingError("no oscillatory modes in the re-solved spectrum")
-    X = np.array([md.x for md in pool])
+    X = X[pool]
     x_ref = reference.x
     scores = np.abs(X @ np.conj(x_ref)) / (np.linalg.norm(x_ref) * np.linalg.norm(X, axis=1))
     order = np.argsort(-scores, kind="stable")
-    if len(pool) > 1 and scores[order[0]] - scores[order[1]] < MATCH_AMBIGUITY_GAP:
+    if pool.size > 1 and scores[order[0]] - scores[order[1]] < MATCH_AMBIGUITY_GAP:
         raise ModeMatchingError(
             f"ambiguous mode match: correlations {scores[order[0]]:.3f} "
             f"vs {scores[order[1]]:.3f}"
         )
-    return pool[order[0]]
+    return int(pool[order[0]])
 
 
 def exact_mode(
@@ -187,8 +190,12 @@ def exact_mode(
     if r == 0.0:
         return mode.lam
     shifted = network.with_redispatch(r * plan.dp)
-    st = build_study(shifted, const_v=const_v, initial=op)
-    return match_mode(mode, st.modes).lam
+    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
+    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
+    pairs = modal.eigenpairs(
+        dyn.m, dyn.d, hessian_matrix(shifted, shifted_op, const_v=const_v),
+        n_angles=shifted.n)
+    return complex(pairs.lams[match_mode(mode, pairs.lams, pairs.X)])
 
 
 def sweep(

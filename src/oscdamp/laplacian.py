@@ -88,14 +88,15 @@ def hessian(
 ) -> LaplacianBundle:
     """Analytic Hessian bundle at the given state (no numerical differentiation).
 
-    L and H are built in the full model; ``const_v`` keeps their angle blocks.
+    H is built in the full model; ``const_v`` keeps its angle block and
+    builds L in the angle coordinates alone.
     """
     n, m, nl = network.n, network.m, network.n_lines
-    L = hessian_matrix(network, op)
+    L = hessian_matrix(network, op, const_v=const_v)
     H = coord_jacobian(network, op)
     ls = line_states(network, op)
     if const_v:
-        L, H = L[:n, :n].copy(), H[:nl, :n].copy()
+        H = H[:nl, :n].copy()
         l_bus = np.zeros(0)
     else:
         _, q_inj = network.injections()

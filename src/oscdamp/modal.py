@@ -8,9 +8,12 @@ produces the infinite eigenvalues that get filtered out. State ordering is
 (dynamic z rows, speeds, algebraic z rows), so E = blockdiag(I, 0).
 
 The pencil is solved by one LAPACK ``dggev`` (QZ) call per study, in ``qz``.
-``solve_qep`` then builds and scales only the eigenvectors it keeps, with the
-same operations ``scipy.linalg.eig`` applies, so every bit matches it;
-``scipy.linalg.eig`` is now only the reference in the tests.
+``eigenpairs`` then builds and scales only the eigenvectors it keeps, with
+the same operations ``scipy.linalg.eig`` applies, so every bit matches it;
+``scipy.linalg.eig`` is now only the reference in the tests. It filters,
+gauges and checks them and returns arrays; ``solve_qep`` summarizes those
+as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
+arrays.
 """
 
 from __future__ import annotations
@@ -259,20 +262,39 @@ def _swing_profiles(
     return profiles
 
 
-def solve_qep(
+@dataclass(frozen=True)
+class Eigenpairs:
+    """The finite eigenpairs a QEP keeps, as arrays sorted by omega then sigma.
+
+    Row k of ``X`` is the eigenvector of ``lams[k]`` in natural state order,
+    gauged as ``Mode.x`` is, and ``residuals[k]`` its backward error.
+    ``spectrum`` holds every finite eigenvalue, conjugates and the discarded
+    zero mode included, ``spectral_scale`` the largest of their magnitudes
+    and ``gen_rows`` the inertial (generator) rows.
+    """
+
+    lams: np.ndarray
+    X: np.ndarray
+    residuals: np.ndarray
+    spectrum: np.ndarray
+    spectral_scale: float
+    gen_rows: np.ndarray
+
+
+def eigenpairs(
     m_diag: np.ndarray,
     d_diag: np.ndarray,
     L: np.ndarray,
     n_angles: int | None = None,
-    gen_labels: tuple[str, ...] | None = None,
-) -> list[Mode]:
-    """All finite eigenpairs of the pencil, cleaned up and summarized.
+) -> Eigenpairs:
+    """Every finite eigenpair of the pencil that a mode is made from.
 
     Infinite eigenvalues (singular E) and the uniform-angle zero mode are
-    discarded; conjugate pairs are reported once with omega > 0; modes come
-    back sorted by omega then sigma. ``n_angles`` tells the uniform-mode
-    filter where the angle block ends (defaults to the whole vector, which is
-    right for constant-voltage models).
+    discarded, and a conjugate pair is kept once, as its omega > 0 member.
+    Each kept eigenvector is gauged and must pass the MODE_RESIDUAL_REL
+    backward-error gate. ``n_angles`` tells the uniform-mode filter where the
+    angle block ends (defaults to the whole vector, which is right for
+    constant-voltage models).
     """
     m_diag = np.asarray(m_diag, float)
     d_diag = np.asarray(d_diag, float)
@@ -282,10 +304,10 @@ def solve_qep(
     if n_angles is None:
         n_angles = nz
     E, J, zcol, gen_rows, _ = _pencil(m_diag, d_diag, L)
-    if gen_labels is None:
-        gen_labels = tuple(str(i + 1) for i in range(gen_rows.size))
     if not nz:
-        return []  # LAPACK rejects an empty pencil
+        # LAPACK rejects an empty pencil.
+        return Eigenpairs(np.zeros(0, complex), np.zeros((0, 0), complex), np.zeros(0),
+                          np.zeros(0, complex), 0.0, gen_rows)
     alphar, alphai, beta, vr = qz(J, E)
 
     # Eigenvalues as scipy.linalg.eig forms them, so that every digit matches.
@@ -321,8 +343,6 @@ def solve_qep(
         scale[scale == 0] = 1.0
         keep[small[spread < UNIFORM_ANGLE_TOL * scale]] = False  # rigid uniform-angle mode
     lams, X, mags = lams[keep], X[keep], mags[keep]
-    if not lams.size:
-        return []
 
     # Gauge: the first generator angle of largest magnitude becomes 1; a mode
     # without generator participation is pinned at its largest component.
@@ -330,7 +350,6 @@ def solve_qep(
     on_gen = np.max(mags[:, cols], axis=1) > 1e-12 * np.max(mags, axis=1)
     pivot = np.where(on_gen, cols[_first_at_max(mags[:, cols])], _first_at_max(mags))
     X = X / X[np.arange(lams.size), pivot][:, None]
-    mags = np.abs(X)
 
     # C order, as np.column_stack gave it: a Fortran-ordered X moves residuals at roundoff.
     residuals = backward_errors(lams, np.ascontiguousarray(X.T), m_diag, d_diag, L)
@@ -342,17 +361,44 @@ def solve_qep(
             f"for lambda = {lam:.6g}",
             residual=residual,
         )
-    dist = np.abs(lams[:, None] - all_lams[None, :])
+    # After the gate, whose message names the first failure in QZ order.
+    order = np.lexsort((lams.real, lams.imag))
+    return Eigenpairs(lams[order], X[order], residuals[order], all_lams, spectral_scale,
+                      gen_rows)
+
+
+def solve_qep(
+    m_diag: np.ndarray,
+    d_diag: np.ndarray,
+    L: np.ndarray,
+    n_angles: int | None = None,
+    gen_labels: tuple[str, ...] | None = None,
+) -> list[Mode]:
+    """All finite eigenpairs of the pencil, cleaned up and summarized.
+
+    The eigenpairs are those of ``eigenpairs``, in its order (by omega, then
+    sigma); each becomes a ``Mode`` with its swing profile, its
+    electromechanical flag and a warning when another eigenvalue lies
+    within RESONANCE_GAP_REL of the spectral scale.
+    """
+    pairs = eigenpairs(m_diag, d_diag, L, n_angles=n_angles)
+    lams, X, gen_rows = pairs.lams, pairs.X, pairs.gen_rows
+    if gen_labels is None:
+        gen_labels = tuple(str(i + 1) for i in range(gen_rows.size))
+    if not lams.size:
+        return []
+    mags = np.abs(X)
+    dist = np.abs(lams[:, None] - pairs.spectrum[None, :])
     gaps = np.min(np.where(dist > 0, dist, np.inf), axis=1)
     em = (lams.imag > 0) & (gen_rows.size > 0) & (
         np.max(mags[:, gen_rows], axis=1, initial=0.0)
         >= PARTICIPATION_THRESHOLD * np.max(mags, axis=1))
     modes: list[Mode] = []
     for lam, x, residual, gap, is_em, profile in zip(
-            lams.tolist(), X, residuals.tolist(), gaps.tolist(), em.tolist(),
+            lams.tolist(), X, pairs.residuals.tolist(), gaps.tolist(), em.tolist(),
             _swing_profiles(X, gen_rows, gen_labels)):
         warn: list[str] = []
-        if gap < RESONANCE_GAP_REL * spectral_scale:
+        if gap < RESONANCE_GAP_REL * pairs.spectral_scale:
             warn.append(
                 f"near-resonant eigenvalue: gap {gap:.2e} below "
                 f"{RESONANCE_GAP_REL:.0e} of spectral scale"
@@ -365,7 +411,6 @@ def solve_qep(
             electromechanical=is_em,
             warnings=tuple(warn),
         ))
-    modes.sort(key=lambda md: (md.lam.imag, md.lam.real))
     return modes
 
 

@@ -155,13 +155,12 @@ class _Topology:
                 _read_only(np.arange(n, size)))
 
     @cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+    def angle_scatter(self) -> np.ndarray:
+        """Flat positions, line-major, of each line's 2 x 2 angle block
+        (delta_f, delta_t) in the n x n angle Hessian."""
         f, t = self.endpoints
-        k = np.arange(f.size)
-        A = np.zeros((self.n, f.size))
-        A[f, k] = 1.0
-        A[t, k] = -1.0
-        return _read_only(A), _read_only(np.abs(A))
+        coord = np.stack([f, t], axis=1)
+        return _read_only((coord[:, :, None] * self.n + coord[:, None, :]).ravel())
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def parse_grid_file(text: str) -> Network:
     ``x=`` (b = 1/x).
     """
     system: dict[str, float] | None = None
-    buses: dict[str, Bus] = {}
+    buses: dict[str, tuple[str, dict[str, float]]] = {}
     lines: dict[str, tuple[int, str, str, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -331,8 +330,7 @@ def parse_grid_file(text: str) -> Network:
                 raise GridFormatError(f"line {lineno}: duplicate bus label {label!r}")
             if kind not in ("G", "L"):
                 raise GridFormatError(f"line {lineno}: bus kind must be G or L, got {kind!r}")
-            buses[label] = Bus(label=label, index=0, kind=kind,
-                               **_read_fields(tokens[3:], kind, lineno))
+            buses[label] = (kind, _read_fields(tokens[3:], kind, lineno))
         elif rec == "line":
             if len(tokens) < 4:
                 raise GridFormatError(
@@ -351,14 +349,15 @@ def parse_grid_file(text: str) -> Network:
     if not buses:
         raise GridFormatError("no bus records found")
     # Re-index: generators first, loads after, file order kept within groups.
-    ordered = sorted(buses.values(), key=lambda bus: not bus.is_generator)
-    idx = {bus.label: i for i, bus in enumerate(ordered, start=1)}
+    ordered = sorted(buses, key=lambda label: buses[label][0] != "G")
+    idx = {label: i for i, label in enumerate(ordered, start=1)}
     for lineno, frm, to, _ in lines.values():
         for lab in (frm, to):
             if lab not in idx:
                 raise GridFormatError(f"line {lineno}: unknown bus {lab!r}")
     network = Network(
-        buses=tuple(replace(bus, index=idx[bus.label]) for bus in ordered),
+        buses=tuple(Bus(label=label, index=i, kind=buses[label][0], **buses[label][1])
+                    for i, label in enumerate(ordered, start=1)),
         lines=tuple(Line(label=label, index=k, from_bus=idx[frm], to_bus=idx[to], b=b)
                     for k, (label, (_, frm, to, b)) in enumerate(lines.items(), start=1)),
         **(system or {}),
@@ -394,6 +393,12 @@ def validate_network(network: Network) -> None:
         elif bus.inertia_h != 0:
             raise ValidationError(f"load bus {bus.label!r} must have zero inertia")
     for ln in network.lines:
+        for end in (ln.from_bus, ln.to_bus):
+            # Every array of the model reads an endpoint as a 1-based bus position.
+            if not (isinstance(end, (int, np.integer)) and not isinstance(end, bool)
+                    and 1 <= end <= n):
+                raise ValidationError(
+                    f"line {ln.label!r} ends at {end!r}, which is not a bus position 1..{n}")
         if ln.b <= 0 or not math.isfinite(ln.b):
             raise ValidationError(f"line {ln.label!r} needs a positive finite susceptance")
         if ln.from_bus == ln.to_bus:
@@ -439,11 +444,13 @@ def validate_network(network: Network) -> None:
 # ---------------------------------------------------------------------------
 
 def build_incidence(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Signed and unsigned bus-line incidence matrices, each n x ell.
-
-    Built once per grid and read-only; ``with_redispatch`` copies share them.
-    """
-    return network._topology.incidence
+    """Signed and unsigned bus-line incidence matrices, each n x ell."""
+    f, t = network.endpoints()
+    k = np.arange(f.size)
+    A = np.zeros((network.n, f.size))
+    A[f, k] = 1.0
+    A[t, k] = -1.0
+    return A, np.abs(A)
 
 
 def flat_start(network: Network) -> OperatingPoint:
@@ -520,37 +527,47 @@ def residual_vectors(
     return real, reactive
 
 
-def hessian_matrix(network: Network, op: OperatingPoint) -> np.ndarray:
+def hessian_matrix(
+    network: Network, op: OperatingPoint, const_v: bool = False
+) -> np.ndarray:
     """Weighted-Laplacian Hessian of R in bus coordinates at the given state.
 
     State ordering is (delta_1..delta_n, V_{m+1}..V_n). The leading n x n
     block is the angle Hessian of the angle-only model at the voltage profile
-    of ``op``: no voltage term reaches it.
+    of ``op``: no voltage term reaches it. With ``const_v`` only that block
+    is built; each entry adds the same line terms in the same order as in
+    the full matrix, so it has the same bits.
     """
     n, m = network.n, network.m
     v = bus_voltages(network, op)
     d = op.delta
-    size = 2 * n - m
     f, t = network.endpoints()
     w = network.susceptances() * v[f] * v[t]
     wc = w * np.cos(d[f] - d[t])
-    ws = w * np.sin(d[f] - d[t])
-    sf, st, c, zero = ws / v[f], ws / v[t], -(wc / (v[f] * v[t])), np.zeros_like(w)
-    # The Hessian of line k's term -b V_f V_t cos(delta_f - delta_t) over
-    # (delta_f, delta_t, V_f, V_t), as a (4, 4, ell) array.
-    block = np.array([[wc, -wc, sf, st],
-                      [-wc, wc, -sf, -st],
-                      [sf, -sf, zero, c],
-                      [st, -st, c, zero]])
-    take, flat, diag = network._topology.hessian_scatter
+    topology = network._topology
+    if const_v:
+        size, flat = n, topology.angle_scatter
+        weights = np.stack([wc, -wc, -wc, wc], axis=1).ravel()
+    else:
+        size = 2 * n - m
+        ws = w * np.sin(d[f] - d[t])
+        sf, st, c, zero = ws / v[f], ws / v[t], -(wc / (v[f] * v[t])), np.zeros_like(w)
+        # The Hessian of line k's term -b V_f V_t cos(delta_f - delta_t) over
+        # (delta_f, delta_t, V_f, V_t), as a (4, 4, ell) array.
+        block = np.array([[wc, -wc, sf, st],
+                          [-wc, wc, -sf, -st],
+                          [sf, -sf, zero, c],
+                          [st, -st, c, zero]])
+        take, flat, diag = topology.hessian_scatter
+        weights = block.ravel()[take]
     # Line-major, so that as in onto_buses each entry sums its terms in line
     # order: bincount, like np.add.at, adds its weights in input order.
-    L = np.bincount(flat, weights=block.ravel()[take],
-                    minlength=size * size).reshape(size, size)
+    L = np.bincount(flat, weights=weights, minlength=size * size).reshape(size, size)
     # Without lines bincount has no weights to add and returns int64 zeros.
     L = L.astype(float, copy=False)
-    _, q_inj = network.injections()
-    L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
+    if not const_v:
+        _, q_inj = network.injections()
+        L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
     return L
 
 
@@ -597,7 +614,7 @@ def solve_power_flow(
     for _ in range(max_iter):
         if norm < PF_TARGET_TOL:
             break
-        J = hessian_matrix(network, point(z))[1:z.size, 1:z.size]
+        J = hessian_matrix(network, point(z), const_v=const_v)[1:, 1:]
         try:
             step = np.linalg.solve(J, res[1:])
         except np.linalg.LinAlgError:

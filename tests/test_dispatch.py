@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import math
+import struct
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oscdamp import (
+    ConvergenceError,
     ModeMatchingError,
+    OscdampError,
     RedispatchPlan,
     SingularityError,
     UsageError,
     ValidationError,
     dispatch,
     flow_response,
+    modal,
     plan_between,
     rank_pairs,
     sweep,
@@ -33,6 +38,12 @@ bus L3 L Pl=0.0 Ql=0.0
 line 1 G1 L3 b=4.0
 line 2 G2 L3 b=4.0
 """
+
+
+def _matched(reference, modes):
+    """The mode of ``modes`` that ``match_mode`` picks for ``reference``."""
+    return modes[match_mode(reference, np.array([md.lam for md in modes]),
+                            np.array([md.x for md in modes]))]
 
 
 def test_plan_validation():
@@ -266,7 +277,7 @@ def test_rank_pairs_top_sign_confirmed_by_oracle():
     plan = plan_between(net, top.up, top.down)
     r = 1e-3
     shifted = build_study(net.with_redispatch(r * plan.dp), initial=st.op)
-    lam_new = match_mode(md, shifted.modes).lam
+    lam_new = _matched(md, shifted.modes).lam
     zeta_new = -lam_new.real / abs(lam_new)
     zeta_old = -md.lam.real / abs(md.lam)
     assert math.copysign(1.0, zeta_new - zeta_old) == math.copysign(1.0, top.dzeta_dr)
@@ -293,8 +304,11 @@ def test_match_mode_ambiguity_raises():
     ref = as_mode(1j, x)
     near1 = as_mode(1.1j, np.array([1.0, 0.05], dtype=complex))
     near2 = as_mode(2.3j, np.array([1.0, -0.05], dtype=complex))
-    with pytest.raises(ModeMatchingError):
-        match_mode(ref, [near1, near2])
+    with pytest.raises(ModeMatchingError, match="^ambiguous mode match"):
+        _matched(ref, [near1, near2])
+    with pytest.raises(ModeMatchingError, match="^no oscillatory modes"):
+        _matched(ref, [as_mode(-1.0 + 0j, x)])
+    assert _matched(ref, [as_mode(-1.0 + 0j, x), near1]) is near1
 
 
 def test_ten_bus_sweep_pattern(fixture_studies):
@@ -343,16 +357,62 @@ def test_the_oracle_rejects_a_const_v_naming_the_other_model(fixture_studies):
             sweep(net, st.op, md, plan, [0.003], const_v=not st.const_v)
 
 
-def test_exact_mode_re_solves_in_the_model_of_the_mode(fixture_studies):
+def _outcome(call):
+    """The bits of the eigenvalue ``call`` returns, or its error's type and message."""
+    try:
+        lam = call()
+    except OscdampError as exc:
+        return type(exc), str(exc)
+    return struct.pack("dd", lam.real, lam.imag)
+
+
+@pytest.fixture(scope="module")
+def base_studies(fixture_studies, random_suite):
+    """The fixtures and the random suite with two or more generators, each
+    solved in both voltage models."""
+    nets = [fx.network for fx, _ in fixture_studies.values()] + [n for n, _ in random_suite]
+    return [build_study(net, const_v=const_v)
+            for net in nets if net.m >= 2 for const_v in (False, True)]
+
+
+def _compare_re_solves(studies, r_values) -> Counter:
+    """Check ``exact_mode`` against a whole study and a match on its modes;
+    count the outcomes by result type or error type."""
+    outcomes = Counter()
+    for st in studies:
+        net, md = st.network, st.electromechanical()[0]
+        labels = net.gen_labels()
+        plan = plan_between(net, labels[0], labels[-1])
+        for r in r_values:
+            def whole_study():
+                shifted = build_study(net.with_redispatch(r * plan.dp),
+                                      const_v=st.const_v, initial=st.op)
+                return _matched(md, shifted.modes).lam
+            want = _outcome(whole_study)
+            assert _outcome(lambda: exact_mode(net, st.op, md, plan, r)) == want
+            outcomes[want[0] if isinstance(want, tuple) else complex] += 1
+    return outcomes
+
+
+def test_exact_mode_re_solves_in_the_model_of_the_mode(fixture_studies, base_studies):
+    # The re-solve builds no bundle and no Mode summaries. Its eigenvalue, or
+    # its failure, must be what a whole study and a match on its modes give.
+    outcomes = _compare_re_solves(base_studies, (0.003, 0.01, 0.03, -0.01, 0.1))
+    assert outcomes[complex] == 530
     for net, st in _both_models(fixture_studies):
         md = st.electromechanical()[0]
         plan = plan_between(net, "G1", "G3")
-        shifted = build_study(net.with_redispatch(0.003 * plan.dp),
-                              const_v=st.const_v, initial=st.op)
-        want = match_mode(md, shifted.modes).lam
-        assert exact_mode(net, st.op, md, plan, 0.003) == want
         assert finite_difference_sensitivity(net, st.op, md, plan) == \
             finite_difference_sensitivity(net, st.op, md, plan, const_v=st.const_v)
+
+
+def test_a_re_solve_fails_as_a_whole_study_does(base_studies, monkeypatch):
+    # Far redispatch: the power flow diverges, or the match is ambiguous.
+    outcomes = _compare_re_solves(base_studies, (1.0, -1.0, 3.0))
+    assert outcomes[ConvergenceError] > 0 and outcomes[ModeMatchingError] > 0
+    # A residual gate that no eigenpair passes: both name the same first failure.
+    monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", 1e-17)
+    assert _compare_re_solves(base_studies[:10], (0.01,)) == {ConvergenceError: 10}
 
 
 def test_a_mode_of_neither_model_is_rejected(fixture_studies):

@@ -202,12 +202,14 @@ def test_match_mode_matches_candidate_loop(studies):
         for r in SWEEP_R:
             shifted = build_study(st.network.with_redispatch(r * plan.dp),
                                   const_v=st.const_v, initial=st.op)
+            lams = np.array([md.lam for md in shifted.modes])
+            X = np.array([md.x for md in shifted.modes])
             try:
                 want = _loop_match_mode(em[0], shifted.modes)
             except ModeMatchingError:
                 with pytest.raises(ModeMatchingError):
-                    match_mode(em[0], shifted.modes)
+                    match_mode(em[0], lams, X)
                 continue
-            assert match_mode(em[0], shifted.modes) is want
+            assert shifted.modes[match_mode(em[0], lams, X)] is want
             compared += 1
     assert compared > 300

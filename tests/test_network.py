@@ -104,6 +104,17 @@ def test_validate_rejects_generators_after_a_load(order):
         validate_network(Network(buses=buses, lines=lines))
 
 
+@pytest.mark.parametrize("from_bus, to_bus", [(1, 5), (0, 2), (1, 2.5)])
+def test_validate_rejects_a_line_end_that_is_not_a_bus(from_bus, to_bus):
+    # Built directly: the parser resolves every endpoint label to a position.
+    net = parse_grid_file(TWO_BUS)
+    bad = Network(buses=net.buses, lines=(Line("a", 1, from_bus, to_bus, 5.0),))
+    end = to_bus if from_bus == 1 else from_bus
+    with pytest.raises(ValidationError, match=re.escape(
+            f"line 'a' ends at {end!r}, which is not a bus position 1..2")):
+        validate_network(bad)
+
+
 def test_parse_malformed_record_reports_line_number():
     with pytest.raises(GridFormatError, match="line 3"):
         parse_grid_file("bus G1 G V=1.0 H=3.0\nbus L2 L\nline t G1 L2 b=oops\n")
@@ -454,8 +465,7 @@ def test_a_redispatched_copy_shares_the_topology_read_only(fixture_studies):
     net = st.network
     shifted = net.with_redispatch(np.array([0.1, -0.1, 0.0, 0.0]))
     assert shifted._topology is net._topology
-    for read in (build_incidence, incident_b_sums, Network.endpoints, Network.susceptances,
-                 Network.gen_labels):
+    for read in (incident_b_sums, Network.endpoints, Network.susceptances, Network.gen_labels):
         assert read(shifted) is read(net)
     assert shifted._gen_v_set is net._gen_v_set
     assert shifted.injections()[0] is not net.injections()[0]
@@ -463,10 +473,14 @@ def test_a_redispatched_copy_shares_the_topology_read_only(fixture_studies):
     again = shifted.with_redispatch(np.zeros(4))
     assert again._topology is net._topology
     laplacian.hessian(again, st.op)
+    hessian_matrix(again, st.op, const_v=True)
     arrays = _read_only_arrays(net._topology)
     # gen_v_set, endpoints (2), susceptances, b_sums, the line-end index,
-    # hessian_scatter (3) and incidence (2).
-    assert len(arrays) == 11
+    # hessian_scatter (3) and angle_scatter.
+    assert len(arrays) == 10
+    # No dense n x ell array lives as long as the grid: build_incidence
+    # builds the incidence pair on each call.
+    assert all(a.ndim == 1 for a in arrays)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -477,6 +491,16 @@ def _assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def test_the_angle_only_hessian_is_the_leading_block(fixture_studies, random_suite):
+    nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
+    for net in nets:
+        for const_v in (False, True):
+            op = solve_power_flow(net, const_v=const_v)
+            angle = hessian_matrix(net, op, const_v=True)
+            assert angle.flags.c_contiguous
+            _assert_same_bits(angle, hessian_matrix(net, op)[:net.n, :net.n])
 
 
 def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_suite):

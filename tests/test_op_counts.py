@@ -33,33 +33,43 @@ REBUILDS = (
 COUNTED = REBUILDS + (
     "sensitivity.sensitivity_coefficients",
     "dispatch.flow_response",
+    "dispatch.match_mode",
     "modal.solve_qep",
     "network.residual_vectors",
+    "network.solve_power_flow",
+    "study.build_study",
 )
 
 
-@pytest.fixture
-def counts(monkeypatch) -> Counter:
-    """Call counts of every COUNTED function, keyed by ``module.function``.
+def _wrap_everywhere(monkeypatch, key: str, wrapper) -> None:
+    """Replace every binding of ``oscdamp.<key>`` in the loaded package
+    modules with ``wrapper(original)``.
 
     Call the package through module attributes (``sensitivity.f``), not
     through names imported into the test module, so that the wrappers see it.
     """
-    counter: Counter = Counter()
-    modules = [mod for name, mod in sys.modules.items()
-               if name == "oscdamp" or name.startswith("oscdamp.")]
-    for key in COUNTED:
-        short, fname = key.split(".")
-        orig = getattr(importlib.import_module(f"oscdamp.{short}"), fname)
-
-        def counted(*args, _orig=orig, _key=key, **kwargs):
-            counter[_key] += 1
-            return _orig(*args, **kwargs)
-
-        for mod in modules:
+    short, fname = key.split(".")
+    orig = getattr(importlib.import_module(f"oscdamp.{short}"), fname)
+    wrapped = wrapper(orig)
+    for name, mod in list(sys.modules.items()):
+        if name == "oscdamp" or name.startswith("oscdamp."):
             for attr, val in list(vars(mod).items()):
                 if val is orig:
-                    monkeypatch.setattr(mod, attr, counted)
+                    monkeypatch.setattr(mod, attr, wrapped)
+
+
+@pytest.fixture
+def counts(monkeypatch) -> Counter:
+    """Call counts of every COUNTED function, keyed by ``module.function``."""
+    counter: Counter = Counter()
+    for key in COUNTED:
+        def counting(orig, _key=key):
+            def counted(*args, **kwargs):
+                counter[_key] += 1
+                return orig(*args, **kwargs)
+            return counted
+
+        _wrap_everywhere(monkeypatch, key, counting)
     return counter
 
 
@@ -140,6 +150,50 @@ def test_one_qz_per_eigensolve(qz_calls, name):
     for r in (0.003, -0.01):
         dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, r)
     assert qz_calls == [qz_calls[0]] * 3
+
+
+@pytest.mark.parametrize("const_v", [False, True])
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus", "three_bus_s9"])
+def test_a_re_solve_is_one_power_flow_one_qz_and_one_match(counts, qz_calls, name, const_v):
+    fx = cases.load_fixture(name)
+    st = study.build_study(fx.network, const_v=const_v)
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    counts.clear()
+    qz_calls.clear()
+    dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, 0.01)
+    assert counts["network.solve_power_flow"] == 1
+    assert counts["laplacian.hessian"] == 0
+    assert counts["laplacian.coord_jacobian"] == 0
+    assert counts["network.build_incidence"] == 0
+    assert counts["study.build_study"] == 0
+    assert counts["modal.solve_qep"] == 0
+    assert qz_calls == [st.bundle.L.shape[0] + st.network.m]
+    assert counts["dispatch.match_mode"] == 1
+
+
+@pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
+def test_an_angle_only_solve_builds_only_the_angle_hessian(monkeypatch, name):
+    # Every Newton step, the bundle and every re-solve of sweep and the oracle.
+    shapes = []
+
+    def recording(orig):
+        def recorded(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        return recorded
+
+    _wrap_everywhere(monkeypatch, "network.hessian_matrix", recording)
+    net = cases.load_fixture(name).network
+    st = study.build_study(net, const_v=True)
+    if net.m >= 2:
+        labels = net.gen_labels()
+        plan = dispatch.plan_between(net, labels[0], labels[-1])
+        mode = st.electromechanical()[0]
+        dispatch.sweep(net, st.op, mode, plan, [0.003, -0.01])
+        cases.finite_difference_sensitivity(net, st.op, mode, plan)
+    assert len(shapes) > 1 and set(shapes) == {(net.n, net.n)}
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
