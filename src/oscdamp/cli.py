@@ -90,7 +90,7 @@ def _dump_matrices(bundle: laplacian.LaplacianBundle, outdir: str) -> None:
         for name, matrix in (("L.csv", bundle.L), ("H.csv", bundle.H), ("Lp_blocks.csv", blocks)):
             np.savetxt(os.path.join(outdir, name), matrix, delimiter=",", fmt="%.17g")
     except OSError as exc:
-        raise _cannot_write(exc) from None
+        raise _cannot_write(outdir, exc) from None
 
 
 def _select_mode(st: Study, args) -> modal.Mode:
@@ -118,8 +118,10 @@ def _select_mode(st: Study, args) -> modal.Mode:
     raise UsageError("select a mode with --mode INDEX or --mode-hz LO:HI")
 
 
-def _cannot_write(exc: OSError) -> UsageError:
-    return UsageError(f"cannot write {exc.filename}: {exc.strerror or exc}")
+def _cannot_write(path: str, exc: OSError) -> UsageError:
+    """The error for a failed write to the user's ``path``; ``exc.filename``
+    is None when the write fails at flush or close."""
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -129,7 +131,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
             writer.writerow(header)
             writer.writerows(rows)
     except OSError as exc:
-        raise _cannot_write(exc) from None
+        raise _cannot_write(path, exc) from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import modal, sensitivity
 from .errors import (
@@ -246,6 +245,9 @@ def generator_gains(
     the plan moving one unit from ``down`` to ``up`` has
     dlambda = g[up] - g[down].
     """
+    # Imported here, so that only the commands that rank pay for scipy.linalg.
+    import scipy.linalg
+
     c = report.state_coeff
     y = np.zeros(L.shape[0], dtype=complex)
     try:

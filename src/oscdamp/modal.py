@@ -14,16 +14,33 @@ the same operations ``scipy.linalg.eig`` applies, so every bit matches it;
 gauges and checks them and returns arrays; ``solve_qep`` summarizes those
 as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
 arrays.
+
+The eigensolve calls three compiled routines of scipy: LAPACK ``dggev``
+and the BLAS 2-norms ``dnrm2`` and ``dznrm2``. They are loaded straight
+from scipy's f2py modules ``scipy/linalg/_flapack`` and ``_fblas`` by
+``_linalg_extension``, because importing ``scipy.linalg`` also imports
+``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``, which
+dominate the start-up of a one-command process. They are the very objects
+``scipy.linalg.lapack.dggev`` and ``get_blas_funcs("nrm2", ...,
+ilp64="preferred")`` return, so no output bit depends on the route. Only
+``rank`` and ``verify`` import ``scipy.linalg``, for the solve in
+``dispatch.generator_gains``: the goldens pin the bits of that solve, and
+neither ``numpy.linalg.solve`` nor LAPACK ``dgesv`` reproduces them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from types import ModuleType
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import ConvergenceError, DegenerateModeError, ReductionError, UsageError
 from .network import Network
@@ -39,9 +56,35 @@ RESONANCE_GAP_REL = 1e-8
 MODE_RESIDUAL_REL = 1e-9
 PARTICIPATION_THRESHOLD = 0.05
 ALPHA_DEGENERACY_REL = 1e-12
+
+
+def _linalg_extension(name: str) -> ModuleType:
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running ``scipy/linalg/__init__``.
+
+    The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it rather than loading a second copy.
+    """
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    stem = os.path.join(scipy.__path__[0], "linalg", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(qualname, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[qualname] = module
+            spec.loader.exec_module(module)
+            return module
+    suffixes = ", ".join(importlib.machinery.EXTENSION_SUFFIXES)
+    raise ImportError(f"no compiled {qualname} at {stem} (looked for {suffixes})",
+                      name=qualname, path=stem)
+
+
+_DGGEV = _linalg_extension("_flapack").dggev
 # The BLAS 2-norms scipy.linalg.norm uses on a vector, for eigenvector scaling.
-_DNRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
-_DZNRM2 = scipy.linalg.get_blas_funcs("nrm2", dtype=np.complex128, ilp64="preferred")
+_DNRM2 = _linalg_extension("_fblas").dnrm2
+_DZNRM2 = _linalg_extension("_fblas").dznrm2
 
 
 @dataclass(frozen=True)
@@ -184,7 +227,7 @@ def _dggev_lwork(n: int) -> int:
     pencil of that order.
     """
     a = np.zeros((n, n))
-    return int(scipy.linalg.lapack.dggev(a, a, lwork=-1)[-2][0])
+    return int(_DGGEV(a, a, lwork=-1)[-2][0])
 
 
 def qz(J: np.ndarray, E: np.ndarray):
@@ -199,7 +242,7 @@ def qz(J: np.ndarray, E: np.ndarray):
     """
     if not np.all(np.isfinite(J)):
         raise ConvergenceError("the DAE pencil has a non-finite entry; QZ not attempted")
-    alphar, alphai, beta, _, vr, _, info = scipy.linalg.lapack.dggev(
+    alphar, alphai, beta, _, vr, _, info = _DGGEV(
         J, E, compute_vl=0, lwork=_dggev_lwork(J.shape[0]), overwrite_a=1, overwrite_b=1)
     if info != 0:
         raise ConvergenceError(f"QZ iteration failed (LAPACK dggev info = {info})")

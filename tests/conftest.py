@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from oscdamp import cases
+from oscdamp import cases, modal
 from oscdamp.study import build_study
 
 RANDOM_SUITE_SIZE = 50
@@ -46,13 +45,13 @@ def stiff_star_grid(b: float) -> str:
 
 def fail_qz(monkeypatch) -> None:
     """Make every eigenvector call of LAPACK ``dggev`` report ``info = 1``."""
-    ggev = scipy.linalg.lapack.dggev
+    ggev = modal._DGGEV
 
     def failing(a, b, **kwargs):
         out = ggev(a, b, **kwargs)
         return out if kwargs.get("lwork") == -1 else out[:-1] + (1,)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dggev", failing)
+    monkeypatch.setattr(modal, "_DGGEV", failing)
 
 
 def balanced_directions(rng: np.random.Generator, m: int, count: int) -> list[np.ndarray]:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import oscdamp
 from oscdamp.cli import main
 
 from conftest import fail_qz, stiff_star_grid
@@ -277,11 +282,38 @@ SWEEP_SIX = ["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "2",
     (lambda tmp: SWEEP_SIX + ["--r", "0.003,nan"], 64, "must be finite"),
     (lambda tmp: SWEEP_SIX + ["--r", "inf"], 64, "must be finite"),
     (lambda tmp: ["verify", "--seed", "-1"], 64, "--seed must be nonnegative"),
+    # The write fails at close, where the OSError carries no file name.
+    pytest.param(lambda tmp: ["rank", _data_path("ten_bus.grid"), "--mode", "1",
+                              "--csv", "/dev/full"],
+                 64, "cannot write /dev/full: No space left on device",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
 ], ids=["grid-is-directory", "grid-not-utf8", "csv-missing-dir", "csv-is-directory",
-        "dump-under-file", "r-nan", "r-inf", "negative-seed"])
+        "dump-under-file", "r-nan", "r-inf", "negative-seed", "csv-device-full"])
 def test_bad_paths_and_arguments_exit_with_one_line(tmp_path, capsys, make_argv, code, message):
     assert main(make_argv(tmp_path)) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("oscdamp: ")
     assert message in err
+
+
+def test_pf_modes_sens_and_sweep_do_not_import_scipy_linalg():
+    # A fresh process, since the test session itself has imported scipy.linalg.
+    six = _data_path("six_bus.grid")
+    script = f"""
+import sys
+from oscdamp.cli import main
+mode = ["--const-v", "--mode", "2"]
+for argv in (["pf", {six!r}], ["modes", {six!r}], ["sens", {six!r}, *mode],
+             ["sweep", {six!r}, *mode, "--pair", "G1:G3", "--r", "0.003"]):
+    assert main(argv) == 0, argv
+assert "scipy.linalg" not in sys.modules
+assert main(["rank", {six!r}, *mode]) == 0
+"""
+    src = str(Path(oscdamp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from oscdamp import (
     alpha,
     extended_jacobian,
     reduced_jacobian,
+    modal,
     solve_qep,
 )
 from oscdamp.cases import random_network, zero_damping_variant
@@ -216,6 +221,24 @@ def test_qz_failure_is_convergence_error(monkeypatch):
     fail_qz(monkeypatch)
     with pytest.raises(ConvergenceError, match=r"^QZ iteration failed \(LAPACK dggev info = 1\)$"):
         solve_qep(TOY_M, TOY_D, TOY_L)
+
+
+def test_the_eigensolve_calls_scipys_own_lapack_and_blas_routines():
+    # On an ILP64 scipy build get_blas_funcs would hand out _fblas_64's nrm2.
+    assert modal._DGGEV is scipy.linalg.lapack.dggev
+    assert modal._DNRM2 is scipy.linalg.get_blas_funcs(
+        "nrm2", dtype=np.float64, ilp64="preferred")
+    assert modal._DZNRM2 is scipy.linalg.get_blas_funcs(
+        "nrm2", dtype=np.complex128, ilp64="preferred")
+
+
+def test_a_missing_scipy_extension_is_one_import_error_naming_its_file():
+    stem = os.path.join(scipy.__path__[0], "linalg", "_no_such_wrapper")
+    with pytest.raises(ImportError, match=re.escape(stem)) as info:
+        modal._linalg_extension("_no_such_wrapper")
+    assert info.value.__context__ is None
+    assert Path(info.traceback[-1].path) == Path(modal.__file__)
+    assert "scipy.linalg._no_such_wrapper" not in sys.modules
 
 
 def test_ten_bus_real_parts_not_contingent(fixture_studies):
