@@ -40,6 +40,10 @@ FLOW_RESIDUAL_TOL = 1e-9
 BALANCE_REL_TOL = 1e-12
 MATCH_AMBIGUITY_GAP = 0.1
 
+# What scipy.linalg.solve calls for a symmetric positive definite matrix.
+_DPOTRF = modal._linalg_extension("_flapack").dpotrf
+_DPOTRS = modal._linalg_extension("_flapack").dpotrs
+
 
 @dataclass(frozen=True)
 class RedispatchPlan:
@@ -240,23 +244,21 @@ def generator_gains(
     The shift's response dz_k solves L dz_k = e_k - e_1 with the bus-1 angle
     pinned to zero, so by the symmetry of L, c . dz_k = y_k for the adjoint
     L y = c (same pin), c being the report's state covector. The real and
-    imaginary parts of c are solved in one real factorization; L need not be
-    definite. Entry 0 of the result (generator 1 against itself) is zero, and
-    the plan moving one unit from ``down`` to ``up`` has
-    dlambda = g[up] - g[down].
+    imaginary parts of c are solved in one upper Cholesky factorization of
+    the grounded block L[1:, 1:] (LAPACK ``dpotrf`` then ``dpotrs``). A block
+    that is not positive definite, at a singular equilibrium or a saddle of
+    the energy function, raises ``SingularityError``. Entry 0 of the result
+    (generator 1 against itself) is zero, and the plan moving one unit from
+    ``down`` to ``up`` has dlambda = g[up] - g[down].
     """
-    # Imported here, so that only the commands that rank pay for scipy.linalg.
-    import scipy.linalg
-
     c = report.state_coeff
     y = np.zeros(L.shape[0], dtype=complex)
-    try:
-        parts = scipy.linalg.solve(
-            L[1:, 1:], np.column_stack([c.real[1:], c.imag[1:]]), check_finite=False)
-    except np.linalg.LinAlgError:
+    factor, info = _DPOTRF(L[1:, 1:], lower=0, clean=1)
+    if info != 0:
         raise SingularityError(
-            "linearized load flow is singular beyond the angle-reference nullspace"
-        ) from None
+            f"grounded Laplacian is not positive definite (LAPACK dpotrf info = "
+            f"{info}); the equilibrium is singular or a saddle of the energy function")
+    parts, _ = _DPOTRS(factor, np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
     y[1:] = parts[:, 0] + 1j * parts[:, 1]
     _check_in_range(L, y, c)
     return np.concatenate([[0.0], -y[1:m] / report.alpha])

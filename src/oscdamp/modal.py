@@ -22,10 +22,11 @@ from scipy's f2py modules ``scipy/linalg/_flapack`` and ``_fblas`` by
 ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``, which
 dominate the start-up of a one-command process. They are the very objects
 ``scipy.linalg.lapack.dggev`` and ``get_blas_funcs("nrm2", ...,
-ilp64="preferred")`` return, so no output bit depends on the route. Only
-``rank`` and ``verify`` import ``scipy.linalg``, for the solve in
-``dispatch.generator_gains``: the goldens pin the bits of that solve, and
-neither ``numpy.linalg.solve`` nor LAPACK ``dgesv`` reproduces them.
+ilp64="preferred")`` return, so no output bit depends on the route. The
+ranking solve in ``dispatch.generator_gains`` loads LAPACK ``dpotrf`` and
+``dpotrs``, the upper Cholesky pair ``scipy.linalg.solve`` picks for a
+symmetric positive definite matrix, the same way; a grounded Laplacian that
+is not positive definite exits 2 there. No command imports ``scipy.linalg``.
 """
 
 from __future__ import annotations

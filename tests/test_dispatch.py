@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oscdamp import (
     ConvergenceError,
@@ -37,6 +38,16 @@ bus G2 G V=1.0 Pg=-0.3 H=4.0 D=1.0
 bus L3 L Pl=0.0 Ql=0.0
 line 1 G1 L3 b=4.0
 line 2 G2 L3 b=4.0
+"""
+
+# Started at delta_3 = -(pi - asin 0.5), Newton stays on the far side of
+# line e1 and converges to a saddle of the energy function.
+SADDLE_3BUS = """
+bus B1 G V=1 Pg=0.5 H=3 D=1
+bus B2 G V=1 Pg=0.5 H=4 D=1
+bus B3 L Pl=1 Ql=0 D=1
+line e1 B1 B3 b=1
+line e2 B2 B3 b=2
 """
 
 
@@ -266,6 +277,43 @@ def test_generator_gains_nan_fails_residual_check(random_suite):
     L[1, 1] = math.nan
     with pytest.raises(SingularityError):
         generator_gains(L, report, net.m)
+
+
+def _gains_by_scipy_solve(L, report, m):
+    # generator_gains with its grounded solve done by scipy.linalg.solve.
+    c = report.state_coeff
+    parts = scipy.linalg.solve(
+        L[1:, 1:], np.column_stack([c.real[1:], c.imag[1:]]), assume_a="pos")
+    y = np.zeros(L.shape[0], dtype=complex)
+    y[1:] = parts[:, 0] + 1j * parts[:, 1]
+    return np.concatenate([[0.0], -y[1:m] / report.alpha])
+
+
+def test_generator_gains_is_bit_identical_to_scipy_solve(fixture_studies, random_suite):
+    studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite]
+    studies += [build_study(st.network, const_v=not st.const_v) for st in studies]
+    for st in studies:
+        if st.network.m < 2:
+            continue
+        assert st.electromechanical()
+        for md in st.electromechanical():
+            report = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+            assert np.array_equal(generator_gains(st.bundle.L, report, st.network.m),
+                                  _gains_by_scipy_solve(st.bundle.L, report, st.network.m))
+
+
+def test_rank_pairs_at_a_saddle_is_singularity_error():
+    net = parse_grid_file(SADDLE_3BUS)
+    start = OperatingPoint(delta=np.array([0.0, 0.2709, -(math.pi - math.asin(0.5))]),
+                           v_load=np.ones(1))
+    st = build_study(net, const_v=True, initial=start)
+    assert np.allclose(np.linalg.eigvalsh(st.bundle.L[1:, 1:]), [-4.354, -0.385], atol=1e-3)
+    assert st.modes
+    for md in st.modes:
+        with pytest.raises(SingularityError, match="^grounded Laplacian is not positive "
+                           "definite .*saddle of the energy function$") as info:
+            rank_pairs(net, st.op, md)
+        assert "\n" not in str(info.value)
 
 
 def test_rank_pairs_top_sign_confirmed_by_oracle():

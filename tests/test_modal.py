@@ -16,6 +16,7 @@ from oscdamp import (
     DegenerateModeError,
     UsageError,
     alpha,
+    dispatch,
     extended_jacobian,
     reduced_jacobian,
     modal,
@@ -230,6 +231,11 @@ def test_the_eigensolve_calls_scipys_own_lapack_and_blas_routines():
         "nrm2", dtype=np.float64, ilp64="preferred")
     assert modal._DZNRM2 is scipy.linalg.get_blas_funcs(
         "nrm2", dtype=np.complex128, ilp64="preferred")
+
+
+def test_the_ranking_solve_calls_scipys_own_cholesky_routines():
+    assert dispatch._DPOTRF is scipy.linalg.lapack.dpotrf
+    assert dispatch._DPOTRS is scipy.linalg.lapack.dpotrs
 
 
 def test_a_missing_scipy_extension_is_one_import_error_naming_its_file():

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,17 @@ def qz_calls(monkeypatch) -> list[int]:
     monkeypatch.setattr(modal, "_DGGEV", counted)
     monkeypatch.setattr(scipy.linalg, "eig", eig)
     return sizes
+
+
+def test_rank_and_verify_never_call_scipy_linalg_solve(monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("scipy.linalg.solve called; the ranking calls dpotrf "
+                             "and dpotrs directly")
+
+    monkeypatch.setattr(scipy.linalg, "solve", solve)
+    six = str(resources.files("oscdamp").joinpath("data", "six_bus.grid"))
+    assert oscdamp.cli.main(["rank", six, "--const-v", "--mode", "2"]) == 0
+    assert oscdamp.cli.main(["verify"]) == 0
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
