@@ -334,9 +334,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--dump-matrices", metavar="DIR",
                        help="dump L, H and the line-coordinate blocks as CSV")
         if needs_mode:
-            p.add_argument("--mode", type=int, help="1-based oscillatory mode index")
-            p.add_argument("--mode-hz", dest="mode_hz", metavar="LO:HI",
-                           help="frequency window in Hz selecting exactly one mode")
+            selector = p.add_mutually_exclusive_group()
+            selector.add_argument("--mode", type=int,
+                                  help="1-based oscillatory mode index")
+            selector.add_argument("--mode-hz", dest="mode_hz", metavar="LO:HI",
+                                  help="frequency window in Hz selecting exactly one mode")
 
     p = sub.add_parser("pf", help="solve the power flow and print the equilibrium")
     add_common(p)

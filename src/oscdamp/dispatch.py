@@ -10,11 +10,17 @@ shift from generator 1 to generator k, and every ordered pair is
 g_up - g_down. Either way the right-hand side must lie in the range of the
 singular Laplacian, so the residual is checked rather than assumed. The
 first-order eigenvalue formula is evaluated once at the base point;
-predictions for finite r are lambda + r * dlambda and are compared against a
-full re-solve. A re-solve (``exact_mode``) reads only the matched eigenvalue,
-so it is one power flow, one Hessian, one eigensolve (``modal.eigenpairs``,
-with every check of a whole study) and one ``match_mode``: it builds no
-Hessian bundle and no ``Mode`` summaries.
+predictions for finite r are lambda + r * dlambda and are compared against
+the exact eigenvalue at r.
+
+A re-solve (``exact_mode``) reads only the matched eigenvalue, so it is one
+power flow, one Hessian, one eigensolve (``modal.eigenpairs``, with every
+check of a whole study) and one ``match_mode``: it builds no Hessian bundle
+and no ``Mode`` summaries. The finite-difference oracle uses it as it is.
+A ``sweep`` row (``tracked_mode``) solves the same power flow and Hessian but
+follows the mode by Newton's method from the base pair, under three guards
+(convergence, the backward-error gate, the eigenvector correlation), and
+falls back to ``exact_mode`` when any of them fails.
 """
 
 from __future__ import annotations
@@ -159,6 +165,11 @@ def unit_dlambda(
     return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
 
 
+def _correlations(x_ref: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """|conj(x_ref) . x| / (|x_ref| |x|) for each row x of X."""
+    return np.abs(X @ np.conj(x_ref)) / (np.linalg.norm(x_ref) * np.linalg.norm(X, axis=1))
+
+
 def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
     """Index of the oscillatory candidate whose eigenvector correlates best.
 
@@ -171,9 +182,7 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
     pool = np.flatnonzero(lams.imag > 0)
     if not pool.size:
         raise ModeMatchingError("no oscillatory modes in the re-solved spectrum")
-    X = X[pool]
-    x_ref = reference.x
-    scores = np.abs(X @ np.conj(x_ref)) / (np.linalg.norm(x_ref) * np.linalg.norm(X, axis=1))
+    scores = _correlations(reference.x, X[pool])
     order = np.argsort(-scores, kind="stable")
     if pool.size > 1 and scores[order[0]] - scores[order[1]] < MATCH_AMBIGUITY_GAP:
         raise ModeMatchingError(
@@ -201,6 +210,38 @@ def exact_mode(
     return complex(pairs.lams[match_mode(mode, pairs.lams, pairs.X)])
 
 
+def tracked_mode(
+    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
+    r: float,
+) -> complex:
+    """Eigenvalue of ``mode`` at redispatch r, followed from the base pair.
+
+    The power flow and the Hessian are solved at r as in ``exact_mode``; then
+    ``modal.newton_eigenpair`` starts from (lam, x) of the base mode, never
+    from the first-order prediction, and holds the largest entry of x fixed.
+    Its pair is taken if Newton converges, the pair passes the
+    MODE_RESIDUAL_REL backward-error gate and its eigenvector correlates with
+    the base one to at least 1 - MATCH_AMBIGUITY_GAP; otherwise the value is
+    ``exact_mode``'s QZ re-solve and ``match_mode``.
+    """
+    const_v = angle_only(network, mode)
+    if r == 0.0:
+        return mode.lam
+    shifted = network.with_redispatch(r * plan.dp)
+    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
+    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
+    pair = modal.newton_eigenpair(
+        mode.lam, mode.x, dyn.m, dyn.d, hessian_matrix(shifted, shifted_op, const_v=const_v),
+        int(np.argmax(np.abs(mode.x))))
+    if pair is not None:
+        lam, x, residual = pair
+        if (residual <= modal.MODE_RESIDUAL_REL
+                and _correlations(mode.x, x[None])[0] >= 1.0 - MATCH_AMBIGUITY_GAP):
+            return lam
+    # exact_mode solves the power flow again: it stays the reference as it is.
+    return exact_mode(network, op, mode, plan, r)
+
+
 def sweep(
     network: Network,
     op: OperatingPoint,
@@ -211,8 +252,12 @@ def sweep(
 ) -> list[ModePrediction]:
     """One prediction per redispatch amount; oracle failures recorded per row.
 
-    The voltage model is the mode's; a ``const_v`` naming the other one is
-    rejected.
+    Each row's exact eigenvalue is ``tracked_mode``'s: the mode followed by
+    Newton's method from the base pair, or, where a guard fails, the QZ
+    re-solve and ``match_mode`` of ``exact_mode``, whose failures are the
+    row's. A row that ``match_mode`` would find ambiguous can therefore get a
+    value. The voltage model is the mode's; a ``const_v`` naming the other
+    one is rejected.
     """
     if const_v not in (None, angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
@@ -225,7 +270,7 @@ def sweep(
         approx = mode.lam + r * slope
         exact, failure = None, None
         try:
-            exact = exact_mode(network, op, mode, plan, r)
+            exact = tracked_mode(network, op, mode, plan, r)
         except (ConvergenceError, OracleError) as exc:
             failure = str(exc)
         rows.append(ModePrediction(

@@ -13,7 +13,9 @@ the same operations ``scipy.linalg.eig`` applies, so every bit matches it;
 ``scipy.linalg.eig`` is now only the reference in the tests. It filters,
 gauges and checks them and returns arrays; ``solve_qep`` summarizes those
 as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
-arrays.
+arrays. ``newton_eigenpair`` follows one eigenpair of Q(lam) directly: it
+refines a pair QZ leaves above the backward-error gate, and
+``dispatch.tracked_mode`` follows a mode through a redispatch with it.
 
 The eigensolve calls three compiled routines of scipy: LAPACK ``dggev``
 and the BLAS 2-norms ``dnrm2`` and ``dznrm2``. They are loaded straight
@@ -57,6 +59,8 @@ RESONANCE_GAP_REL = 1e-8
 MODE_RESIDUAL_REL = 1e-9
 PARTICIPATION_THRESHOLD = 0.05
 ALPHA_DEGENERACY_REL = 1e-12
+NEWTON_MAX_STEPS = 6
+NEWTON_STEP_REL = 1e-14      # a step moving lam by at most this of |lam| ends Newton
 
 
 def _linalg_extension(name: str) -> ModuleType:
@@ -278,6 +282,42 @@ def backward_errors(
     return np.linalg.norm(R, axis=0) / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
 
 
+def newton_eigenpair(
+    lam: complex, x: np.ndarray, m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray,
+    k: int,
+) -> tuple[complex, np.ndarray, float] | None:
+    """One eigenpair of Q(lam) = lam^2 M + lam D + L by Newton's method from (lam, x).
+
+    Entry k of x is held fixed, so each step solves the bordered system
+    Q(lam) dx + dlam Q'(lam) x = -Q(lam) x as one complex n-sized solve: column
+    k of Q(lam) becomes Q'(lam) x = (2 lam M + D) x and its unknown is dlam
+    (Ruhe, SINUM 1973). Returns (lam, x, backward error) after the first step
+    that moves lam by at most NEWTON_STEP_REL of |lam|, and None when
+    NEWTON_MAX_STEPS steps do not get there or a step is singular or not finite.
+    """
+    lam, x = complex(lam), np.array(x, dtype=complex)
+    diag = np.diag_indices_from(L)
+    for _ in range(NEWTON_MAX_STEPS):
+        Q = L.astype(complex)
+        Q[diag] += lam * lam * m_diag + lam * d_diag
+        rhs = -(Q @ x)
+        Q[:, k] = (2.0 * lam * m_diag + d_diag) * x
+        try:
+            step = np.linalg.solve(Q, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        dlam = complex(step[k])
+        step[k] = 0.0
+        x += step
+        lam += dlam
+        if abs(dlam) <= NEWTON_STEP_REL * abs(lam):
+            residual = backward_errors(np.array([lam]), x[:, None], m_diag, d_diag, L)[0]
+            return lam, x, float(residual)
+    return None
+
+
 def _swing_profiles(
     X: np.ndarray, gen_rows: np.ndarray, labels: tuple[str, ...]
 ) -> list[str]:
@@ -336,9 +376,10 @@ def eigenpairs(
     Infinite eigenvalues (singular E) and the uniform-angle zero mode are
     discarded, and a conjugate pair is kept once, as its omega > 0 member.
     Each kept eigenvector is gauged and must pass the MODE_RESIDUAL_REL
-    backward-error gate. ``n_angles`` tells the uniform-mode filter where the
-    angle block ends (defaults to the whole vector, which is right for
-    constant-voltage models).
+    backward-error gate; a pair QZ leaves above it is first refined by
+    ``newton_eigenpair`` with its gauge entry held. ``n_angles`` tells the
+    uniform-mode filter where the angle block ends (defaults to the whole
+    vector, which is right for constant-voltage models).
     """
     m_diag = np.asarray(m_diag, float)
     d_diag = np.asarray(d_diag, float)
@@ -363,7 +404,7 @@ def eigenpairs(
     # vector is built: the real part is LAPACK's row r and the imaginary part
     # row r + 1, copied so that no sign of zero changes.
     upper = alphai[finite] >= 0
-    rows, lams = np.flatnonzero(finite)[upper], all_lams[upper]
+    rows, lams, at = np.flatnonzero(finite)[upper], all_lams[upper], np.flatnonzero(upper)
     vt = vr.T
     if np.all(alphai == 0):
         V, nrm2 = vt[rows], _DNRM2
@@ -387,6 +428,7 @@ def eigenpairs(
         scale[scale == 0] = 1.0
         keep[small[spread < UNIFORM_ANGLE_TOL * scale]] = False  # rigid uniform-angle mode
     lams, X, mags = lams[keep], X[keep], mags[keep]
+    rows, at = rows[keep], at[keep]
 
     # Gauge: the first generator angle of largest magnitude becomes 1; a mode
     # without generator participation is pinned at its largest component.
@@ -397,6 +439,15 @@ def eigenpairs(
 
     # C order, as np.column_stack gave it: a Fortran-ordered X moves residuals at roundoff.
     residuals = backward_errors(lams, np.ascontiguousarray(X.T), m_diag, d_diag, L)
+    # A pair QZ leaves above the gate is refined by Newton's method with its
+    # gauge entry held, in the spectrum too, and gated again.
+    for i in np.flatnonzero(~(residuals <= MODE_RESIDUAL_REL)):
+        refined = newton_eigenpair(lams[i], X[i], m_diag, d_diag, L, pivot[i])
+        if refined is not None:
+            lams[i], X[i], residuals[i] = refined
+            all_lams[at[i]] = lams[i]
+            if alphai[rows[i]] > 0:
+                all_lams[at[i] + 1] = np.conj(lams[i])
     failed = np.flatnonzero(~(residuals <= MODE_RESIDUAL_REL))
     if failed.size:
         residual, lam = float(residuals[failed[0]]), complex(lams[failed[0]])

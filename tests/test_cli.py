@@ -74,17 +74,34 @@ def test_convergence_error_exit_code(tmp_path):
     assert code == 2
 
 
-def test_pf_does_not_run_the_eigensolve(tmp_path, capsys):
-    # The power flow of this stiff grid converges, but its eigenpairs miss the
-    # QEP backward-error bound: pf succeeds and modes fails with one line.
+def test_pf_does_not_run_the_eigensolve(monkeypatch, tmp_path, capsys):
+    # With every QZ call failing, pf succeeds and modes fails with one line.
+    fail_qz(monkeypatch)
     grid = tmp_path / "stiff.grid"
     grid.write_text(stiff_star_grid(1e6), encoding="utf-8")
     assert main(["pf", str(grid)]) == 0
     assert capsys.readouterr().err == ""
     assert main(["modes", str(grid)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("oscdamp: eigenpair residual")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "oscdamp: QZ iteration failed (LAPACK dggev info = 1)\n"
+
+
+@pytest.mark.parametrize("const_v", [[], ["--const-v"]])
+def test_modes_refines_the_pairs_qz_leaves_above_the_gate(tmp_path, const_v):
+    # QZ leaves a pair of this stiff grid at a backward error of 3.7e-09;
+    # Newton's method brings it under the 1e-9 gate.
+    grid = tmp_path / "stiff.grid"
+    grid.write_text(stiff_star_grid(1e6), encoding="utf-8")
+    code, out = _run(["modes", str(grid)] + const_v)
+    assert code == 0
+    assert len([ln for ln in out.splitlines() if ln.endswith("em")]) == 2
+
+
+def test_mode_and_mode_hz_together_is_usage_error(capsys):
+    assert main(["sens", _data_path("ten_bus.grid"), "--mode", "3", "--mode-hz", "0.3:0.4"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "oscdamp: argument --mode-hz: not allowed with argument --mode\n"
 
 
 def test_pf_and_modes_output():

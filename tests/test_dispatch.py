@@ -458,9 +458,53 @@ def test_a_re_solve_fails_as_a_whole_study_does(base_studies, monkeypatch):
     # Far redispatch: the power flow diverges, or the match is ambiguous.
     outcomes = _compare_re_solves(base_studies, (1.0, -1.0, 3.0))
     assert outcomes[ConvergenceError] > 0 and outcomes[ModeMatchingError] > 0
-    # A residual gate that no eigenpair passes: both name the same first failure.
-    monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", 1e-17)
+    # A residual gate that no eigenpair passes, refined or not: both name the
+    # same first failure.
+    monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", -1.0)
     assert _compare_re_solves(base_studies[:10], (0.01,)) == {ConvergenceError: 10}
+
+
+def test_a_tracked_row_agrees_with_the_re_solve(base_studies, monkeypatch):
+    # Every oscillatory mode, both voltage models, with no fallback allowed.
+    exact = dispatch.exact_mode
+
+    def no_fallback(*args):
+        raise AssertionError("tracked row fell back to the QZ re-solve")
+
+    compared = 0
+    for st in base_studies:
+        net = st.network
+        labels = net.gen_labels()
+        plan = plan_between(net, labels[0], labels[-1])
+        for md in st.oscillatory():
+            for r in (0.003, 0.01, 0.03):
+                want = exact(net, st.op, md, plan, r)
+                with monkeypatch.context() as patch:
+                    patch.setattr(dispatch, "exact_mode", no_fallback)
+                    got = dispatch.tracked_mode(net, st.op, md, plan, r)
+                assert abs(got - want) <= 1e-12 * abs(want)
+                compared += 1
+    assert compared > 400
+
+
+def test_a_tracked_pair_above_the_residual_gate_falls_back(fixture_studies, monkeypatch):
+    # No pair passes a negative gate, so the row is the re-solve's failure.
+    _, st = fixture_studies["ten_bus"]
+    plan = plan_between(st.network, "G1", "G3")
+    monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", -1.0)
+    with pytest.raises(ConvergenceError, match="^eigenpair residual"):
+        dispatch.tracked_mode(st.network, st.op, st.electromechanical()[0], plan, 0.01)
+
+
+def test_tracked_undamped_rows_keep_a_zero_real_part(fixture_studies):
+    # No damping anywhere: Q(i omega) is real, and Newton never leaves the axis.
+    _, st = fixture_studies["three_bus_s9"]
+    md = st.electromechanical()[0]
+    plan = plan_between(st.network, "G1", "G3")
+    rows = sweep(st.network, st.op, md, plan, [0.003, 0.01, 0.03, 0.1, 1.0])
+    for row in rows:
+        assert row.lambda_exact.real == 0.0
+        assert math.copysign(1.0, row.lambda_exact.real) == 1.0
 
 
 def test_a_mode_of_neither_model_is_rejected(fixture_studies):

@@ -24,9 +24,10 @@ from oscdamp import (
 )
 from oscdamp.cases import random_network, zero_damping_variant
 from oscdamp.modal import Mode, _pencil, backward_errors
+from oscdamp.network import parse_grid_file
 from oscdamp.study import build_study
 
-from conftest import fail_qz
+from conftest import fail_qz, stiff_star_grid
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TOY_M = np.ones(2)
@@ -200,6 +201,52 @@ def test_backward_errors_match_dense_reference_off_eigenpairs(random_suite):
         for k in range(4):
             ref = _dense_backward_error(lams[k], X[:, k], st.dyn.m, st.dyn.d, st.bundle.L)
             assert abs(got[k] - ref) <= 1e-12 * ref
+
+
+def test_newton_eigenpair_returns_to_a_qz_pair_from_a_nearby_start(random_suite):
+    rng = np.random.default_rng(5)
+    for _, st in random_suite[:10]:
+        for md in st.oscillatory():
+            k = int(np.argmax(np.abs(md.x)))
+            noise = rng.standard_normal((2, md.x.size))
+            x0 = md.x + 1e-4 * (noise[0] + 1j * noise[1])
+            x0[k] = md.x[k]
+            lam, x, residual = modal.newton_eigenpair(
+                md.lam * (1 + 1e-4), x0, st.dyn.m, st.dyn.d, st.bundle.L, k)
+            assert abs(lam - md.lam) <= 1e-12 * abs(md.lam)
+            assert x[k] == md.x[k]
+            assert residual == backward_errors(np.array([lam]), x[:, None], st.dyn.m,
+                                               st.dyn.d, st.bundle.L)[0] <= 1e-15
+
+
+def test_newton_eigenpair_gives_up_without_raising(random_suite, monkeypatch):
+    _, st = random_suite[0]
+    md = st.oscillatory()[0]
+    args = (st.dyn.m, st.dyn.d, st.bundle.L, 0)
+    # A zero start makes the bordered matrix singular; a far start needs more
+    # than one step.
+    assert modal.newton_eigenpair(md.lam, np.zeros_like(md.x), *args) is None
+    monkeypatch.setattr(modal, "NEWTON_MAX_STEPS", 1)
+    assert modal.newton_eigenpair(md.lam * 1.1, md.x, *args) is None
+
+
+@pytest.mark.parametrize("const_v", [False, True])
+def test_eigenpairs_refines_the_pairs_qz_leaves_above_the_gate(monkeypatch, const_v):
+    st = build_study(parse_grid_file(stiff_star_grid(1e6)), const_v=const_v)
+    args = (st.dyn.m, st.dyn.d, st.bundle.L)
+    pairs = modal.eigenpairs(*args, n_angles=st.network.n)
+    assert np.all(pairs.residuals <= modal.MODE_RESIDUAL_REL)
+    # A refined residual is at roundoff, where the summation order shows.
+    assert np.allclose(pairs.residuals, backward_errors(pairs.lams, pairs.X.T, *args),
+                       rtol=0.0, atol=1e-15)
+    for lam, x in zip(pairs.lams, pairs.X):
+        assert np.max(np.abs(x[pairs.gen_rows])) == pytest.approx(1.0, abs=1e-12)
+        assert lam in pairs.spectrum
+        assert np.min(np.abs(pairs.spectrum - np.conj(lam))) <= 1e-15 * abs(lam)
+    # QZ alone leaves one of them above the gate.
+    monkeypatch.setattr(modal, "newton_eigenpair", lambda *args: None)
+    with pytest.raises(ConvergenceError, match=r"^eigenpair residual 3\.7.e-09 exceeds 1e-09"):
+        modal.eigenpairs(*args, n_angles=st.network.n)
 
 
 def test_solve_qep_rejects_negative_damping():

@@ -35,6 +35,7 @@ COUNTED = REBUILDS + (
     "sensitivity.sensitivity_coefficients",
     "dispatch.flow_response",
     "dispatch.match_mode",
+    "modal.eigenpairs",
     "modal.solve_qep",
     "network.residual_vectors",
     "network.solve_power_flow",
@@ -182,6 +183,63 @@ def test_a_re_solve_is_one_power_flow_one_qz_and_one_match(counts, qz_calls, nam
     assert counts["modal.solve_qep"] == 0
     assert qz_calls == [st.bundle.L.shape[0] + st.network.m]
     assert counts["dispatch.match_mode"] == 1
+
+
+@pytest.mark.parametrize("const_v", [False, True])
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus", "three_bus_s9"])
+def test_a_tracked_sweep_row_is_one_power_flow_and_no_eigensolve(
+        monkeypatch, counts, qz_calls, name, const_v):
+    fx = cases.load_fixture(name)
+    st = study.build_study(fx.network, const_v=const_v)
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    # Counted where dispatch calls it, apart from the power flow's own Newton steps.
+    hessians = []
+    hessian_matrix = dispatch.hessian_matrix
+    monkeypatch.setattr(dispatch, "hessian_matrix", lambda *args, **kwargs: (
+        hessians.append(1) or hessian_matrix(*args, **kwargs)))
+    counts.clear()
+    qz_calls.clear()
+    mode = st.electromechanical()[0]
+    dispatch.tracked_mode(st.network, st.op, mode, plan, 0.01)
+    assert counts["network.solve_power_flow"] == 1
+    assert len(hessians) == 1
+    assert counts["modal.build_dynamic_matrices"] == 1
+    assert counts["modal.eigenpairs"] == 0
+    assert qz_calls == []
+    assert counts["dispatch.match_mode"] == 0
+    dispatch.sweep(st.network, st.op, mode, plan, [0.003, -0.01])
+    assert counts["modal.eigenpairs"] == 0 and qz_calls == []
+
+
+def _sweep_exact(st, r_values, md=None):
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    md = md or st.electromechanical()[0]
+    rows = dispatch.sweep(st.network, st.op, md, plan, r_values)
+    return [row.lambda_exact for row in rows], [
+        dispatch.exact_mode(st.network, st.op, md, plan, r) for r in r_values]
+
+
+def test_a_sweep_row_that_newton_cannot_track_is_exact_modes_value(
+        monkeypatch, fixture_studies, counts, qz_calls):
+    _, st = fixture_studies["ten_bus"]
+    monkeypatch.setattr(modal, "newton_eigenpair", lambda *args: None)
+    got, want = _sweep_exact(st, [0.003, 0.01])
+    assert got == want
+    # Each row is its re-solve, then the reference's.
+    assert counts["dispatch.match_mode"] == 4 and len(qz_calls) == 4
+
+
+def test_six_bus_at_r_1_falls_back_to_the_re_solve(fixture_studies, counts):
+    # For the first mode Newton does not converge; for the second it converges
+    # onto a vector that correlates 0.86 with the base one. Either way the
+    # row is the QZ re-solve's, bit for bit.
+    _, st = fixture_studies["six_bus"]
+    for md in st.electromechanical():
+        counts.clear()
+        got, want = _sweep_exact(st, [1.0], md)
+        assert got == want and counts["dispatch.match_mode"] == 2
 
 
 @pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
