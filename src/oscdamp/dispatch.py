@@ -1,13 +1,14 @@
 """Redispatch chain: dP -> dz -> dlambda, predictions, rankings.
 
 dlambda is the state covector c of the sensitivity report applied to the
-state move dz, -c . dz / alpha. For a single plan (``sens``, ``sweep``,
-``verify``) the linearized load flow L dz = (dP, 0) is solved with the
-least-squares pseudo-inverse. Pair ranking instead solves the adjoint: with
-the bus-1 angle pinned (the uniform-angle vector is the only nullspace of the
-symmetric L), one solve L y = c gives the gain g_k = -y_k / alpha of the
-shift from generator 1 to generator k, and every ordered pair is
-g_up - g_down. Either way the right-hand side must lie in the range of the
+state move dz, -c . dz / alpha. The forward chain (``unit_dlambda``, which
+``sens`` and ``verify`` print) solves the linearized load flow
+L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and ``sweep``
+solve the adjoint instead: with the bus-1 angle pinned (the uniform-angle
+vector is the only nullspace of the symmetric L), one Cholesky solve
+L y = c gives the gain g_k = -y_k / alpha of the shift from generator 1 to
+generator k. Every ordered pair is g_up - g_down, and a plan's slope is
+dp . g. Either way the right-hand side must lie in the range of the
 singular Laplacian, so the residual is checked rather than assumed. The
 first-order eigenvalue formula is evaluated once at the base point;
 predictions for finite r are lambda + r * dlambda and are compared against
@@ -19,10 +20,10 @@ check of a whole study) and one ``match_mode``: it builds no Hessian bundle
 and no ``Mode`` summaries. The finite-difference oracle uses it as it is.
 A ``sweep`` row (``tracked_mode``) solves the same power flow and Hessian but
 follows the mode by Newton's method from the base pair, under three guards
-(convergence, the backward-error gate, the eigenvector correlation), and
-falls back to ``exact_mode`` when any of them fails.
+(convergence, the backward-error gate, the eigenvector correlation). When
+any of them fails, the row is ``exact_mode``'s eigensolve and match of that
+same linearization.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -165,6 +166,16 @@ def unit_dlambda(
     return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
 
 
+def _gains_dlambda(
+    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan
+) -> complex:
+    """dlambda/dr for a unit application of the plan, as the plan's sum of
+    ``generator_gains``: one grounded Cholesky solve, no pseudo-inverse."""
+    check_plan_size(network, plan)
+    bundle, report = _sensitivity(network, op, mode)
+    return complex(plan.dp @ generator_gains(bundle.L, report, network.m))
+
+
 def _correlations(x_ref: np.ndarray, X: np.ndarray) -> np.ndarray:
     """|conj(x_ref) . x| / (|x_ref| |x|) for each row x of X."""
     return np.abs(X @ np.conj(x_ref)) / (np.linalg.norm(x_ref) * np.linalg.norm(X, axis=1))
@@ -192,6 +203,24 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
     return int(pool[order[0]])
 
 
+def _linearize_at(
+    network: Network, op: OperatingPoint, plan: RedispatchPlan, r: float, const_v: bool
+) -> tuple[modal.DynamicMatrices, np.ndarray]:
+    """Dynamic matrices and Hessian of the grid redispatched by r, at its power
+    flow solved from ``op``, in the given voltage model."""
+    shifted = network.with_redispatch(r * plan.dp)
+    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
+    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
+    return dyn, hessian_matrix(shifted, shifted_op, const_v=const_v)
+
+
+def _re_solved(mode: modal.Mode, n: int, dyn: modal.DynamicMatrices, L: np.ndarray) -> complex:
+    """The eigenvalue ``match_mode`` picks for ``mode`` out of a whole
+    eigensolve of the linearization (dyn, L) of an n-bus grid."""
+    pairs = modal.eigenpairs(dyn.m, dyn.d, L, n_angles=n)
+    return complex(pairs.lams[match_mode(mode, pairs.lams, pairs.X)])
+
+
 def exact_mode(
     network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
     r: float,
@@ -201,13 +230,8 @@ def exact_mode(
     const_v = angle_only(network, mode)
     if r == 0.0:
         return mode.lam
-    shifted = network.with_redispatch(r * plan.dp)
-    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
-    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
-    pairs = modal.eigenpairs(
-        dyn.m, dyn.d, hessian_matrix(shifted, shifted_op, const_v=const_v),
-        n_angles=shifted.n)
-    return complex(pairs.lams[match_mode(mode, pairs.lams, pairs.X)])
+    dyn, L = _linearize_at(network, op, plan, r, const_v)
+    return _re_solved(mode, network.n, dyn, L)
 
 
 def tracked_mode(
@@ -222,24 +246,20 @@ def tracked_mode(
     Its pair is taken if Newton converges, the pair passes the
     MODE_RESIDUAL_REL backward-error gate and its eigenvector correlates with
     the base one to at least 1 - MATCH_AMBIGUITY_GAP; otherwise the value is
-    ``exact_mode``'s QZ re-solve and ``match_mode``.
+    ``exact_mode``'s eigensolve and ``match_mode`` of that same linearization.
     """
     const_v = angle_only(network, mode)
     if r == 0.0:
         return mode.lam
-    shifted = network.with_redispatch(r * plan.dp)
-    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
-    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
-    pair = modal.newton_eigenpair(
-        mode.lam, mode.x, dyn.m, dyn.d, hessian_matrix(shifted, shifted_op, const_v=const_v),
-        int(np.argmax(np.abs(mode.x))))
+    dyn, L = _linearize_at(network, op, plan, r, const_v)
+    pair = modal.newton_eigenpair(mode.lam, mode.x, dyn.m, dyn.d, L,
+                                  int(np.argmax(np.abs(mode.x))))
     if pair is not None:
         lam, x, residual = pair
         if (residual <= modal.MODE_RESIDUAL_REL
                 and _correlations(mode.x, x[None])[0] >= 1.0 - MATCH_AMBIGUITY_GAP):
             return lam
-    # exact_mode solves the power flow again: it stays the reference as it is.
-    return exact_mode(network, op, mode, plan, r)
+    return _re_solved(mode, network.n, dyn, L)
 
 
 def sweep(
@@ -256,15 +276,18 @@ def sweep(
     Newton's method from the base pair, or, where a guard fails, the QZ
     re-solve and ``match_mode`` of ``exact_mode``, whose failures are the
     row's. A row that ``match_mode`` would find ambiguous can therefore get a
-    value. The voltage model is the mode's; a ``const_v`` naming the other
-    one is rejected.
+    value. The first-order slope is the plan's sum of ``generator_gains``, so
+    at a saddle of the energy function, where the grounded Laplacian is not
+    positive definite, ``sweep`` raises ``SingularityError`` as ``rank``
+    does (exit 2). The voltage model is the mode's; a ``const_v`` naming the
+    other one is rejected.
     """
     if const_v not in (None, angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     r_values = [float(r) for r in r_values]
     if not np.all(np.isfinite(r_values)):
         raise UsageError("redispatch amounts must be finite")
-    slope = unit_dlambda(network, op, mode, plan)
+    slope = _gains_dlambda(network, op, mode, plan)
     rows = []
     for r in r_values:
         approx = mode.lam + r * slope

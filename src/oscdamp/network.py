@@ -219,16 +219,19 @@ class Network:
     def with_redispatch(self, dp: np.ndarray) -> "Network":
         """Return a copy with generator outputs shifted by ``dp`` (one entry per
         generator). The copy shares this grid's read-only ``_Topology``: only
-        the injections are its own."""
+        the injections are its own. Its generator buses are built directly,
+        with the fields ``dataclasses.replace`` would give them."""
         dp = np.asarray(dp, dtype=float)
         if dp.shape != (self.m,):
             raise ValidationError(
                 f"redispatch vector has shape {dp.shape}, expected ({self.m},)"
             )
-        buses = list(self.buses)
-        for g in range(self.m):
-            buses[g] = replace(buses[g], p_gen=buses[g].p_gen + dp[g])
-        copy = Network(buses=tuple(buses), lines=self.lines, omega0=self.omega0)
+        gens = tuple(
+            Bus(label=b.label, index=b.index, kind=b.kind, v_set=b.v_set, p_gen=b.p_gen + d,
+                p_load=b.p_load, q_load=b.q_load, inertia_h=b.inertia_h,
+                damping_d_seconds=b.damping_d_seconds)
+            for b, d in zip(self.buses, dp.tolist()))
+        copy = Network(buses=gens + self.buses[self.m:], lines=self.lines, omega0=self.omega0)
         # Where cached_property keeps its value; the frozen __setattr__ refuses it.
         copy.__dict__["_topology"] = self._topology
         return copy
@@ -430,9 +433,13 @@ def validate_network(network: Network) -> None:
             missing = sorted(set(range(1, n + 1)) - seen)
             labels = [network.buses[i - 1].label for i in missing]
             raise ValidationError(f"network graph is disconnected; unreachable buses {labels}")
-    p, _ = network.injections()
-    imbalance = float(np.sum(p))
-    if not abs(imbalance) <= POWER_BALANCE_TOL:
+    _check_balance(network, POWER_BALANCE_TOL)
+
+
+def _check_balance(network: Network, tol: float) -> None:
+    """Raise ValidationError unless the real injections sum to within ``tol``."""
+    imbalance = float(np.sum(network.injections()[0]))
+    if not abs(imbalance) <= tol:
         raise ValidationError(
             f"real power does not balance: sum of injections = {imbalance:.3e} "
             "(the lossless model has no slack bus)"
@@ -474,14 +481,18 @@ def bus_voltages(network: Network, op: OperatingPoint) -> np.ndarray:
 def line_states(network: Network, op: OperatingPoint) -> LineState:
     """Per-line theta, nu = ln(V_i V_j), and the flows p = b e^nu sin(theta),
     q = -b e^nu cos(theta)."""
-    v = bus_voltages(network, op)
+    theta, nu, w = _line_terms(network, op, bus_voltages(network, op))
+    return LineState(theta=theta, nu=nu, p=w * np.sin(theta), q=-w * np.cos(theta))
+
+
+def _line_terms(
+    network: Network, op: OperatingPoint, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-line theta, nu = ln(V_f V_t) and the flow scale w = b e^nu at the
+    bus voltages ``v``; p = w sin(theta) and q = -w cos(theta)."""
     f, t = network.endpoints()
-    theta = op.delta[f] - op.delta[t]
     nu = np.log(v[f] * v[t])
-    b = network.susceptances()
-    p = b * np.exp(nu) * np.sin(theta)
-    q = -b * np.exp(nu) * np.cos(theta)
-    return LineState(theta=theta, nu=nu, p=p, q=q)
+    return op.delta[f] - op.delta[t], nu, network.susceptances() * np.exp(nu)
 
 
 def incident_b_sums(network: Network) -> np.ndarray:
@@ -508,19 +519,25 @@ def potential_energy(network: Network, op: OperatingPoint) -> float:
 
 
 def residual_vectors(
-    network: Network, op: OperatingPoint
+    network: Network, op: OperatingPoint, const_v: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steady-state power balance residuals (the gradient of R).
 
     Returns (real over all buses, reactive over load buses); the reactive
-    residual is the voltage-scaled form, i.e. dR/dV_i.
+    residual is the voltage-scaled form, i.e. dR/dV_i. Under ``const_v`` the
+    load voltages are parameters, not unknowns, so the reactive residual is
+    not computed and comes back empty; the real one has the same bits.
     """
-    ls = line_states(network, op)
-    p_inj, q_inj = network.injections()
     v = bus_voltages(network, op)
+    theta, _, w = _line_terms(network, op, v)
+    p_inj, q_inj = network.injections()
     topology = network._topology
-    real = topology.onto_buses(ls.p, -ls.p, start=-p_inj)
-    qsum = topology.onto_buses(ls.q, ls.q)
+    p = w * np.sin(theta)
+    real = topology.onto_buses(p, -p, start=-p_inj)
+    if const_v:
+        return real, np.empty(0)
+    q = -w * np.cos(theta)
+    qsum = topology.onto_buses(q, q)
     b_sum = incident_b_sums(network)
     loads = np.arange(network.m, network.n)
     reactive = qsum[loads] / v[loads] + b_sum[loads] * v[loads] - q_inj[loads] / v[loads]
@@ -592,7 +609,8 @@ def solve_power_flow(
     is accepted and a step no longer lowers it. The residual is accepted at
     PF_ACCEPT_TOL, or at PF_ACCEPT_ULPS roundoff units of the largest
     incident susceptance sum when that is larger: the line terms of a stiff
-    grid cancel to no better than that.
+    grid cancel to no better than that. Real injections that do not balance
+    to within that tolerance raise ValidationError before any Newton step.
     """
     n = network.n
     op = initial if initial is not None else flat_start(network)
@@ -604,13 +622,16 @@ def solve_power_flow(
         return OperatingPoint(delta=z[:n], v_load=op.v_load if const_v else z[n:])
 
     def residual(z: np.ndarray) -> np.ndarray:
-        # Real then reactive balance; the reactive part has no unknowns under const_v.
-        return np.concatenate(residual_vectors(network, point(z)))[:z.size]
+        # Real then reactive balance; the reactive part is empty under const_v.
+        return np.concatenate(residual_vectors(network, point(z), const_v=const_v))
 
-    res = residual(z)
-    norm = float(np.max(np.abs(res)))
     tol = max(PF_ACCEPT_TOL,
               PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(incident_b_sums(network))))
+    # At any solution the dropped bus-1 residual is -sum P, so no step can
+    # bring an imbalance above tol under it.
+    _check_balance(network, tol)
+    res = residual(z)
+    norm = float(np.max(np.abs(res)))
     for _ in range(max_iter):
         if norm < PF_TARGET_TOL:
             break

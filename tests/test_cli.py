@@ -58,6 +58,19 @@ def test_validation_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_an_imbalance_below_the_parser_bound_is_a_validation_error(tmp_path, capsys):
+    # Raising L5's load by 5e-10 passes the parser but not the power flow's
+    # acceptance: exit 1 before any Newton step, not a stalled exit 2.
+    grid = tmp_path / "ten_bus_plus.grid"
+    grid.write_text(Path(_data_path("ten_bus.grid")).read_text(encoding="utf-8").replace(
+        "Pl=10.110245 ", "Pl=10.1102450005 "), encoding="utf-8")
+    capsys.readouterr()
+    code, out = _run(["pf", str(grid)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("oscdamp: real power does not balance") and err.count("\n") == 1
+
+
 def test_convergence_error_exit_code(tmp_path):
     # Balanced and well-formed, but the load sits beyond the static transfer
     # limit of the weak chain, so the power flow cannot converge.

@@ -82,7 +82,7 @@ def test_sweep_and_oracle_reject_a_non_finite_amount_before_re_solving(
     def no_re_solve(*args, **kwargs):
         raise AssertionError("re-solved at a non-finite amount")
 
-    monkeypatch.setattr(dispatch, "exact_mode", no_re_solve)
+    monkeypatch.setattr(dispatch, "_linearize_at", no_re_solve)
     with pytest.raises(UsageError, match="^redispatch amounts must be finite$"):
         sweep(st.network, st.op, md, plan, [0.003, bad])
     with pytest.raises(UsageError, match="^step must be positive and finite$"):
@@ -302,17 +302,33 @@ def test_generator_gains_is_bit_identical_to_scipy_solve(fixture_studies, random
                                   _gains_by_scipy_solve(st.bundle.L, report, st.network.m))
 
 
-def test_rank_pairs_at_a_saddle_is_singularity_error():
+def _saddle_study():
     net = parse_grid_file(SADDLE_3BUS)
     start = OperatingPoint(delta=np.array([0.0, 0.2709, -(math.pi - math.asin(0.5))]),
                            v_load=np.ones(1))
     st = build_study(net, const_v=True, initial=start)
     assert np.allclose(np.linalg.eigvalsh(st.bundle.L[1:, 1:]), [-4.354, -0.385], atol=1e-3)
     assert st.modes
+    return st
+
+
+def test_rank_pairs_at_a_saddle_is_singularity_error():
+    st = _saddle_study()
     for md in st.modes:
         with pytest.raises(SingularityError, match="^grounded Laplacian is not positive "
                            "definite .*saddle of the energy function$") as info:
-            rank_pairs(net, st.op, md)
+            rank_pairs(st.network, st.op, md)
+        assert "\n" not in str(info.value)
+
+
+def test_sweep_at_a_saddle_is_singularity_error():
+    # The slope is the ranking's grounded Cholesky solve, so it fails as rank does.
+    st = _saddle_study()
+    plan = plan_between(st.network, "B1", "B2")
+    for md in st.modes:
+        with pytest.raises(SingularityError, match="^grounded Laplacian is not positive "
+                           "definite .*saddle of the energy function$") as info:
+            sweep(st.network, st.op, md, plan, [0.003])
         assert "\n" not in str(info.value)
 
 
@@ -480,7 +496,7 @@ def test_a_tracked_row_agrees_with_the_re_solve(base_studies, monkeypatch):
             for r in (0.003, 0.01, 0.03):
                 want = exact(net, st.op, md, plan, r)
                 with monkeypatch.context() as patch:
-                    patch.setattr(dispatch, "exact_mode", no_fallback)
+                    patch.setattr(dispatch, "_re_solved", no_fallback)
                     got = dispatch.tracked_mode(net, st.op, md, plan, r)
                 assert abs(got - want) <= 1e-12 * abs(want)
                 compared += 1
@@ -524,3 +540,27 @@ def test_a_mode_of_neither_model_is_rejected(fixture_studies):
         for call in calls:
             with pytest.raises(UsageError, match=f"mode has {bad.x.size} entries"):
                 call()
+
+
+def test_the_sweep_slope_agrees_with_the_pinv_chain(base_studies):
+    # Every electromechanical mode, both voltage models, two plans each.
+    compared = 0
+    for st in base_studies:
+        net = st.network
+        labels = net.gen_labels()
+        plans = (plan_between(net, labels[0], labels[1]), plan_between(net, labels[-1], labels[0]))
+        for md in st.electromechanical():
+            for plan in plans:
+                want = unit_dlambda(net, st.op, md, plan)
+                assert abs(dispatch._gains_dlambda(net, st.op, md, plan) - want) \
+                    <= 1e-12 * abs(want)
+                compared += 1
+    assert compared == 308
+
+
+def test_the_sweep_slope_is_the_gains_dlambda(fixture_studies):
+    _, st = fixture_studies["ten_bus"]
+    md = st.electromechanical()[0]
+    plan = plan_between(st.network, "G1", "G3")
+    row, = sweep(st.network, st.op, md, plan, [0.25])
+    assert row.lambda_approx == md.lam + 0.25 * dispatch._gains_dlambda(st.network, st.op, md, plan)

@@ -541,3 +541,58 @@ def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_s
                 _assert_same_bits(a.x, c.x)
                 assert (a.lam, a.residual, a.swing_profile, a.warnings) == \
                     (b.lam, b.residual, b.swing_profile, b.warnings)
+
+
+def test_the_angle_only_residual_is_the_real_half_of_the_full_one(fixture_studies, random_suite):
+    # Solved in each voltage model, then at a perturbed point of each.
+    rng = np.random.default_rng(5)
+    nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
+    compared = 0
+    for net in nets:
+        for const_v in (False, True):
+            op = solve_power_flow(net, const_v=const_v)
+            moved = OperatingPoint(op.delta + 1e-3 * rng.standard_normal(net.n),
+                                   op.v_load * (1.0 + 1e-3 * rng.standard_normal(net.n - net.m)))
+            for at in (op, moved):
+                real, reactive = residual_vectors(net, at, const_v=True)
+                assert np.array_equal(real, residual_vectors(net, at)[0])
+                assert reactive.shape == (0,)
+                compared += 1
+    assert compared == 4 * len(nets)
+
+
+def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_studies, random_suite):
+    from dataclasses import replace
+
+    nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
+    rng = np.random.default_rng(8)
+    for net in nets:
+        dp = rng.standard_normal(net.m)
+        shifted = net.with_redispatch(dp)
+        want = tuple(replace(b, p_gen=b.p_gen + dp[g]) if g < net.m else b
+                     for g, b in enumerate(net.buses))
+        assert shifted.buses == want
+        assert all(a is b for a, b in zip(shifted.buses[net.m:], net.buses[net.m:]))
+        assert (shifted.lines, shifted.omega0) == (net.lines, net.omega0)
+        replaced = Network(buses=want, lines=net.lines, omega0=net.omega0)
+        for got, ref in zip(shifted.injections(), replaced.injections()):
+            _assert_same_bits(got, ref)
+        assert shifted._topology is net._topology
+
+
+def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error(monkeypatch):
+    # 5e-10 passes the parser's 1e-9 bound but not the power flow's 1e-10:
+    # the dropped bus-1 residual equals -sum P at any solution.
+    import oscdamp.network as network
+
+    text = _read_data("ten_bus.grid").replace("Pl=10.110245 ", "Pl=10.1102450005 ")
+    net = parse_grid_file(text)
+    steps = []
+    monkeypatch.setattr(network, "hessian_matrix",
+                        lambda *args, **kwargs: steps.append(1) or hessian_matrix(*args, **kwargs))
+    for const_v in (False, True):
+        with pytest.raises(ValidationError, match=r"^real power does not balance: "
+                           r"sum of injections = -5\.000e-10 \(the lossless model has no "
+                           r"slack bus\)$"):
+            solve_power_flow(net, const_v=const_v)
+    assert steps == []

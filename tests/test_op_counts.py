@@ -15,6 +15,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -240,6 +241,41 @@ def test_six_bus_at_r_1_falls_back_to_the_re_solve(fixture_studies, counts):
         counts.clear()
         got, want = _sweep_exact(st, [1.0], md)
         assert got == want and counts["dispatch.match_mode"] == 2
+
+
+def test_a_fallback_row_reuses_its_power_flow(fixture_studies, counts, qz_calls):
+    # Newton cannot follow either six_bus mode to r = 1.0; the QZ re-solve
+    # that replaces it eigensolves the linearization already built.
+    _, st = fixture_studies["six_bus"]
+    plan = dispatch.plan_between(st.network, "G1", "G3")
+    for md in st.electromechanical():
+        counts.clear()
+        qz_calls.clear()
+        dispatch.tracked_mode(st.network, st.op, md, plan, 1.0)
+        assert counts["network.solve_power_flow"] == 1
+        assert counts["modal.build_dynamic_matrices"] == 1
+        assert len(qz_calls) == 1 and counts["dispatch.match_mode"] == 1
+
+
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
+def test_a_sweep_slope_is_one_cholesky_solve(monkeypatch, fixture_studies, counts, name):
+    calls = Counter()
+
+    def counting(key, orig):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "pinv", counting("pinv", np.linalg.pinv))
+    monkeypatch.setattr(dispatch, "_DPOTRF", counting("dpotrf", dispatch._DPOTRF))
+    _, st = fixture_studies[name]
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    rows = dispatch.sweep(st.network, st.op, st.electromechanical()[0], plan, [0.003, -0.01])
+    assert all(row.lambda_exact is not None for row in rows)
+    assert counts["dispatch.flow_response"] == 0
+    assert calls == {"dpotrf": 1}
 
 
 @pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
