@@ -1,8 +1,9 @@
 """Command-line surface: pf, modes, sens, sweep, rank, verify.
 
-Exit codes: 0 success, 1 validation error, 2 convergence or oracle error,
-3 failed verification, 64 usage error. All numeric output uses 6 significant
-digits and identical invocations produce byte-identical stdout.
+Exit codes: 0 success, 3 failed verification; a package error prints one
+line on stderr and exits with its class's ``exit_code`` (see ``errors``).
+All numeric output uses 6 significant digits and identical invocations
+produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -16,32 +17,12 @@ import sys
 import numpy as np
 
 from . import cases, dispatch, laplacian, modal, sensitivity
-from .errors import (
-    ConvergenceError,
-    DegenerateModeError,
-    DomainError,
-    GridFormatError,
-    ModeMatchingError,
-    OracleError,
-    ReductionError,
-    SingularityError,
-    UsageError,
-    ValidationError,
-)
+from .errors import GridFormatError, OscdampError, UsageError, ValidationError
 from .network import Network, bus_voltages, line_states, parse_grid_file, solve_power_flow
 from .study import Study, build_study
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
-EXIT_USAGE = 64
-
-_VALIDATION_ERRORS = (GridFormatError, ValidationError, DomainError)
-_CONVERGENCE_ERRORS = (
-    ConvergenceError, SingularityError, ReductionError,
-    DegenerateModeError, ModeMatchingError, OracleError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,15 +359,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except OscdampError as exc:
         print(f"oscdamp: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"oscdamp: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except UsageError as exc:
-        print(f"oscdamp: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Redispatch chain: dP -> dz -> dlambda, predictions, rankings.
 
 dlambda is the state covector c of the sensitivity report applied to the
-state move dz, -c . dz / alpha. The forward chain (``unit_dlambda``, which
-``sens`` and ``verify`` print) solves the linearized load flow
-L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and ``sweep``
+state move dz, -c . dz / alpha. The forward chain (``unit_dlambda``, used
+only by ``verify`` and the fixture checks of ``cases``) solves the
+linearized load flow L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and ``sweep``
 solve the adjoint instead: with the bus-1 angle pinned (the uniform-angle
 vector is the only nullspace of the symmetric L), one Cholesky solve
 L y = c gives the gain g_k = -y_k / alpha of the shift from generator 1 to
@@ -32,9 +32,8 @@ import numpy as np
 
 from . import modal, sensitivity
 from .errors import (
-    ConvergenceError,
     ModeMatchingError,
-    OracleError,
+    OscdampError,
     SingularityError,
     UsageError,
     ValidationError,
@@ -270,12 +269,13 @@ def sweep(
     r_values,
     const_v: bool | None = None,
 ) -> list[ModePrediction]:
-    """One prediction per redispatch amount; oracle failures recorded per row.
+    """One prediction per redispatch amount; re-solve failures recorded per row.
 
     Each row's exact eigenvalue is ``tracked_mode``'s: the mode followed by
     Newton's method from the base pair, or, where a guard fails, the QZ
-    re-solve and ``match_mode`` of ``exact_mode``, whose failures are the
-    row's. A row that ``match_mode`` would find ambiguous can therefore get a
+    re-solve and ``match_mode`` of ``exact_mode``. Any package error of that
+    re-solve at r, as in the finite-difference oracle, is the row's failure
+    and leaves the other rows standing. A row that ``match_mode`` would find ambiguous can therefore get a
     value. The first-order slope is the plan's sum of ``generator_gains``, so
     at a saddle of the energy function, where the grounded Laplacian is not
     positive definite, ``sweep`` raises ``SingularityError`` as ``rank``
@@ -294,7 +294,7 @@ def sweep(
         exact, failure = None, None
         try:
             exact = tracked_mode(network, op, mode, plan, r)
-        except (ConvergenceError, OracleError) as exc:
+        except OscdampError as exc:
             failure = str(exc)
         rows.append(ModePrediction(
             r=r, lambda_approx=approx, lambda_exact=exact,

@@ -1,28 +1,31 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 64, validation
-problems exit 1, convergence/oracle problems exit 2.
+Each class's ``exit_code`` is the one place the CLI's error exit codes live:
+validation problems exit 1, usage problems exit 64, and every other package
+error (convergence, singularity, oracle and the rest) exits 2.
 """
 
 
 class OscdampError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class GridFormatError(OscdampError):
     """Malformed grid file; carries the offending line number in the message."""
+
+    exit_code = 1
 
 
 class ValidationError(OscdampError):
     """Structurally valid input that violates a model requirement."""
 
+    exit_code = 1
+
 
 class ConvergenceError(OscdampError):
-    """Iterative solve failed; carries the final residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Iterative solve failed."""
 
 
 class SingularityError(OscdampError):
@@ -31,6 +34,8 @@ class SingularityError(OscdampError):
 
 class DomainError(OscdampError):
     """Quantity evaluated outside its mathematical domain (e.g. ln of V <= 0)."""
+
+    exit_code = 1
 
 
 class DegenerateModeError(OscdampError):
@@ -51,3 +56,5 @@ class ModeMatchingError(OracleError):
 
 class UsageError(OscdampError):
     """Operation invoked outside its documented preconditions."""
+
+    exit_code = 64

@@ -45,7 +45,9 @@ from types import ModuleType
 import numpy as np
 import scipy
 
-from .errors import ConvergenceError, DegenerateModeError, ReductionError, UsageError
+from .errors import (
+    ConvergenceError, DegenerateModeError, ReductionError, UsageError, ValidationError,
+)
 from .network import Network
 
 INFINITE_EIG_TOL = 1e-12     # |beta| below this times the pair norm is infinite
@@ -102,13 +104,25 @@ class DynamicMatrices:
 
 def build_dynamic_matrices(network: Network, const_v: bool = False) -> DynamicMatrices:
     """m_i = 2 h_i / omega0 on generator angle rows, d_i = D_seconds / omega0
-    on every angle row; voltage rows are purely algebraic."""
+    on every angle row; voltage rows are purely algebraic.
+
+    A coefficient that overflows, or a generator's m_i that underflows to
+    zero, raises ValidationError naming the first such bus.
+    """
     n, m = network.n, network.m
     size = n if const_v else 2 * n - m
     md = np.zeros(size)
     dd = np.zeros(size)
-    md[:n] = 2.0 * np.array([b.inertia_h for b in network.buses]) / network.omega0
-    dd[:n] = np.array([b.damping_d_seconds for b in network.buses]) / network.omega0
+    with np.errstate(over="ignore"):
+        md[:n] = 2.0 * np.array([b.inertia_h for b in network.buses]) / network.omega0
+        dd[:n] = np.array([b.damping_d_seconds for b in network.buses]) / network.omega0
+    bad = ~(np.isfinite(md[:n]) & np.isfinite(dd[:n]))
+    bad[:m] |= ~(md[:m] > 0)
+    if bad.any():
+        label = network.buses[int(np.argmax(bad))].label
+        raise ValidationError(
+            f"the dynamic coefficients 2H/omega0 and D/omega0 of bus {label!r} "
+            "leave the float range")
     return DynamicMatrices(m=md, d=dd)
 
 
@@ -453,9 +467,7 @@ def eigenpairs(
         residual, lam = float(residuals[failed[0]]), complex(lams[failed[0]])
         raise ConvergenceError(
             f"eigenpair residual {residual:.2e} exceeds {MODE_RESIDUAL_REL:.0e} "
-            f"for lambda = {lam:.6g}",
-            residual=residual,
-        )
+            f"for lambda = {lam:.6g}")
     # After the gate, whose message names the first failure in QZ order.
     order = np.lexsort((lams.real, lams.imag))
     return Eigenpairs(lams[order], X[order], residuals[order], all_lams, spectral_scale,

@@ -509,13 +509,18 @@ def potential_energy(network: Network, op: OperatingPoint) -> float:
     incident susceptances.
     """
     v = bus_voltages(network, op)
-    p_inj, q_inj = network.injections()
     f, t = network.endpoints()
     d = op.delta
     line_part = np.sum(network.susceptances() * v[f] * v[t] * np.cos(d[f] - d[t]))
+    return float(-line_part + bus_energy(network, op))
+
+
+def bus_energy(network: Network, op: OperatingPoint) -> float:
+    """The bus part of R, -sum (P_i delta_i + 0.5 b_ii V_i^2 + Q_i ln V_i)."""
+    v = bus_voltages(network, op)
+    p_inj, q_inj = network.injections()
     bii = -incident_b_sums(network)
-    bus_part = np.sum(p_inj * d + 0.5 * bii * v ** 2 + q_inj * np.log(v))
-    return float(-line_part - bus_part)
+    return float(-np.sum(p_inj * op.delta + 0.5 * bii * v ** 2 + q_inj * np.log(v)))
 
 
 def residual_vectors(
@@ -663,7 +668,5 @@ def solve_power_flow(
         z, res, norm = z_try, res_try, norm_try
     if not norm <= tol:
         raise ConvergenceError(
-            f"power flow did not converge: residual max-norm {norm:.3e} > {tol:.1e}",
-            residual=norm,
-        )
+            f"power flow did not converge: residual max-norm {norm:.3e} > {tol:.1e}")
     return replace(point(z), residual_norm=norm)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import inspect
 import io
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import oscdamp
+from oscdamp import errors
 from oscdamp.cli import main
 
 from conftest import fail_qz, stiff_star_grid
@@ -347,3 +350,71 @@ assert "scipy.linalg" not in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, good, bad", [
+    (["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "1", "--pair", "G1:G3"],
+     "0.01", "1e+17"),
+    (["sweep", _data_path("ten_bus.grid"), "--mode", "1", "--pair", "G1:G3"], None, "1e+09"),
+], ids=["six-bus-keeps-the-good-row", "ten-bus"])
+def test_a_redispatch_too_large_to_re_solve_is_a_row_failure(capsys, argv, good, bad):
+    # The redispatched injections no longer balance to within the power-flow
+    # tolerance; that ValidationError fails the row, not the command.
+    amounts = [good, bad] if good else [bad]
+    assert main(argv + ["--r", ",".join(amounts)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert sum("oracle unavailable" in ln for ln in lines) == 1
+    assert lines[-1].startswith(f"oracle unavailable at r = {bad}: real power does not balance")
+    assert lines[-2].split()[0] == bad and len(lines[-2].split()) == 4  # no exact values
+    if good:
+        assert main(argv + ["--r", good]) == 0
+        alone = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == alone[2].split() and len(alone[2].split()) == 7
+
+
+OVERFLOW_MESSAGE = ("the dynamic coefficients 2H/omega0 and D/omega0 of bus 'G1' "
+                    "leave the float range")
+OVERFLOW_EDITS = {
+    "huge-inertia": lambda text: text.replace("H=4.0", "H=1e308"),
+    "tiny-omega0": lambda text: "system omega0=1e-308\n" + text,
+}
+
+
+@pytest.mark.parametrize("edit", OVERFLOW_EDITS.values(), ids=OVERFLOW_EDITS.keys())
+def test_dynamic_coefficients_past_the_float_range_are_a_validation_error(
+        tmp_path, capsys, edit):
+    grid = tmp_path / "overflow.grid"
+    text = resources.files("oscdamp").joinpath("data", "three_bus_s7.grid").read_text()
+    grid.write_text(edit(text), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["modes", str(grid)]) == 1
+    assert capsys.readouterr() == ("", f"oscdamp: {OVERFLOW_MESSAGE}\n")
+
+
+class _NewError(errors.OscdampError):
+    """A package error the CLI has never heard of."""
+
+
+# The exit code each class of oscdamp.errors documents (README, Exit codes).
+DOCUMENTED_EXIT_CODES = {
+    "OscdampError": 2, "GridFormatError": 1, "ValidationError": 1, "ConvergenceError": 2,
+    "SingularityError": 2, "DomainError": 1, "DegenerateModeError": 2, "ReductionError": 2,
+    "OracleError": 2, "ModeMatchingError": 2, "UsageError": 64, "_NewError": 2,
+}
+PACKAGE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.OscdampError)]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS + [_NewError], ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_code_and_one_line(monkeypatch, capsys, cls):
+    from oscdamp import cli
+
+    def failing(args):
+        raise cls("something went wrong")
+
+    monkeypatch.setattr(cli, "cmd_pf", failing)
+    assert main(["pf", "any.grid"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
+    assert capsys.readouterr() == ("", "oscdamp: something went wrong\n")
