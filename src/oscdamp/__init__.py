@@ -36,7 +36,6 @@ from .modal import (
     solve_qep,
 )
 from .sensitivity import (
-    ConstVCoefficients,
     SensitivityReport,
     const_v_coefficients,
     dlambda,

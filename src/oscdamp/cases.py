@@ -138,12 +138,13 @@ def _quantities_three_bus_s9(st: Study) -> dict[str, complex]:
     out["max_abs_real_part"] = max(abs(md.sigma) for md in st.modes)
     mode = st.electromechanical()[0]
     plan = dispatch.plan_between(st.network, "G1", "G3")  # along base flow
-    dl = dispatch.unit_dlambda(st.network, st.op, mode, plan)
+    report = sensitivity.sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn)
+    dz = dispatch.flow_response(st, plan)
+    dl = sensitivity.dlambda(report, dz)
     out["re_dlambda_along_flow"] = abs(dl.real)
     out["domega_along_flow_negative"] = float(dl.imag < 0)
-    cv = sensitivity.const_v_coefficients(mode, st.bundle, st.dyn)
-    dz = dispatch.flow_response(st.network, st.bundle.L, plan)
-    out["dsigma_along_flow"] = abs(float(cv.a_r @ (st.bundle.A.T @ dz[:st.network.n])))
+    a_r = sensitivity.const_v_coefficients(mode, report).real
+    out["dsigma_along_flow"] = abs(float(a_r @ (st.bundle.A.T @ dz[:st.network.n])))
     return out
 
 
@@ -157,15 +158,17 @@ def _quantities_six_bus(st: Study) -> dict[str, complex]:
             em[0].swing_profile, ("G1", "G2"), ("G3",)))
         out["profile2_is_1v2"] = float(_profile_is(
             em[1].swing_profile, ("G1",), ("G2",)))
-        cv = sensitivity.const_v_coefficients(em[1], st.bundle, st.dyn)
-        out["ar1_negative"] = float(cv.a_r[0] < 0)
-        out["aI1_negative"] = float(cv.a_I[0] < 0)
-        top_r = set(np.argsort(-np.abs(cv.a_r))[:2])
-        top_i = set(np.argsort(-np.abs(cv.a_I))[:2])
+        report = sensitivity.sensitivity_coefficients(
+            st.network, st.op, em[1], st.bundle, st.dyn)
+        gains = sensitivity.const_v_coefficients(em[1], report)
+        out["ar1_negative"] = float(gains[0].real < 0)
+        out["aI1_negative"] = float(gains[0].imag < 0)
+        top_r = set(np.argsort(-np.abs(gains.real))[:2])
+        top_i = set(np.argsort(-np.abs(gains.imag))[:2])
         out["lines12_dominant"] = float(top_r == {0, 1} and top_i == {0, 1})
         plan = dispatch.plan_between(st.network, "G1", "G3")
-        out["table8_r009"] = em[1].lam + 0.009 * dispatch.unit_dlambda(
-            st.network, st.op, em[1], plan)
+        out["table8_r009"] = em[1].lam + 0.009 * sensitivity.dlambda(
+            report, dispatch.flow_response(st, plan))
         ranked = dispatch.rank_pairs(st.network, st.op, em[1])
         out["rank_g1g3_top"] = float(
             (ranked[0].up, ranked[0].down) == ("G1", "G3"))
@@ -186,7 +189,7 @@ def _quantities_ten_bus(st: Study) -> dict[str, complex]:
             em[0].swing_profile, ("G1", "G2"), ("G3", "G4")))
         plan = dispatch.plan_between(st.network, "G1", "G3")
         out["table3_r003_omega"] = (
-            em[0].lam + 0.003 * dispatch.unit_dlambda(st.network, st.op, em[0], plan)).imag
+            em[0].lam + 0.003 * dispatch.unit_dlambda(st, em[0], plan)).imag
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -208,8 +207,6 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --r list {args.r!r}") from None
     if not r_values:
         raise UsageError("--r needs at least one value")
-    if not all(math.isfinite(r) for r in r_values):
-        raise UsageError(f"bad --r list {args.r!r}: amounts must be finite")
     preds = dispatch.sweep(st.network, st.op, mode, plan, r_values)
     header = ["r", "sigma_exact", "omega_exact", "sigma_approx", "omega_approx",
               "zeta_exact", "zeta_approx"]
@@ -262,7 +259,7 @@ def _verify_random_spotcheck(seed: int, count: int = 3) -> list[str]:
         mode = st.electromechanical()[0]
         labels = net.gen_labels()
         plan = dispatch.plan_between(net, labels[0], labels[1])
-        slope = dispatch.unit_dlambda(net, st.op, mode, plan)
+        slope = dispatch.unit_dlambda(st, mode, plan)
         fd = cases.finite_difference_sensitivity(net, st.op, mode, plan)
         err = abs(slope - fd) / max(1.0, abs(slope))
         ok = err < 1e-6
@@ -338,7 +335,9 @@ def _build_parser() -> _Parser:
     add_common(p, needs_mode=True)
     p.add_argument("--pair", required=True, metavar="GA:GB",
                    help="generator that increases : generator that decreases")
-    p.add_argument("--r", required=True, help="comma-separated redispatch amounts")
+    p.add_argument("--r", required=True,
+                   help="comma-separated redispatch amounts; a list that starts "
+                        "with a negative amount needs the = form, as in --r=-0.01,0.01")
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_sweep)
 

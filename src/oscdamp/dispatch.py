@@ -2,10 +2,11 @@
 
 dlambda is the state covector c of the sensitivity report applied to the
 state move dz, -c . dz / alpha. The forward chain (``unit_dlambda``, used
-only by ``verify`` and the fixture checks of ``cases``) solves the
-linearized load flow L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and ``sweep``
-solve the adjoint instead: with the bus-1 angle pinned (the uniform-angle
-vector is the only nullspace of the symmetric L), one Cholesky solve
+only by ``verify`` and the fixture checks of ``cases``) reads the bundle and
+dynamic matrices of the caller's ``Study`` and solves the linearized load
+flow L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and
+``sweep`` solve the adjoint instead: with the bus-1 angle pinned (the
+uniform-angle vector is the only nullspace of the symmetric L), one Cholesky solve
 L y = c gives the gain g_k = -y_k / alpha of the shift from generator 1 to
 generator k. Every ordered pair is g_up - g_down, and a plan's slope is
 dp . g. Either way the right-hand side must lie in the range of the
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .network import Network, OperatingPoint, hessian_matrix, solve_power_flow
 from .laplacian import LaplacianBundle, hessian
+from .study import Study
 
 PINV_RCOND = 1e-10
 FLOW_RESIDUAL_TOL = 1e-9
@@ -119,16 +121,18 @@ def check_plan_size(network: Network, plan: RedispatchPlan) -> None:
             f"plan has {plan.dp.size} entries, network has {network.m} generators")
 
 
-def flow_response(network: Network, L: np.ndarray, plan: RedispatchPlan) -> np.ndarray:
-    """Linearized load-flow response dz = L^+ (dP, 0) for a balanced plan.
+def flow_response(study: Study, plan: RedispatchPlan) -> np.ndarray:
+    """Linearized load-flow response dz = L^+ (dP, 0) for a balanced plan,
+    with L the Hessian of the study's bundle.
 
     The angle part comes back in the gauge the pseudo-inverse delivers (zero
     component along the uniform-angle nullvector); dlambda is gauge-invariant
     anyway.
     """
-    check_plan_size(network, plan)
+    check_plan_size(study.network, plan)
+    L = study.bundle.L
     rhs = np.zeros(L.shape[0])
-    rhs[:network.m] = plan.dp
+    rhs[:study.network.m] = plan.dp
     dz = np.linalg.pinv(L, rcond=PINV_RCOND) @ rhs
     _check_in_range(L, dz, rhs)
     return dz
@@ -157,12 +161,12 @@ def _sensitivity(
     return bundle, sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
 
 
-def unit_dlambda(
-    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan
-) -> complex:
-    """dlambda/dr for a unit application of the plan, via the full chain."""
-    bundle, report = _sensitivity(network, op, mode)
-    return sensitivity.dlambda(report, flow_response(network, bundle.L, plan))
+def unit_dlambda(study: Study, mode: modal.Mode, plan: RedispatchPlan) -> complex:
+    """dlambda/dr for a unit application of the plan, via the forward chain
+    on the study's bundle; ``mode`` must come from the study's voltage model."""
+    report = sensitivity.sensitivity_coefficients(
+        study.network, study.op, mode, study.bundle, study.dyn)
+    return sensitivity.dlambda(report, flow_response(study, plan))
 
 
 def _gains_dlambda(
@@ -208,7 +212,12 @@ def _linearize_at(
     """Dynamic matrices and Hessian of the grid redispatched by r, at its power
     flow solved from ``op``, in the given voltage model."""
     shifted = network.with_redispatch(r * plan.dp)
-    shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
+    try:
+        shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
+    except ValidationError:  # its balance check, which the unshifted grid passes
+        raise ValidationError(
+            f"real power does not balance: redispatching by r = {r:g} lost the balance to "
+            f"rounding (sum of injections = {np.sum(shifted.injections()[0]):.3e})") from None
     dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
     return dyn, hessian_matrix(shifted, shifted_op, const_v=const_v)
 

@@ -88,17 +88,17 @@ def hessian(
 ) -> LaplacianBundle:
     """Analytic Hessian bundle at the given state (no numerical differentiation).
 
-    H is built in the full model; ``const_v`` keeps its angle block and
-    builds L in the angle coordinates alone.
+    ``const_v`` builds L in the angle coordinates alone, and H is then the
+    signed incidence transpose A^T, the angle block of ``coord_jacobian``.
     """
     n, m, nl = network.n, network.m, network.n_lines
     L = hessian_matrix(network, op, const_v=const_v)
-    H = coord_jacobian(network, op)
     ls = line_states(network, op)
     if const_v:
-        H = H[:nl, :n].copy()
+        H = np.ascontiguousarray(build_incidence(network)[0].T)
         l_bus = np.zeros(0)
     else:
+        H = coord_jacobian(network, op)
         _, q_inj = network.injections()
         q_incident = np.abs(H[:nl, m:n]).T @ ls.q
         l_bus = (incident_b_sums(network)[m:] + q_inj[m:] / op.v_load ** 2) \

@@ -56,19 +56,6 @@ class SensitivityReport:
     alpha: complex
 
 
-@dataclass(frozen=True)
-class ConstVCoefficients:
-    """Real dsigma/domega line gains for constant-voltage models.
-
-    dsigma = a_r . dtheta and domega = a_I . dtheta. For an undamped mode
-    a_r = 0 and a_I = -a with the nonnegative gains
-    a_k = (x'_theta_k)^2 p_k / (2 omega x^T M x).
-    """
-
-    a_r: np.ndarray
-    a_I: np.ndarray
-
-
 def sensitivity_coefficients(
     network: Network,
     op: OperatingPoint,
@@ -83,7 +70,9 @@ def sensitivity_coefficients(
     the bundle's, and ``mode`` must come from it.
     """
     if mode.x.size != bundle.L.shape[0]:
-        raise UsageError("the mode and the Hessian bundle come from different voltage models")
+        model = "angle-only" if bundle.const_v else "full"
+        raise UsageError(f"mode has {mode.x.size} entries; the {model} model of the "
+                         f"Hessian bundle has {bundle.L.shape[0]}")
     n, m, nl = network.n, network.m, network.n_lines
     al = modal.alpha(mode, dyn.m, dyn.d)
     x = mode.x
@@ -123,18 +112,18 @@ def dlambda(report: SensitivityReport, dz: np.ndarray) -> complex:
     return -complex(report.state_coeff @ dz) / report.alpha
 
 
-def const_v_coefficients(
-    mode: modal.Mode,
-    bundle: LaplacianBundle,
-    dyn: modal.DynamicMatrices,
-) -> ConstVCoefficients:
-    """Real/imaginary split of the constant-voltage sensitivity into line gains."""
-    if not bundle.const_v or mode.x.size != bundle.H.shape[1]:
+def const_v_coefficients(mode: modal.Mode, report: SensitivityReport) -> np.ndarray:
+    """Complex line gains -theta_coeff / alpha of a constant-voltage report.
+
+    Their real and imaginary parts are the real line gains a_r and a_I:
+    dsigma = a_r . dtheta and domega = a_I . dtheta. For an undamped mode
+    a_r = 0 and a_I = -a with the nonnegative gains
+    a_k = (x'_theta_k)^2 p_k / (2 omega x^T M x).
+    """
+    if report.vln_coeff.size:
         raise UsageError(
             "constant-voltage coefficients need a mode from the constant-voltage model"
         )
     if mode.omega <= 0:
         raise UsageError("line gains are defined for oscillatory modes only")
-    xt = bundle.H @ mode.x
-    gains = (xt ** 2 * bundle.lp_theta_nu) / modal.alpha(mode, dyn.m, dyn.d)
-    return ConstVCoefficients(a_r=gains.real, a_I=gains.imag)
+    return -report.theta_coeff / report.alpha

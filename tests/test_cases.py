@@ -57,7 +57,7 @@ def test_oracle_symmetric_toy_agrees_with_formula(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
     plan = plan_between(st.network, "G1", "G3")
-    slope = unit_dlambda(st.network, st.op, md, plan)
+    slope = unit_dlambda(st, md, plan)
     fd = finite_difference_sensitivity(st.network, st.op, md, plan,
                                        step=1e-5, const_v=True)
     assert abs(fd - slope) < 1e-8 * max(1.0, abs(slope))
@@ -96,7 +96,7 @@ def test_oracle_rejects_a_plan_of_the_wrong_size_as_the_formula_does(fixture_stu
     md = st.electromechanical()[0]
     plan = RedispatchPlan(dp=np.array([1.0, -1.0]))
     with pytest.raises(ValidationError) as formula:
-        unit_dlambda(st.network, st.op, md, plan)
+        unit_dlambda(st, md, plan)
     with pytest.raises(ValidationError) as oracle:
         finite_difference_sensitivity(st.network, st.op, md, plan)
     assert str(oracle.value) == str(formula.value) == \

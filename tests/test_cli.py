@@ -359,19 +359,34 @@ assert "scipy.linalg" not in sys.modules
 ], ids=["six-bus-keeps-the-good-row", "ten-bus"])
 def test_a_redispatch_too_large_to_re_solve_is_a_row_failure(capsys, argv, good, bad):
     # The redispatched injections no longer balance to within the power-flow
-    # tolerance; that ValidationError fails the row, not the command.
+    # tolerance; that ValidationError fails the row, not the command, and
+    # blames the redispatch rather than the grid.
     amounts = [good, bad] if good else [bad]
     assert main(argv + ["--r", ",".join(amounts)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     lines = out.splitlines()
     assert sum("oracle unavailable" in ln for ln in lines) == 1
-    assert lines[-1].startswith(f"oracle unavailable at r = {bad}: real power does not balance")
+    assert lines[-1].startswith(f"oracle unavailable at r = {bad}: real power does not balance: "
+                                f"redispatching by r = {bad} lost the balance to rounding")
+    assert "slack bus" not in lines[-1]
     assert lines[-2].split()[0] == bad and len(lines[-2].split()) == 4  # no exact values
     if good:
         assert main(argv + ["--r", good]) == 0
         alone = capsys.readouterr().out.splitlines()
         assert lines[2].split() == alone[2].split() and len(alone[2].split()) == 7
+
+
+def test_a_list_of_amounts_starting_negative_needs_the_equals_form(capsys):
+    # argparse reads "-0.01,0.01" after a separate --r as an option, as the
+    # --r help says.
+    assert main(SWEEP_SIX + ["--r", "-0.01,0.01"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err == "oscdamp: argument --r: expected one argument\n"
+    assert main(SWEEP_SIX + ["--r=-0.01,0.01"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["-0.01", "0.01"]
+    assert all(len(row.split()) == 7 for row in rows)
 
 
 OVERFLOW_MESSAGE = ("the dynamic coefficients 2H/omega0 and D/omega0 of bus 'G1' "

@@ -97,7 +97,7 @@ def test_plan_between_unknown_generator(random_suite):
 
 def test_flow_response_zero_plan(random_suite):
     net, st = random_suite[0]
-    dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=np.zeros(net.m)))
+    dz = flow_response(st, RedispatchPlan(dp=np.zeros(net.m)))
     assert np.max(np.abs(dz)) == 0.0
 
 
@@ -106,7 +106,7 @@ def test_flow_response_projector_identity(random_suite):
     for net, st in random_suite[:8]:
         dp = rng.standard_normal(net.m)
         dp -= dp.mean()
-        dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
+        dz = flow_response(st, RedispatchPlan(dp=dp))
         rhs = np.zeros(st.bundle.L.shape[0])
         rhs[:net.m] = dp
         assert np.linalg.norm(st.bundle.L @ dz - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
@@ -119,7 +119,7 @@ def test_flow_response_matches_gauge_fixed_solve(random_suite):
     net, st = random_suite[4]
     dp = rng.standard_normal(net.m)
     dp -= dp.mean()
-    dz = flow_response(net, st.bundle.L, RedispatchPlan(dp=dp))
+    dz = flow_response(st, RedispatchPlan(dp=dp))
     ddelta, dv = dz[:net.n], dz[net.n:]
     size = st.bundle.L.shape[0]
     keep = np.ones(size, bool)
@@ -196,9 +196,9 @@ def test_linearity_in_the_plan():
     p2 = plan_between(net, labels[1], labels[2] if net.m > 2 else labels[0])
     a, b = 0.7, -1.9
     combo = RedispatchPlan(dp=a * p1.dp + b * p2.dp)
-    d1 = unit_dlambda(net, st.op, md, p1)
-    d2 = unit_dlambda(net, st.op, md, p2)
-    dc = unit_dlambda(net, st.op, md, combo)
+    d1 = unit_dlambda(st, md, p1)
+    d2 = unit_dlambda(st, md, p2)
+    dc = unit_dlambda(st, md, combo)
     assert abs(dc - (a * d1 + b * d2)) < 1e-12 * max(1.0, abs(dc))
 
 
@@ -206,8 +206,8 @@ def test_antisymmetry(random_suite):
     net, st = random_suite[8]
     md = st.electromechanical()[0]
     labels = net.gen_labels()
-    fwd = unit_dlambda(net, st.op, md, plan_between(net, labels[0], labels[1]))
-    rev = unit_dlambda(net, st.op, md, plan_between(net, labels[1], labels[0]))
+    fwd = unit_dlambda(st, md, plan_between(net, labels[0], labels[1]))
+    rev = unit_dlambda(st, md, plan_between(net, labels[1], labels[0]))
     assert abs(fwd + rev) < 1e-12 * abs(fwd)
 
 
@@ -226,7 +226,7 @@ def _assert_rank_matches_pinv_path(net, st, md):
     ranked = rank_pairs(net, st.op, md)
     labels = net.gen_labels()
     ref = {
-        (up, down): unit_dlambda(net, st.op, md, plan_between(net, up, down))
+        (up, down): unit_dlambda(st, md, plan_between(net, up, down))
         for up in labels for down in labels if up != down
     }
     assert len(ranked) == len(ref)
@@ -354,7 +354,7 @@ def test_first_order_correctness_all_oscillatory_modes():
     labels = net.gen_labels()
     plan = plan_between(net, labels[0], labels[1])
     for md in st.electromechanical():
-        slope = unit_dlambda(net, st.op, md, plan)
+        slope = unit_dlambda(st, md, plan)
         fd = finite_difference_sensitivity(net, st.op, md, plan, step=1e-5)
         assert abs(slope - fd) < 1e-6 * max(1.0, abs(slope))
 
@@ -530,7 +530,7 @@ def test_a_mode_of_neither_model_is_rejected(fixture_studies):
         # One entry short of the angle-only size, one past the full size.
         bad = replace(md, x=md.x[:-1] if st.const_v else np.append(md.x, 0.0))
         calls = (
-            lambda: unit_dlambda(net, st.op, bad, plan),
+            lambda: unit_dlambda(st, bad, plan),
             lambda: rank_pairs(net, st.op, bad),
             lambda: exact_mode(net, st.op, bad, plan, 0.003),
             lambda: exact_mode(net, st.op, bad, plan, 0.0),
@@ -551,7 +551,7 @@ def test_the_sweep_slope_agrees_with_the_pinv_chain(base_studies):
         plans = (plan_between(net, labels[0], labels[1]), plan_between(net, labels[-1], labels[0]))
         for md in st.electromechanical():
             for plan in plans:
-                want = unit_dlambda(net, st.op, md, plan)
+                want = unit_dlambda(st, md, plan)
                 assert abs(dispatch._gains_dlambda(net, st.op, md, plan) - want) \
                     <= 1e-12 * abs(want)
                 compared += 1

@@ -80,9 +80,9 @@ def test_sensitivity_reads_the_bundle(fixture_studies, random_suite, counts):
     studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite[:5]]
     for st in studies:
         for md in st.oscillatory():
-            sensitivity.sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+            rep = sensitivity.sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
             if st.const_v:
-                sensitivity.const_v_coefficients(md, st.bundle, st.dyn)
+                sensitivity.const_v_coefficients(md, rep)
     assert counts["sensitivity.sensitivity_coefficients"] > 0
     assert {key: counts[key] for key in REBUILDS} == dict.fromkeys(REBUILDS, 0)
 
@@ -104,7 +104,8 @@ def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
     assert len(ranked) == st.network.m * (st.network.m - 1)
     assert counts["laplacian.hessian"] == 1
     assert counts["network.hessian_matrix"] == 1
-    assert counts["laplacian.coord_jacobian"] == 1
+    # The angle-only bundle takes H from the incidence alone.
+    assert counts["laplacian.coord_jacobian"] == (0 if st.const_v else 1)
     assert counts["network.build_incidence"] == 1
     assert counts["network.line_states"] == 1
     assert counts["modal.build_dynamic_matrices"] == 1
@@ -113,12 +114,11 @@ def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
-def test_unit_dlambda_builds_one_bundle(fixture_studies, counts, name):
+def test_unit_dlambda_builds_no_bundle(fixture_studies, counts, name):
     _, st = fixture_studies[name]
     plan = dispatch.plan_between(st.network, "G1", "G3")
-    dispatch.unit_dlambda(st.network, st.op, st.electromechanical()[0], plan)
-    assert counts["laplacian.hessian"] == 1
-    assert counts["network.build_incidence"] == 1
+    dispatch.unit_dlambda(st, st.electromechanical()[0], plan)
+    assert {key: counts[key] for key in REBUILDS} == dict.fromkeys(REBUILDS, 0)
     assert counts["sensitivity.sensitivity_coefficients"] == 1
     assert counts["dispatch.flow_response"] == 1
 
@@ -349,6 +349,22 @@ def test_reproduce_case_solves_one_eigenproblem(counts, name):
     # The first-order predictions the fixtures check need no re-solve.
     cases.reproduce_case(name)
     assert counts["modal.solve_qep"] == 1
+
+
+@pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
+def test_reproduce_case_computes_each_report_once(monkeypatch, counts, name):
+    # (bundles, pinv calls, reports); six_bus's second bundle and report are
+    # rank_pairs' own.
+    hessians, pinvs, reports = {"three_bus_s7": (1, 0, 0), "three_bus_s9": (1, 1, 1),
+                                "six_bus": (2, 1, 2), "ten_bus": (1, 1, 1)}[name]
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: (
+        calls.append(1) or pinv(*args, **kwargs)))
+    cases.reproduce_case(name)
+    assert counts["laplacian.hessian"] == hessians
+    assert len(calls) == pinvs
+    assert counts["sensitivity.sensitivity_coefficients"] == reports
 
 
 def test_benchmark_tracer_finds_every_traced_name(monkeypatch):

@@ -78,7 +78,7 @@ def test_zero_damping_makes_dlambda_imaginary(fixture_studies):
     rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
     assert abs(rep.alpha.real) < 1e-12 * abs(rep.alpha)
     plan = plan_between(st.network, "G1", "G3")
-    dl = unit_dlambda(st.network, st.op, md, plan)
+    dl = unit_dlambda(st, md, plan)
     assert abs(dl.real) < 1e-10
 
 
@@ -151,41 +151,44 @@ def test_scaling_invariance(fixture_studies):
         fx, st = fixture_studies[name]
         md = st.electromechanical()[0]
         plan = plan_between(st.network, *st.network.gen_labels()[:2])
-        base = unit_dlambda(st.network, st.op, md, plan)
+        base = unit_dlambda(st, md, plan)
         for _ in range(5):
             c = complex(rng.standard_normal(), rng.standard_normal())
             scaled = replace(md, x=c * md.x)
-            got = unit_dlambda(st.network, st.op, scaled, plan)
+            got = unit_dlambda(st, scaled, plan)
             assert abs(got - base) < 1e-12 * abs(base)
 
 
 def test_const_v_gains_undamped_relation(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
-    cv = const_v_coefficients(md, st.bundle, st.dyn)
+    gains = const_v_coefficients(
+        md, sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn))
     # Undamped: a_I = -a with nonnegative gains a (base flow orients every
     # p_k positive), and a_r vanishes.
-    assert np.all(cv.a_I <= 0)
-    assert np.max(np.abs(cv.a_r)) < 1e-12 * np.max(np.abs(cv.a_I))
+    assert np.all(gains.imag <= 0)
+    assert np.max(np.abs(gains.real)) < 1e-12 * np.max(np.abs(gains.imag))
 
 
 def test_const_v_gains_decompose_dlambda(fixture_studies):
     # dsigma + j domega from the real gain split equals the complex formula.
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[1]
-    cv = const_v_coefficients(md, st.bundle, st.dyn)
+    gains = const_v_coefficients(
+        md, sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn))
     plan = plan_between(st.network, "G2", "G3")
-    dtheta = st.bundle.A.T @ flow_response(st.network, st.bundle.L, plan)
-    dl = unit_dlambda(st.network, st.op, md, plan)
-    split = complex(cv.a_r @ dtheta, cv.a_I @ dtheta)
+    dtheta = st.bundle.A.T @ flow_response(st, plan)
+    dl = unit_dlambda(st, md, plan)
+    split = complex(gains.real @ dtheta, gains.imag @ dtheta)
     assert abs(split - dl) < 1e-12 * abs(dl)
 
 
 def test_const_v_coefficients_reject_full_model_mode(random_suite):
     net, st = random_suite[3]
     md = st.electromechanical()[0]
-    with pytest.raises(UsageError):
-        const_v_coefficients(md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+    with pytest.raises(UsageError, match="^constant-voltage coefficients need"):
+        const_v_coefficients(md, rep)
 
 
 def test_formula_vs_oracle_on_reactive_load_system():
@@ -197,6 +200,6 @@ def test_formula_vs_oracle_on_reactive_load_system():
     labels = net.gen_labels()
     plan = plan_between(net, labels[0], labels[1])
     from oscdamp.cases import finite_difference_sensitivity
-    slope = unit_dlambda(net, st.op, md, plan)
+    slope = unit_dlambda(st, md, plan)
     fd = finite_difference_sensitivity(net, st.op, md, plan, step=1e-5)
     assert abs(slope - fd) < 1e-6 * max(1.0, abs(slope))
