@@ -247,20 +247,20 @@ def finite_difference_sensitivity(
     """Central-difference slope of the matched eigenvalue along the plan.
 
     This is the ground truth every formula prediction is checked against:
-    the power flow and the eigenproblem are fully re-solved at +-step, in the
-    voltage model of the mode; a ``const_v`` naming the other one is rejected.
+    the power flow and the eigenproblem are re-solved at +-step by ``ModePath.exact``,
+    in the voltage model of the mode; a ``const_v`` naming the other one is rejected.
     """
     if not 0 < step < np.inf:
         raise UsageError("step must be positive and finite")
     if const_v not in (None, dispatch.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
-    dispatch.check_plan_size(network, plan)
+    path = dispatch.ModePath(network, op, mode, plan)
     if not np.any(plan.dp):
         raise ValidationError("finite differencing needs a nonzero redispatch direction")
 
     try:
-        lam_p = dispatch.exact_mode(network, op, mode, plan, step)
-        lam_m = dispatch.exact_mode(network, op, mode, plan, -step)
+        lam_p = path.exact(step)
+        lam_m = path.exact(-step)
     except dispatch.ModeMatchingError:
         raise
     except OscdampError as exc:  # power flow divergence etc.

@@ -213,13 +213,13 @@ def cmd_sweep(args) -> int:
     rows = []
     failures = []
     for pr in preds:
-        za = -pr.lambda_approx.real / abs(pr.lambda_approx)
+        za = modal.damping_ratio(pr.lambda_approx)
         if pr.lambda_exact is None:
             rows.append([g6(pr.r), "", "", g6(pr.lambda_approx.real),
                          g6(pr.lambda_approx.imag), "", g6(za)])
             failures.append((pr.r, pr.oracle_failure))
         else:
-            ze = -pr.lambda_exact.real / abs(pr.lambda_exact)
+            ze = modal.damping_ratio(pr.lambda_exact)
             rows.append([
                 g6(pr.r), g6(pr.lambda_exact.real), g6(pr.lambda_exact.imag),
                 g6(pr.lambda_approx.real), g6(pr.lambda_approx.imag),

@@ -15,15 +15,15 @@ first-order eigenvalue formula is evaluated once at the base point;
 predictions for finite r are lambda + r * dlambda and are compared against
 the exact eigenvalue at r.
 
-A re-solve (``exact_mode``) reads only the matched eigenvalue, so it is one
-power flow, one Hessian, one eigensolve (``modal.eigenpairs``, with every
-check of a whole study) and one ``match_mode``: it builds no Hessian bundle
-and no ``Mode`` summaries. The finite-difference oracle uses it as it is.
-A ``sweep`` row (``tracked_mode``) solves the same power flow and Hessian but
-follows the mode by Newton's method from the base pair, under three guards
-(convergence, the backward-error gate, the eigenvector correlation). When
-any of them fails, the row is ``exact_mode``'s eigensolve and match of that
-same linearization.
+Every re-solve goes through one ``ModePath``, which builds the dynamic
+matrices once: ``sweep`` has one for its slope and rows, the finite-difference
+oracle one for its two steps. A re-solve at r is one power flow and one
+Hessian. ``exact`` eigensolves it (``modal.eigenpairs``, with every check of
+a whole study) and runs ``match_mode``, building no bundle and no ``Mode``
+summaries; the oracle uses it as it is. A ``sweep`` row (``tracked``) follows
+the mode by Newton's method from the base pair instead, under three guards
+(convergence, the backward-error gate, the eigenvector correlation), and
+falls back to ``exact``'s eigensolve and match of that same Hessian.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .network import Network, OperatingPoint, hessian_matrix, solve_power_flow
-from .laplacian import LaplacianBundle, hessian
+from .laplacian import hessian
 from .study import Study
 
 PINV_RCOND = 1e-10
@@ -151,32 +151,12 @@ def angle_only(network: Network, mode: modal.Mode) -> bool:
     return size == n
 
 
-def _sensitivity(
-    network: Network, op: OperatingPoint, mode: modal.Mode
-) -> tuple[LaplacianBundle, sensitivity.SensitivityReport]:
-    """Hessian bundle and sensitivity report in the mode's own voltage model."""
-    const_v = angle_only(network, mode)
-    bundle = hessian(network, op, const_v=const_v)
-    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
-    return bundle, sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
-
-
 def unit_dlambda(study: Study, mode: modal.Mode, plan: RedispatchPlan) -> complex:
     """dlambda/dr for a unit application of the plan, via the forward chain
     on the study's bundle; ``mode`` must come from the study's voltage model."""
     report = sensitivity.sensitivity_coefficients(
         study.network, study.op, mode, study.bundle, study.dyn)
     return sensitivity.dlambda(report, flow_response(study, plan))
-
-
-def _gains_dlambda(
-    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan
-) -> complex:
-    """dlambda/dr for a unit application of the plan, as the plan's sum of
-    ``generator_gains``: one grounded Cholesky solve, no pseudo-inverse."""
-    check_plan_size(network, plan)
-    bundle, report = _sensitivity(network, op, mode)
-    return complex(plan.dp @ generator_gains(bundle.L, report, network.m))
 
 
 def _correlations(x_ref: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -206,68 +186,71 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
     return int(pool[order[0]])
 
 
-def _linearize_at(
-    network: Network, op: OperatingPoint, plan: RedispatchPlan, r: float, const_v: bool
-) -> tuple[modal.DynamicMatrices, np.ndarray]:
-    """Dynamic matrices and Hessian of the grid redispatched by r, at its power
-    flow solved from ``op``, in the given voltage model."""
-    shifted = network.with_redispatch(r * plan.dp)
-    try:
-        shifted_op = solve_power_flow(shifted, initial=op, const_v=const_v)
-    except ValidationError:  # its balance check, which the unshifted grid passes
-        raise ValidationError(
-            f"real power does not balance: redispatching by r = {r:g} lost the balance to "
-            f"rounding (sum of injections = {np.sum(shifted.injections()[0]):.3e})") from None
-    dyn = modal.build_dynamic_matrices(shifted, const_v=const_v)
-    return dyn, hessian_matrix(shifted, shifted_op, const_v=const_v)
+class ModePath:
+    """``mode`` followed from ``op`` along the redispatch ``plan``, in the
+    mode's voltage model (``angle_only``). Redispatch moves neither M nor D, so
+    they are built once. Every re-solve at r starts its power flow from ``op``
+    and its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
 
+    def __init__(self, network: Network, op: OperatingPoint, mode: modal.Mode,
+                 plan: RedispatchPlan):
+        check_plan_size(network, plan)
+        self.network, self.op, self.mode, self.plan = network, op, mode, plan
+        self.const_v = angle_only(network, mode)
+        self.dyn = modal.build_dynamic_matrices(network, const_v=self.const_v)
 
-def _re_solved(mode: modal.Mode, n: int, dyn: modal.DynamicMatrices, L: np.ndarray) -> complex:
-    """The eigenvalue ``match_mode`` picks for ``mode`` out of a whole
-    eigensolve of the linearization (dyn, L) of an n-bus grid."""
-    pairs = modal.eigenpairs(dyn.m, dyn.d, L, n_angles=n)
-    return complex(pairs.lams[match_mode(mode, pairs.lams, pairs.X)])
+    def slope(self) -> complex:
+        """dlambda/dr for a unit application of the plan, as the plan's sum of
+        ``generator_gains``: one bundle and one grounded Cholesky solve."""
+        bundle = hessian(self.network, self.op, const_v=self.const_v)
+        report = sensitivity.sensitivity_coefficients(
+            self.network, self.op, self.mode, bundle, self.dyn)
+        return complex(self.plan.dp @ generator_gains(bundle.L, report, self.network.m))
 
+    def _hessian_at(self, r: float) -> np.ndarray:
+        """Hessian of the grid redispatched by r, at its power flow solved from ``op``."""
+        shifted = self.network.with_redispatch(r * self.plan.dp)
+        try:
+            shifted_op = solve_power_flow(shifted, initial=self.op, const_v=self.const_v)
+        except ValidationError:  # its balance check, which the unshifted grid passes
+            raise ValidationError(
+                f"real power does not balance: redispatching by r = {r:g} lost the balance to "
+                f"rounding (sum of injections = {np.sum(shifted.injections()[0]):.3e})") from None
+        return hessian_matrix(shifted, shifted_op, const_v=self.const_v)
 
-def exact_mode(
-    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
-    r: float,
-) -> complex:
-    """Eigenvalue of ``mode`` tracked through a full re-solve at redispatch r,
-    in the mode's own voltage model."""
-    const_v = angle_only(network, mode)
-    if r == 0.0:
-        return mode.lam
-    dyn, L = _linearize_at(network, op, plan, r, const_v)
-    return _re_solved(mode, network.n, dyn, L)
+    def _matched(self, L: np.ndarray) -> complex:
+        """The eigenvalue ``match_mode`` picks for the mode out of a whole
+        eigensolve of the Hessian L."""
+        pairs = modal.eigenpairs(self.dyn.m, self.dyn.d, L, n_angles=self.network.n)
+        return complex(pairs.lams[match_mode(self.mode, pairs.lams, pairs.X)])
 
+    def exact(self, r: float) -> complex:
+        """Eigenvalue of the mode at redispatch r by a QZ re-solve and ``match_mode``."""
+        if r == 0.0:
+            return self.mode.lam
+        return self._matched(self._hessian_at(r))
 
-def tracked_mode(
-    network: Network, op: OperatingPoint, mode: modal.Mode, plan: RedispatchPlan,
-    r: float,
-) -> complex:
-    """Eigenvalue of ``mode`` at redispatch r, followed from the base pair.
+    def tracked(self, r: float) -> complex:
+        """Eigenvalue of the mode at redispatch r, followed from the base pair.
 
-    The power flow and the Hessian are solved at r as in ``exact_mode``; then
-    ``modal.newton_eigenpair`` starts from (lam, x) of the base mode, never
-    from the first-order prediction, and holds the largest entry of x fixed.
-    Its pair is taken if Newton converges, the pair passes the
-    MODE_RESIDUAL_REL backward-error gate and its eigenvector correlates with
-    the base one to at least 1 - MATCH_AMBIGUITY_GAP; otherwise the value is
-    ``exact_mode``'s eigensolve and ``match_mode`` of that same linearization.
-    """
-    const_v = angle_only(network, mode)
-    if r == 0.0:
-        return mode.lam
-    dyn, L = _linearize_at(network, op, plan, r, const_v)
-    pair = modal.newton_eigenpair(mode.lam, mode.x, dyn.m, dyn.d, L,
-                                  int(np.argmax(np.abs(mode.x))))
-    if pair is not None:
-        lam, x, residual = pair
-        if (residual <= modal.MODE_RESIDUAL_REL
-                and _correlations(mode.x, x[None])[0] >= 1.0 - MATCH_AMBIGUITY_GAP):
-            return lam
-    return _re_solved(mode, network.n, dyn, L)
+        ``modal.newton_eigenpair`` starts from (lam, x) of the base mode, never
+        from the first-order prediction, and holds the largest entry of x
+        fixed. Its pair is taken if Newton converges, the pair passes the
+        MODE_RESIDUAL_REL backward-error gate and its eigenvector correlates
+        with the base one to at least 1 - MATCH_AMBIGUITY_GAP; otherwise the
+        value is ``exact``'s eigensolve and ``match_mode`` of the same Hessian.
+        """
+        if r == 0.0:
+            return self.mode.lam
+        L, x = self._hessian_at(r), self.mode.x
+        pair = modal.newton_eigenpair(self.mode.lam, x, self.dyn.m, self.dyn.d, L,
+                                      int(np.argmax(np.abs(x))))
+        if pair is not None:
+            lam, x_r, residual = pair
+            if (residual <= modal.MODE_RESIDUAL_REL
+                    and _correlations(x, x_r[None])[0] >= 1.0 - MATCH_AMBIGUITY_GAP):
+                return lam
+        return self._matched(L)
 
 
 def sweep(
@@ -280,29 +263,28 @@ def sweep(
 ) -> list[ModePrediction]:
     """One prediction per redispatch amount; re-solve failures recorded per row.
 
-    Each row's exact eigenvalue is ``tracked_mode``'s: the mode followed by
-    Newton's method from the base pair, or, where a guard fails, the QZ
-    re-solve and ``match_mode`` of ``exact_mode``. Any package error of that
-    re-solve at r, as in the finite-difference oracle, is the row's failure
-    and leaves the other rows standing. A row that ``match_mode`` would find ambiguous can therefore get a
-    value. The first-order slope is the plan's sum of ``generator_gains``, so
-    at a saddle of the energy function, where the grounded Laplacian is not
-    positive definite, ``sweep`` raises ``SingularityError`` as ``rank``
-    does (exit 2). The voltage model is the mode's; a ``const_v`` naming the
-    other one is rejected.
+    One ``ModePath`` gives the slope and every row's ``tracked`` eigenvalue,
+    so a row that ``match_mode`` would find ambiguous can get a value. Any
+    package error of the re-solve at r, as in the finite-difference oracle,
+    is the row's failure and leaves the other rows standing. The slope is the
+    plan's sum of ``generator_gains``, so at a saddle of the energy function,
+    where the grounded Laplacian is not positive definite, ``sweep`` raises
+    ``SingularityError`` as ``rank`` does (exit 2). The voltage model is the
+    mode's; a ``const_v`` naming the other one is rejected.
     """
     if const_v not in (None, angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     r_values = [float(r) for r in r_values]
     if not np.all(np.isfinite(r_values)):
         raise UsageError("redispatch amounts must be finite")
-    slope = _gains_dlambda(network, op, mode, plan)
+    path = ModePath(network, op, mode, plan)
+    slope = path.slope()
     rows = []
     for r in r_values:
         approx = mode.lam + r * slope
         exact, failure = None, None
         try:
-            exact = tracked_mode(network, op, mode, plan, r)
+            exact = path.tracked(r)
         except OscdampError as exc:
             failure = str(exc)
         rows.append(ModePrediction(
@@ -351,7 +333,10 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    bundle, report = _sensitivity(network, op, mode)
+    const_v = angle_only(network, mode)
+    bundle = hessian(network, op, const_v=const_v)
+    report = sensitivity.sensitivity_coefficients(
+        network, op, mode, bundle, modal.build_dynamic_matrices(network, const_v=const_v))
     gains = generator_gains(bundle.L, report, network.m)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5

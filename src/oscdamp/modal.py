@@ -15,7 +15,7 @@ gauges and checks them and returns arrays; ``solve_qep`` summarizes those
 as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
 arrays. ``newton_eigenpair`` follows one eigenpair of Q(lam) directly: it
 refines a pair QZ leaves above the backward-error gate, and
-``dispatch.tracked_mode`` follows a mode through a redispatch with it.
+``dispatch.ModePath.tracked`` follows a mode through a redispatch with it.
 
 The eigensolve calls three compiled routines of scipy: LAPACK ``dggev``
 and the BLAS 2-norms ``dnrm2`` and ``dznrm2``. They are loaded straight
@@ -157,9 +157,13 @@ class Mode:
 
     @property
     def damping_ratio(self) -> float:
-        """-sigma / |lam|, and 0 for lam = 0."""
-        mag = abs(self.lam)
-        return -self.lam.real / mag if mag > 0 else 0.0
+        return damping_ratio(self.lam)
+
+
+def damping_ratio(lam: complex) -> float:
+    """-sigma / |lam|, and 0 for lam = 0."""
+    mag = abs(lam)
+    return -lam.real / mag if mag > 0 else 0.0
 
 
 def _pencil(m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray):

@@ -137,7 +137,7 @@ def test_oracle_maps_a_failed_re_solve_to_oracle_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ConvergenceError("eig did not converge")
 
-    monkeypatch.setattr(cases.dispatch, "exact_mode", broken)
+    monkeypatch.setattr(cases.dispatch.ModePath, "exact", broken)
     with pytest.raises(OracleError, match="eig did not converge"):
         finite_difference_sensitivity(net, st.op, md, plan)
 
@@ -149,7 +149,7 @@ def test_oracle_lets_programming_errors_through(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(cases.dispatch, "exact_mode", broken)
+    monkeypatch.setattr(cases.dispatch.ModePath, "exact", broken)
     with pytest.raises(TypeError, match="bug"):
         finite_difference_sensitivity(net, st.op, md, plan)
 

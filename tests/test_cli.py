@@ -160,6 +160,27 @@ def test_sweep_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_to_a_zero_prediction_prints_a_zero_damping_ratio():
+    # Undamped: at r = -omega / (domega/dr) the prediction is exactly 0, and
+    # its damping ratio is 0 rather than a division by |0|.
+    from oscdamp import cases, dispatch
+    from oscdamp.study import build_study
+    st = build_study(cases.load_fixture("three_bus_s9").network, const_v=True)
+    mode = st.electromechanical()[0]
+    plan = dispatch.plan_between(st.network, "G1", "G3")
+    r = -mode.omega / dispatch.ModePath(st.network, st.op, mode, plan).slope().imag
+    row, = dispatch.sweep(st.network, st.op, mode, plan, [r])
+    assert row.lambda_approx == 0
+    code, out = _run(["sweep", _data_path("three_bus_s9.grid"), "--const-v", "--mode", "1",
+                      "--pair", "G1:G3", "--r", repr(r)])
+    assert code == 0
+    header, values = out.splitlines()[1:3]
+    assert header.split()[-1] == "zeta_approx"
+    # The row failed, so only r, sigma_approx, omega_approx and zeta_approx print.
+    assert values.split()[1:] == ["0", "0", "0"]
+    assert out.count("oracle unavailable at r = ") == 1
+
+
 def test_modes_csv_quotes_profile_commas(tmp_path):
     import csv
     out = tmp_path / "modes.csv"
@@ -433,3 +454,14 @@ def test_every_package_error_exits_with_its_code_and_one_line(monkeypatch, capsy
     monkeypatch.setattr(cli, "cmd_pf", failing)
     assert main(["pf", "any.grid"]) == DOCUMENTED_EXIT_CODES[cls.__name__]
     assert capsys.readouterr() == ("", "oscdamp: something went wrong\n")
+
+
+def test_the_readme_library_example_runs(capsys):
+    # Run on a shipped fixture in place of case.grid; a name the package no
+    # longer exports fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert snippet.count('"case.grid"') == 1
+    exec(snippet.replace('"case.grid"', repr(_data_path("ten_bus.grid"))), {})
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["0.003", "0.01"]

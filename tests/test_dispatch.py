@@ -27,7 +27,7 @@ from oscdamp import (
     unit_dlambda,
 )
 from oscdamp.cases import finite_difference_sensitivity, random_network
-from oscdamp.dispatch import exact_mode, generator_gains, match_mode
+from oscdamp.dispatch import ModePath, generator_gains, match_mode
 from oscdamp.network import OperatingPoint, line_states, parse_grid_file
 from oscdamp.sensitivity import sensitivity_coefficients
 from oscdamp.study import build_study
@@ -82,7 +82,7 @@ def test_sweep_and_oracle_reject_a_non_finite_amount_before_re_solving(
     def no_re_solve(*args, **kwargs):
         raise AssertionError("re-solved at a non-finite amount")
 
-    monkeypatch.setattr(dispatch, "_linearize_at", no_re_solve)
+    monkeypatch.setattr(dispatch, "solve_power_flow", no_re_solve)
     with pytest.raises(UsageError, match="^redispatch amounts must be finite$"):
         sweep(st.network, st.op, md, plan, [0.003, bad])
     with pytest.raises(UsageError, match="^step must be positive and finite$"):
@@ -440,7 +440,7 @@ def base_studies(fixture_studies, random_suite):
 
 
 def _compare_re_solves(studies, r_values) -> Counter:
-    """Check ``exact_mode`` against a whole study and a match on its modes;
+    """Check ``ModePath.exact`` against a whole study and a match on its modes;
     count the outcomes by result type or error type."""
     outcomes = Counter()
     for st in studies:
@@ -453,7 +453,7 @@ def _compare_re_solves(studies, r_values) -> Counter:
                                       const_v=st.const_v, initial=st.op)
                 return _matched(md, shifted.modes).lam
             want = _outcome(whole_study)
-            assert _outcome(lambda: exact_mode(net, st.op, md, plan, r)) == want
+            assert _outcome(lambda: ModePath(net, st.op, md, plan).exact(r)) == want
             outcomes[want[0] if isinstance(want, tuple) else complex] += 1
     return outcomes
 
@@ -482,8 +482,6 @@ def test_a_re_solve_fails_as_a_whole_study_does(base_studies, monkeypatch):
 
 def test_a_tracked_row_agrees_with_the_re_solve(base_studies, monkeypatch):
     # Every oscillatory mode, both voltage models, with no fallback allowed.
-    exact = dispatch.exact_mode
-
     def no_fallback(*args):
         raise AssertionError("tracked row fell back to the QZ re-solve")
 
@@ -493,11 +491,12 @@ def test_a_tracked_row_agrees_with_the_re_solve(base_studies, monkeypatch):
         labels = net.gen_labels()
         plan = plan_between(net, labels[0], labels[-1])
         for md in st.oscillatory():
+            path = ModePath(net, st.op, md, plan)
             for r in (0.003, 0.01, 0.03):
-                want = exact(net, st.op, md, plan, r)
+                want = path.exact(r)
                 with monkeypatch.context() as patch:
-                    patch.setattr(dispatch, "_re_solved", no_fallback)
-                    got = dispatch.tracked_mode(net, st.op, md, plan, r)
+                    patch.setattr(ModePath, "_matched", no_fallback)
+                    got = path.tracked(r)
                 assert abs(got - want) <= 1e-12 * abs(want)
                 compared += 1
     assert compared > 400
@@ -509,7 +508,7 @@ def test_a_tracked_pair_above_the_residual_gate_falls_back(fixture_studies, monk
     plan = plan_between(st.network, "G1", "G3")
     monkeypatch.setattr(modal, "MODE_RESIDUAL_REL", -1.0)
     with pytest.raises(ConvergenceError, match="^eigenpair residual"):
-        dispatch.tracked_mode(st.network, st.op, st.electromechanical()[0], plan, 0.01)
+        ModePath(st.network, st.op, st.electromechanical()[0], plan).tracked(0.01)
 
 
 def test_tracked_undamped_rows_keep_a_zero_real_part(fixture_studies):
@@ -532,8 +531,8 @@ def test_a_mode_of_neither_model_is_rejected(fixture_studies):
         calls = (
             lambda: unit_dlambda(st, bad, plan),
             lambda: rank_pairs(net, st.op, bad),
-            lambda: exact_mode(net, st.op, bad, plan, 0.003),
-            lambda: exact_mode(net, st.op, bad, plan, 0.0),
+            lambda: ModePath(net, st.op, bad, plan).exact(0.003),
+            lambda: ModePath(net, st.op, bad, plan).tracked(0.0),
             lambda: sweep(net, st.op, bad, plan, [0.003]),
             lambda: finite_difference_sensitivity(net, st.op, bad, plan),
         )
@@ -552,8 +551,7 @@ def test_the_sweep_slope_agrees_with_the_pinv_chain(base_studies):
         for md in st.electromechanical():
             for plan in plans:
                 want = unit_dlambda(st, md, plan)
-                assert abs(dispatch._gains_dlambda(net, st.op, md, plan) - want) \
-                    <= 1e-12 * abs(want)
+                assert abs(ModePath(net, st.op, md, plan).slope() - want) <= 1e-12 * abs(want)
                 compared += 1
     assert compared == 308
 
@@ -563,4 +561,4 @@ def test_the_sweep_slope_is_the_gains_dlambda(fixture_studies):
     md = st.electromechanical()[0]
     plan = plan_between(st.network, "G1", "G3")
     row, = sweep(st.network, st.op, md, plan, [0.25])
-    assert row.lambda_approx == md.lam + 0.25 * dispatch._gains_dlambda(st.network, st.op, md, plan)
+    assert row.lambda_approx == md.lam + 0.25 * ModePath(st.network, st.op, md, plan).slope()

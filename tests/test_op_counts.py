@@ -161,8 +161,9 @@ def test_one_qz_per_eigensolve(qz_calls, name):
     assert len(qz_calls) == 1
     labels = st.network.gen_labels()
     plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    path = dispatch.ModePath(st.network, st.op, st.electromechanical()[0], plan)
     for r in (0.003, -0.01):
-        dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, r)
+        path.exact(r)
     assert qz_calls == [qz_calls[0]] * 3
 
 
@@ -173,10 +174,12 @@ def test_a_re_solve_is_one_power_flow_one_qz_and_one_match(counts, qz_calls, nam
     st = study.build_study(fx.network, const_v=const_v)
     labels = st.network.gen_labels()
     plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    path = dispatch.ModePath(st.network, st.op, st.electromechanical()[0], plan)
     counts.clear()
     qz_calls.clear()
-    dispatch.exact_mode(st.network, st.op, st.electromechanical()[0], plan, 0.01)
+    path.exact(0.01)
     assert counts["network.solve_power_flow"] == 1
+    assert counts["modal.build_dynamic_matrices"] == 0
     assert counts["laplacian.hessian"] == 0
     assert counts["laplacian.coord_jacobian"] == 0
     assert counts["network.build_incidence"] == 0
@@ -202,7 +205,7 @@ def test_a_tracked_sweep_row_is_one_power_flow_and_no_eigensolve(
     counts.clear()
     qz_calls.clear()
     mode = st.electromechanical()[0]
-    dispatch.tracked_mode(st.network, st.op, mode, plan, 0.01)
+    dispatch.ModePath(st.network, st.op, mode, plan).tracked(0.01)
     assert counts["network.solve_power_flow"] == 1
     assert len(hessians) == 1
     assert counts["modal.build_dynamic_matrices"] == 1
@@ -213,13 +216,40 @@ def test_a_tracked_sweep_row_is_one_power_flow_and_no_eigensolve(
     assert counts["modal.eigenpairs"] == 0 and qz_calls == []
 
 
+@pytest.mark.parametrize("const_v", [False, True])
+@pytest.mark.parametrize("name", ["ten_bus", "six_bus", "three_bus_s9"])
+def test_sweep_and_oracle_build_the_dynamic_matrices_once(counts, qz_calls, name, const_v):
+    # Redispatch moves neither M nor D: one path serves the sweep's slope and
+    # rows, another the oracle's two steps, and neither builds them again.
+    fx = cases.load_fixture(name)
+    st = study.build_study(fx.network, const_v=const_v)
+    labels = st.network.gen_labels()
+    plan = dispatch.plan_between(st.network, labels[0], labels[-1])
+    mode = st.electromechanical()[0]
+    counts.clear()
+    qz_calls.clear()
+    dispatch.sweep(st.network, st.op, mode, plan, [0.003, -0.01])
+    assert counts["modal.build_dynamic_matrices"] == 1
+    assert counts["laplacian.hessian"] == 1
+    assert counts["network.solve_power_flow"] == 2
+    assert counts["modal.eigenpairs"] == 0 and qz_calls == []
+    assert counts["dispatch.match_mode"] == 0
+    counts.clear()
+    cases.finite_difference_sensitivity(st.network, st.op, mode, plan)
+    assert counts["modal.build_dynamic_matrices"] == 1
+    assert counts["laplacian.hessian"] == 0
+    assert counts["network.solve_power_flow"] == 2
+    assert counts["modal.eigenpairs"] == 2 and len(qz_calls) == 2
+    assert counts["dispatch.match_mode"] == 2
+
+
 def _sweep_exact(st, r_values, md=None):
     labels = st.network.gen_labels()
     plan = dispatch.plan_between(st.network, labels[0], labels[-1])
     md = md or st.electromechanical()[0]
     rows = dispatch.sweep(st.network, st.op, md, plan, r_values)
-    return [row.lambda_exact for row in rows], [
-        dispatch.exact_mode(st.network, st.op, md, plan, r) for r in r_values]
+    path = dispatch.ModePath(st.network, st.op, md, plan)
+    return [row.lambda_exact for row in rows], [path.exact(r) for r in r_values]
 
 
 def test_a_sweep_row_that_newton_cannot_track_is_exact_modes_value(
@@ -251,7 +281,7 @@ def test_a_fallback_row_reuses_its_power_flow(fixture_studies, counts, qz_calls)
     for md in st.electromechanical():
         counts.clear()
         qz_calls.clear()
-        dispatch.tracked_mode(st.network, st.op, md, plan, 1.0)
+        dispatch.ModePath(st.network, st.op, md, plan).tracked(1.0)
         assert counts["network.solve_power_flow"] == 1
         assert counts["modal.build_dynamic_matrices"] == 1
         assert len(qz_calls) == 1 and counts["dispatch.match_mode"] == 1
