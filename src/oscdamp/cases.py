@@ -51,21 +51,33 @@ class CaseFixture:
 
 @dataclass(frozen=True)
 class CheckLine:
-    quantity: str
+    """One expectation and the value computed for it (NaN when none was)."""
+    expectation: Expectation
     computed: complex
-    expected: complex
-    tol: float
-    status: str
-    provenance: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.computed - self.expectation.value) <= self.expectation.tol
 
 
 @dataclass(frozen=True)
 class CaseReport:
+    """A fixture's check lines; ``ok`` and ``locked`` are read off them."""
     name: str
     lines: tuple[CheckLine, ...]
-    ok: bool       # every verified-status expectation held
-    locked: bool   # every contingent expectation held as well
+
+    def _held(self, status: str) -> bool:
+        return all(ln.passed for ln in self.lines if ln.expectation.status == status)
+
+    @property
+    def ok(self) -> bool:
+        """Every verified expectation held."""
+        return self._held("verified")
+
+    @property
+    def locked(self) -> bool:
+        """Every contingent expectation held."""
+        return self._held("contingent")
 
 
 def _read_data(fname: str) -> str:
@@ -206,30 +218,10 @@ def reproduce_case(name: str) -> CaseReport:
     fixture = load_fixture(name)
     st = build_study(fixture.network, const_v=fixture.const_v)
     computed = _QUANTITY_FNS[name](st)
-    lines = []
-    ok = True
-    locked = True
-    for exp in fixture.expected:
-        got = computed.get(exp.quantity)
-        if got is None:
-            passed = False
-        else:
-            passed = abs(complex(got) - exp.value) <= exp.tol
-        if not passed:
-            if exp.status == "verified":
-                ok = False
-            else:
-                locked = False
-        lines.append(CheckLine(
-            quantity=exp.quantity,
-            computed=complex(got) if got is not None else complex("nan"),
-            expected=exp.value,
-            tol=exp.tol,
-            status=exp.status,
-            provenance=exp.provenance,
-            passed=passed,
-        ))
-    return CaseReport(name=name, lines=tuple(lines), ok=ok, locked=locked)
+    return CaseReport(name=name, lines=tuple(
+        CheckLine(exp, complex(computed.get(exp.quantity, complex("nan"))))
+        for exp in fixture.expected
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +271,14 @@ def zero_damping_variant(network: Network) -> Network:
     return Network(buses=buses, lines=network.lines, omega0=network.omega0)
 
 
-def random_network(seed: int) -> Network:
-    """Connected random test network: a load tree with leaf generators plus
-    up to two extra edges, small balanced injections, |theta| < ``MAX_THETA``.
+def random_network(seed: int) -> Study:
+    """Connected random test network, as the full-model Study solved to
+    accept it (the grid is its ``.network``), so no caller solves it again.
 
-    Generators never neighbor each other by construction. Deterministic in
-    ``seed``.
+    A load tree with leaf generators plus up to two extra edges, small
+    balanced injections, |theta| < ``MAX_THETA``; generators never neighbor
+    each other. Deterministic in ``seed``. The name stays that of the draw:
+    ``perfbench/tracer.py`` counts the draw's attempts under it.
     """
     rng = np.random.default_rng(seed)
     for attempt in range(64):
@@ -365,5 +359,5 @@ def random_network(seed: int) -> Network:
             continue
         if not st.electromechanical():
             continue
-        return net
+        return st
     raise OracleError(f"could not draw a usable random network for seed {seed}")

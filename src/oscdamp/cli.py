@@ -240,7 +240,7 @@ def cmd_rank(args) -> int:
     mode = _select_mode(st, args)
     ranked = dispatch.rank_pairs(st.network, st.op, mode)
     header = ["up", "down", "dzeta_dr", "dsigma_dr", "domega_dr"]
-    rows = [[p.up, p.down, g6(p.dzeta_dr), g6(p.dsigma_dr), g6(p.domega_dr)]
+    rows = [[p.up, p.down, g6(p.dzeta_dr), g6(p.dlambda_dr.real), g6(p.dlambda_dr.imag)]
             for p in ranked]
     if args.csv:
         _write_csv(args.csv, header, rows)
@@ -249,13 +249,16 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _verify_random_spotcheck(seed: int, count: int = 3) -> list[str]:
-    """Formula-vs-oracle agreement on seeded random networks."""
+SPOTCHECK_DRAWS = 3  # random networks the verify spot-check draws
+
+
+def _verify_random_spotcheck(seed: int) -> list[str]:
+    """Formula-vs-oracle agreement on seeded random networks, each solved once."""
     failures = []
     rng = np.random.default_rng(seed)
-    for i in range(count):
-        net = cases.random_network(int(rng.integers(0, 2 ** 31)))
-        st = build_study(net)
+    for i in range(SPOTCHECK_DRAWS):
+        st = cases.random_network(int(rng.integers(0, 2 ** 31)))
+        net = st.network
         mode = st.electromechanical()[0]
         labels = net.gen_labels()
         plan = dispatch.plan_between(net, labels[0], labels[1])
@@ -280,12 +283,13 @@ def cmd_verify(args) -> int:
         lock = "locked" if rep.locked else "contingent data unlocked"
         print(f"== {name}: {status} ({lock})")
         for ln in rep.lines:
-            mark = "PASS" if ln.passed else ("WARN" if ln.status == "contingent" else "FAIL")
-            print(f"{mark} {ln.quantity:<24} computed {g6(ln.computed.real)}"
+            exp = ln.expectation
+            mark = "PASS" if ln.passed else ("WARN" if exp.status == "contingent" else "FAIL")
+            print(f"{mark} {exp.quantity:<24} computed {g6(ln.computed.real)}"
                   f"{'+' + g6(ln.computed.imag) + 'j' if ln.computed.imag else ''}"
-                  f" expected {g6(ln.expected.real)}"
-                  f"{'+' + g6(ln.expected.imag) + 'j' if ln.expected.imag else ''}"
-                  f" tol {g6(ln.tol)} [{ln.status}] {ln.provenance}")
+                  f" expected {g6(exp.value.real)}"
+                  f"{'+' + g6(exp.value.imag) + 'j' if exp.value.imag else ''}"
+                  f" tol {g6(exp.tol)} [{exp.status}] {exp.provenance}")
         all_ok = all_ok and rep.ok
     print("== random spot-check")
     failures = _verify_random_spotcheck(args.seed)

@@ -98,9 +98,7 @@ class ModePrediction:
 class PairSensitivity:
     up: str
     down: str
-    dlambda_dr: complex
-    dsigma_dr: float
-    domega_dr: float
+    dlambda_dr: complex  # real part d(sigma)/dr, imaginary part d(omega)/dr
     dzeta_dr: float
 
 
@@ -348,9 +346,6 @@ def rank_pairs(
                 continue
             dl = complex(gains[i] - gains[j])
             dzeta = (-omega * omega * dl.real + sigma * omega * dl.imag) / mag3
-            out.append(PairSensitivity(
-                up=up, down=down, dlambda_dr=dl,
-                dsigma_dr=dl.real, domega_dr=dl.imag, dzeta_dr=dzeta,
-            ))
+            out.append(PairSensitivity(up=up, down=down, dlambda_dr=dl, dzeta_dr=dzeta))
     out.sort(key=lambda p: (-p.dzeta_dr, p.up, p.down))
     return out

@@ -106,8 +106,8 @@ def hessian(
     return LaplacianBundle(
         L=L,
         H=H,
-        lp_theta_nu=ls.p.copy(),
-        lp_nu_nu=ls.q.copy(),
+        lp_theta_nu=ls.p,
+        lp_nu_nu=ls.q,
         l_bus_diag=l_bus,
         const_v=const_v,
     )

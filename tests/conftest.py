@@ -24,8 +24,8 @@ def random_suite():
     """Fifty seeded random networks with their solved studies."""
     out = []
     for seed in range(RANDOM_SUITE_SIZE):
-        net = cases.random_network(seed)
-        out.append((net, build_study(net)))
+        st = cases.random_network(seed)
+        out.append((st.network, st))
     return out
 
 

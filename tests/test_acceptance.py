@@ -272,10 +272,11 @@ def test_criterion_11_contingent_table_reproduction():
             assert not missed
         else:
             for ln in missed:
+                exp = ln.expectation
                 warnings.warn(
-                    f"{name} contingent mismatch [{ln.provenance}]: "
-                    f"{ln.quantity} computed {ln.computed:.6g} vs published "
-                    f"{ln.expected:.6g} (tol {ln.tol:g}); line data is "
+                    f"{name} contingent mismatch [{exp.provenance}]: "
+                    f"{exp.quantity} computed {ln.computed:.6g} vs published "
+                    f"{exp.value:.6g} (tol {exp.tol:g}); line data is "
                     "reconstructed, not published",
                     UserWarning,
                 )

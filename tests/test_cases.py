@@ -34,8 +34,8 @@ def test_unknown_fixture_rejected():
 def test_reproduce_verified_expectations_hold():
     for name in FIXTURE_NAMES:
         rep = reproduce_case(name)
-        failed = [ln.quantity for ln in rep.lines
-                  if not ln.passed and ln.status == "verified"]
+        failed = [ln.expectation.quantity for ln in rep.lines
+                  if not ln.passed and ln.expectation.status == "verified"]
         assert rep.ok, f"{name}: {failed}"
 
 
@@ -44,7 +44,7 @@ def test_reproduce_contingent_status_is_reported_not_raised():
     assert rep.ok
     assert not rep.locked  # reconstructed topology does not match the tables
     warned = [ln for ln in rep.lines if not ln.passed]
-    assert all(ln.status == "contingent" for ln in warned)
+    assert all(ln.expectation.status == "contingent" for ln in warned)
 
 
 def test_reproduce_deterministic():
@@ -105,27 +105,39 @@ def test_oracle_rejects_a_plan_of_the_wrong_size_as_the_formula_does(fixture_stu
 
 def test_random_network_determinism_and_guarantees():
     for seed in (0, 1, 9):
-        a = random_network(seed)
-        b = random_network(seed)
-        assert a == b
+        st = random_network(seed)
+        a = st.network
+        assert a == random_network(seed).network
         p, _ = a.injections()
         assert abs(float(np.sum(p))) < 1e-9
         assert a.m >= 2
         for ln in a.lines:
             assert not (ln.from_bus <= a.m and ln.to_bus <= a.m)
-        st = build_study(a)
         from oscdamp.network import line_states
         assert np.max(np.abs(line_states(a, st.op).theta)) < 0.5
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_random_network_returns_the_study_build_study_makes(seed):
+    st = random_network(seed)
+    ref = build_study(st.network)
+    assert not st.const_v
+    assert np.array_equal(st.op.delta, ref.op.delta)
+    assert np.array_equal(st.op.v_load, ref.op.v_load)
+    assert np.array_equal(st.bundle.L, ref.bundle.L)
+    assert len(st.modes) == len(ref.modes)
+    for got, want in zip(st.modes, ref.modes):
+        assert np.array_equal(got.lam, want.lam) and np.array_equal(got.x, want.x)
+
+
 def test_zero_damping_variant_strips_damping():
-    net = zero_damping_variant(random_network(4))
+    net = zero_damping_variant(random_network(4).network)
     assert all(b.damping_d_seconds == 0 for b in net.buses)
 
 
 def _fd_inputs():
-    net = random_network(3)
-    st = build_study(net)
+    st = random_network(3)
+    net = st.network
     plan = plan_between(net, *net.gen_labels()[:2])
     return net, st, st.electromechanical()[0], plan
 
@@ -165,9 +177,9 @@ def test_random_network_retries_after_a_failed_study(monkeypatch):
         return build_study(net, *args, **kwargs)
 
     monkeypatch.setattr(cases, "build_study", flaky)
-    net = random_network(0)
+    st = random_network(0)
     assert len(calls) >= 2
-    assert net == calls[-1]
+    assert st.network == calls[-1]
 
 
 def test_random_network_lets_programming_errors_through(monkeypatch):

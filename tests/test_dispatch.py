@@ -186,10 +186,10 @@ def test_sweep_single_zero_row(random_suite):
 
 
 def test_linearity_in_the_plan():
-    net = random_network(21)
-    if net.m < 3:
-        net = random_network(24)
-    st = build_study(net)
+    st = random_network(21)
+    if st.network.m < 3:
+        st = random_network(24)
+    net = st.network
     md = st.electromechanical()[0]
     labels = net.gen_labels()
     p1 = plan_between(net, labels[0], labels[1])
@@ -333,8 +333,8 @@ def test_sweep_at_a_saddle_is_singularity_error():
 
 
 def test_rank_pairs_top_sign_confirmed_by_oracle():
-    net = random_network(14)
-    st = build_study(net)
+    st = random_network(14)
+    net = st.network
     md = st.electromechanical()[0]
     ranked = rank_pairs(net, st.op, md)
     top = ranked[0]
@@ -349,8 +349,8 @@ def test_rank_pairs_top_sign_confirmed_by_oracle():
 
 def test_first_order_correctness_all_oscillatory_modes():
     # The slope check per mode, not just the tracked one.
-    net = random_network(28)
-    st = build_study(net)
+    st = random_network(28)
+    net = st.network
     labels = net.gen_labels()
     plan = plan_between(net, labels[0], labels[1])
     for md in st.electromechanical():

@@ -125,7 +125,7 @@ def test_factorization_identity_everywhere(fixture_studies, random_suite):
 def test_factorization_identity_off_equilibrium():
     # The stored bus complement makes the identity exact at any state, not
     # just at solved equilibria.
-    net = random_network(42)
+    net = random_network(42).network
     rng = np.random.default_rng(3)
     op = OperatingPoint(
         delta=0.2 * rng.standard_normal(net.n),

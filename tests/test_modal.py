@@ -144,8 +144,7 @@ def test_reduced_jacobian_no_algebraic_block_is_identity_case():
 def test_reduced_jacobian_with_connecting_bus():
     # A connecting bus (P = Q = 0) adds algebraic rows; the reduction must
     # succeed and preserve the finite spectrum.
-    net = random_network(11)
-    st = build_study(net)
+    st = random_network(11)
     red_spec = np.linalg.eigvals(reduced_jacobian(st.dyn.m, st.dyn.d, st.bundle.L))
     E, J = extended_jacobian(st.dyn.m, st.dyn.d, st.bundle.L)
     alph, beta = scipy.linalg.eig(J, E, right=False, homogeneous_eigvals=True)
@@ -305,7 +304,7 @@ def test_ten_bus_real_parts_not_contingent(fixture_studies):
 def test_uniform_damping_pins_real_parts():
     # d_i/m_i identical on all machines, no load damping: every oscillatory
     # eigenvalue sits at -c/2.
-    net = zero_damping_variant(random_network(17))
+    net = zero_damping_variant(random_network(17).network)
     from dataclasses import replace as drep
     buses = []
     for b in net.buses:
@@ -322,7 +321,7 @@ def test_uniform_damping_pins_real_parts():
 
 def test_zero_damping_spectrum_imaginary_and_real_vectors():
     for seed in (5, 6):
-        net = zero_damping_variant(random_network(seed))
+        net = zero_damping_variant(random_network(seed).network)
         st = build_study(net)
         assert st.modes, "expected at least one mode"
         for md in st.modes:

@@ -403,7 +403,7 @@ def test_hessian_without_lines_is_float():
 
 
 def test_hessian_matches_residual_jacobian_off_equilibrium():
-    net = random_network(123)
+    net = random_network(123).network
     rng = np.random.default_rng(2)
     op = OperatingPoint(
         delta=0.1 * rng.standard_normal(net.n),

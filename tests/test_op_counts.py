@@ -374,6 +374,18 @@ def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
     assert counts["network.residual_vectors"] <= 5
 
 
+def test_verify_solves_each_random_draw_once(counts, capsys):
+    # Ten studies: the four fixtures, the three accepted random draws and
+    # three draws rejected in the power flow. Each accepted draw is solved
+    # once and re-solved twice by the oracle; the eighth bundle is six_bus's
+    # ranking's.
+    assert oscdamp.cli.main(["verify"]) == 0
+    assert counts["study.build_study"] == 10
+    assert counts["laplacian.hessian"] == 8
+    assert counts["network.solve_power_flow"] == 16
+    assert counts["modal.eigenpairs"] == 13
+
+
 @pytest.mark.parametrize("name", cases.FIXTURE_NAMES)
 def test_reproduce_case_solves_one_eigenproblem(counts, name):
     # The first-order predictions the fixtures check need no re-solve.

@@ -193,9 +193,9 @@ def test_const_v_coefficients_reject_full_model_mode(random_suite):
 
 def test_formula_vs_oracle_on_reactive_load_system():
     # Networks with reactive load exercise the voltage coefficients hardest.
-    net = random_network(33)
+    st = random_network(33)
+    net = st.network
     assert any(b.q_load != 0 for b in net.buses)
-    st = build_study(net)
     md = st.electromechanical()[0]
     labels = net.gen_labels()
     plan = plan_between(net, labels[0], labels[1])
