@@ -3,7 +3,9 @@
 Exit codes: 0 success, 3 failed verification; a package error prints one
 line on stderr and exits with its class's ``exit_code`` (see ``errors``).
 All numeric output uses 6 significant digits and identical invocations
-produce byte-identical stdout.
+produce byte-identical stdout. A command with ``--csv`` writes the file
+before it prints anything (``_emit``), so an unwritable path exits 64 with
+stdout empty.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,6 +34,12 @@ class _Parser(argparse.ArgumentParser):
 
 def g6(x: float) -> str:
     return format(float(x), ".6g")
+
+
+def _cells(z: complex | None) -> list[str]:
+    """A complex value as its real and imaginary cells; blanks for None, a
+    re-solve that failed."""
+    return ["", ""] if z is None else [g6(z.real), g6(z.imag)]
 
 
 def _table(rows: list[list[str]], header: list[str]) -> str:
@@ -104,14 +113,22 @@ def _cannot_write(path: str, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+def _emit(args, header: list[str], rows: list[list[str]],
+          before: Sequence[str] = (), after: Sequence[str] = ()) -> int:
+    """Write the table to ``args.csv`` if given, then print the ``before``
+    lines, the table and the ``after`` lines."""
+    if args.csv:
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        except OSError as exc:
+            raise _cannot_write(args.csv, exc) from None
+    for line in before:
+        print(line)
+    print(_table(rows, header))
+    for line in after:
+        print(line)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -141,28 +158,15 @@ def cmd_pf(args) -> int:
     return EXIT_OK
 
 
-def _mode_rows(st: Study) -> list[list[str]]:
-    rows = []
-    for i, md in enumerate(st.oscillatory(), start=1):
-        rows.append([
-            str(i), g6(md.sigma), g6(md.omega), g6(md.freq_hz),
-            g6(100 * md.damping_ratio), md.swing_profile,
-            "em" if md.electromechanical else "",
-        ])
-    return rows
-
-
 def cmd_modes(args) -> int:
     st = _load_study(args)
     header = ["idx", "re", "im", "f_hz", "zeta_pct", "swing_profile", "class"]
-    rows = _mode_rows(st)
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    print(_table(rows, header))
+    rows = [[str(i), *_cells(md.lam), g6(md.freq_hz), g6(100 * md.damping_ratio),
+             md.swing_profile, "em" if md.electromechanical else ""]
+            for i, md in enumerate(st.oscillatory(), start=1)]
     hidden = len(st.modes) - len(rows)
-    if hidden:
-        print(f"({hidden} non-oscillatory modes not shown)")
-    return EXIT_OK
+    return _emit(args, header, rows,
+                 after=[f"({hidden} non-oscillatory modes not shown)"] if hidden else [])
 
 
 def cmd_sens(args) -> int:
@@ -173,17 +177,16 @@ def cmd_sens(args) -> int:
           f"f = {g6(mode.freq_hz)} Hz  zeta = {g6(100 * mode.damping_ratio)} %")
     print(f"alpha = {g6(report.alpha.real)} + {g6(report.alpha.imag)}j")
     print()
-    rows = []
-    for ln, c in zip(st.network.lines, report.theta_coeff):
-        rows.append([ln.label, g6(c.real), g6(c.imag), g6(abs(c / report.alpha))])
-    print(_table(rows, ["line", "dtheta_coeff_re", "dtheta_coeff_im", "|coeff/alpha|"]))
+    def coeff_rows(items, coeffs):
+        return [[it.label, *_cells(c), g6(abs(c / report.alpha))]
+                for it, c in zip(items, coeffs)]
+
+    print(_table(coeff_rows(st.network.lines, report.theta_coeff),
+                 ["line", "dtheta_coeff_re", "dtheta_coeff_im", "|coeff/alpha|"]))
     if report.vln_coeff.size:
         print()
-        vrows = []
-        for i, bus in enumerate(st.network.buses[st.network.m:]):
-            c = report.vln_coeff[i]
-            vrows.append([bus.label, g6(c.real), g6(c.imag), g6(abs(c / report.alpha))])
-        print(_table(vrows, ["bus", "dvln_coeff_re", "dvln_coeff_im", "|coeff/alpha|"]))
+        print(_table(coeff_rows(st.network.buses[st.network.m:], report.vln_coeff),
+                     ["bus", "dvln_coeff_re", "dvln_coeff_im", "|coeff/alpha|"]))
     return EXIT_OK
 
 
@@ -210,29 +213,15 @@ def cmd_sweep(args) -> int:
     preds = dispatch.sweep(st.network, st.op, mode, plan, r_values)
     header = ["r", "sigma_exact", "omega_exact", "sigma_approx", "omega_approx",
               "zeta_exact", "zeta_approx"]
-    rows = []
-    failures = []
-    for pr in preds:
-        za = modal.damping_ratio(pr.lambda_approx)
-        if pr.lambda_exact is None:
-            rows.append([g6(pr.r), "", "", g6(pr.lambda_approx.real),
-                         g6(pr.lambda_approx.imag), "", g6(za)])
-            failures.append((pr.r, pr.oracle_failure))
-        else:
-            ze = modal.damping_ratio(pr.lambda_exact)
-            rows.append([
-                g6(pr.r), g6(pr.lambda_exact.real), g6(pr.lambda_exact.imag),
-                g6(pr.lambda_approx.real), g6(pr.lambda_approx.imag),
-                g6(ze), g6(za),
-            ])
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    print(f"redispatch {plan.description}, mode lambda = "
-          f"{g6(mode.sigma)} + {g6(mode.omega)}j")
-    print(_table(rows, header))
-    for r, msg in failures:
-        print(f"oracle unavailable at r = {g6(r)}: {msg}")
-    return EXIT_OK
+    rows = [[g6(pr.r), *_cells(pr.lambda_exact), *_cells(pr.lambda_approx),
+             "" if pr.lambda_exact is None else g6(modal.damping_ratio(pr.lambda_exact)),
+             g6(modal.damping_ratio(pr.lambda_approx))]
+            for pr in preds]
+    return _emit(args, header, rows,
+                 before=[f"redispatch {plan.description}, mode lambda = "
+                         f"{g6(mode.sigma)} + {g6(mode.omega)}j"],
+                 after=[f"oracle unavailable at r = {g6(pr.r)}: {pr.oracle_failure}"
+                        for pr in preds if pr.lambda_exact is None])
 
 
 def cmd_rank(args) -> int:
@@ -240,13 +229,9 @@ def cmd_rank(args) -> int:
     mode = _select_mode(st, args)
     ranked = dispatch.rank_pairs(st.network, st.op, mode)
     header = ["up", "down", "dzeta_dr", "dsigma_dr", "domega_dr"]
-    rows = [[p.up, p.down, g6(p.dzeta_dr), g6(p.dlambda_dr.real), g6(p.dlambda_dr.imag)]
-            for p in ranked]
-    if args.csv:
-        _write_csv(args.csv, header, rows)
-    print(f"mode lambda = {g6(mode.sigma)} + {g6(mode.omega)}j")
-    print(_table(rows, header))
-    return EXIT_OK
+    rows = [[p.up, p.down, g6(p.dzeta_dr), *_cells(p.dlambda_dr)] for p in ranked]
+    return _emit(args, header, rows,
+                 before=[f"mode lambda = {g6(mode.sigma)} + {g6(mode.omega)}j"])
 
 
 SPOTCHECK_DRAWS = 3  # random networks the verify spot-check draws

@@ -61,7 +61,8 @@ class RedispatchPlan:
     description: str = ""
 
     def __post_init__(self):
-        dp = np.asarray(self.dp, dtype=float)
+        dp = np.array(self.dp, dtype=float)  # a copy, so the caller cannot unbalance it
+        dp.flags.writeable = False
         object.__setattr__(self, "dp", dp)
         if not np.all(np.isfinite(dp)):
             raise ValidationError("redispatch plan has a non-finite entry")
@@ -90,8 +91,12 @@ class ModePrediction:
     r: float
     lambda_approx: complex
     lambda_exact: complex | None
-    error: float | None
     oracle_failure: str | None = None
+
+    @property
+    def error(self) -> float | None:
+        """|lambda_exact - lambda_approx|, None where the re-solve failed."""
+        return None if self.lambda_exact is None else abs(self.lambda_exact - self.lambda_approx)
 
 
 @dataclass(frozen=True)
@@ -200,10 +205,7 @@ class ModePath:
     def slope(self) -> complex:
         """dlambda/dr for a unit application of the plan, as the plan's sum of
         ``generator_gains``: one bundle and one grounded Cholesky solve."""
-        bundle = hessian(self.network, self.op, const_v=self.const_v)
-        report = sensitivity.sensitivity_coefficients(
-            self.network, self.op, self.mode, bundle, self.dyn)
-        return complex(self.plan.dp @ generator_gains(bundle.L, report, self.network.m))
+        return complex(self.plan.dp @ _mode_gains(self.network, self.op, self.mode, self.dyn))
 
     def _hessian_at(self, r: float) -> np.ndarray:
         """Hessian of the grid redispatched by r, at its power flow solved from ``op``."""
@@ -285,11 +287,8 @@ def sweep(
             exact = path.tracked(r)
         except OscdampError as exc:
             failure = str(exc)
-        rows.append(ModePrediction(
-            r=r, lambda_approx=approx, lambda_exact=exact,
-            error=None if exact is None else abs(exact - approx),
-            oracle_failure=failure,
-        ))
+        rows.append(ModePrediction(r=r, lambda_approx=approx, lambda_exact=exact,
+                                   oracle_failure=failure))
     return rows
 
 
@@ -321,6 +320,15 @@ def generator_gains(
     return np.concatenate([[0.0], -y[1:m] / report.alpha])
 
 
+def _mode_gains(network: Network, op: OperatingPoint, mode: modal.Mode,
+                dyn: modal.DynamicMatrices) -> np.ndarray:
+    """``generator_gains`` of ``mode`` at ``op``: one bundle in the mode's
+    voltage model, its sensitivity report with ``dyn``, one grounded solve."""
+    bundle = hessian(network, op, const_v=angle_only(network, mode))
+    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
+    return generator_gains(bundle.L, report, network.m)
+
+
 def rank_pairs(
     network: Network, op: OperatingPoint, mode: modal.Mode
 ) -> list[PairSensitivity]:
@@ -331,11 +339,8 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    const_v = angle_only(network, mode)
-    bundle = hessian(network, op, const_v=const_v)
-    report = sensitivity.sensitivity_coefficients(
-        network, op, mode, bundle, modal.build_dynamic_matrices(network, const_v=const_v))
-    gains = generator_gains(bundle.L, report, network.m)
+    dyn = modal.build_dynamic_matrices(network, const_v=angle_only(network, mode))
+    gains = _mode_gains(network, op, mode, dyn)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5
     labels = network.gen_labels()

@@ -10,7 +10,7 @@ produces the infinite eigenvalues that get filtered out. State ordering is
 The pencil is solved by one LAPACK ``dggev`` (QZ) call per study, in ``qz``.
 ``eigenpairs`` then builds and scales only the eigenvectors it keeps, with
 the same operations ``scipy.linalg.eig`` applies, so every bit matches it;
-``scipy.linalg.eig`` is now only the reference in the tests. It filters,
+the tests check it against ``scipy.linalg.eig``. It filters,
 gauges and checks them and returns arrays; ``solve_qep`` summarizes those
 as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
 arrays. ``newton_eigenpair`` follows one eigenpair of Q(lam) directly: it

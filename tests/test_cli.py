@@ -216,6 +216,37 @@ def test_dump_matrices(tmp_path):
     assert blocks.shape == (3, 2)
 
 
+@pytest.mark.parametrize("flags", [[], ["--const-v"]], ids=["full", "const-v"])
+def test_modes_dumps_the_matrices_pf_dumps(tmp_path, flags):
+    grid = _data_path("six_bus.grid")
+    assert _run(["pf", grid, *flags, "--dump-matrices", str(tmp_path / "pf")])[0] == 0
+    assert _run(["modes", grid, *flags, "--dump-matrices", str(tmp_path / "modes")])[0] == 0
+    names = ["H.csv", "L.csv", "Lp_blocks.csv"]
+    assert sorted(os.listdir(tmp_path / "modes")) == names
+    for name in names:
+        assert (tmp_path / "modes" / name).read_bytes() == (tmp_path / "pf" / name).read_bytes()
+
+
+def test_sweep_prints_and_writes_a_failed_row_with_blank_cells(tmp_path):
+    table = tmp_path / "sweep.csv"
+    code, out = _run(["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "1",
+                      "--pair", "G1:G3", "--r", "0.003,1e17", "--csv", str(table)])
+    assert code == 0
+    assert out.splitlines() == [
+        "redispatch G1->G3, mode lambda = -0.174062 + 10.1379j",
+        "r      sigma_exact  omega_exact  sigma_approx  omega_approx  zeta_exact  zeta_approx",
+        "0.003  -0.174059    10.1369      -0.174059     10.1369       0.0171683   0.0171682",
+        "1e+17                            9.89819e+13   -3.27378e+16              -0.00302346",
+        "oracle unavailable at r = 1e+17: real power does not balance: redispatching by "
+        "r = 1e+17 lost the balance to rounding (sum of injections = -8.000e+00)",
+    ]
+    assert table.read_text(encoding="utf-8") == (
+        "r,sigma_exact,omega_exact,sigma_approx,omega_approx,zeta_exact,zeta_approx\n"
+        "0.003,-0.174059,10.1369,-0.174059,10.1369,0.0171683,0.0171682\n"
+        "1e+17,,,9.89819e+13,-3.27378e+16,,-0.00302346\n"
+    )
+
+
 def test_verify_green_and_deterministic():
     code, out = _run(["verify"])
     assert code == 0
@@ -332,6 +363,8 @@ SWEEP_SIX = ["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "2",
                   "--csv", str(tmp / "missing" / "x.csv")], 64, "cannot write"),
     (lambda tmp: ["modes", _data_path("six_bus.grid"), "--const-v",
                   "--csv", str(tmp)], 64, "cannot write"),
+    (lambda tmp: SWEEP_SIX + ["--r", "0.003", "--csv", str(tmp / "missing" / "x.csv")],
+     64, "cannot write"),
     (_file_in_the_way, 64, "cannot write"),
     (lambda tmp: SWEEP_SIX + ["--r", "0.003,nan"], 64, "must be finite"),
     (lambda tmp: SWEEP_SIX + ["--r", "inf"], 64, "must be finite"),
@@ -343,7 +376,7 @@ SWEEP_SIX = ["sweep", _data_path("six_bus.grid"), "--const-v", "--mode", "2",
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="no /dev/full")),
 ], ids=["grid-is-directory", "grid-not-utf8", "csv-missing-dir", "csv-is-directory",
-        "dump-under-file", "r-nan", "r-inf", "negative-seed", "csv-device-full"])
+        "sweep-csv-missing-dir", "dump-under-file", "r-nan", "r-inf", "negative-seed", "csv-device-full"])
 def test_bad_paths_and_arguments_exit_with_one_line(tmp_path, capsys, make_argv, code, message):
     assert main(make_argv(tmp_path)) == code
     out, err = capsys.readouterr()

@@ -64,6 +64,15 @@ def test_plan_validation():
     assert not plan.dp.any()
 
 
+def test_plan_keeps_a_read_only_copy_of_dp():
+    dp = np.array([1.0, -1.0])
+    plan = RedispatchPlan(dp)
+    dp[0] = 5.0  # the caller's array no longer reaches the validated plan
+    assert plan.dp.tolist() == [1.0, -1.0]
+    with pytest.raises(ValueError, match="read-only"):
+        plan.dp[0] = 5.0
+
+
 @pytest.mark.parametrize("dp", [[math.nan, 0.0, 0.0, 0.0], [math.inf, -math.inf, 0.0, 0.0]])
 def test_plan_rejects_a_non_finite_entry(dp):
     with warnings.catch_warnings():
@@ -255,6 +264,20 @@ def test_rank_pairs_matches_pinv_path_fixtures(fixture_studies):
             _assert_rank_matches_pinv_path(st.network, st, md)
         ranked += 1
     assert ranked == 3
+
+
+def test_mode_path_slope_is_the_ranked_pair_gain(base_studies):
+    # ModePath.slope and rank_pairs share one gains solve, so each pair's
+    # slope must equal its ranked dlambda_dr bit for bit.
+    pairs = 0
+    for st in base_studies:
+        net = st.network
+        for md in st.oscillatory():
+            for p in rank_pairs(net, st.op, md):
+                plan = plan_between(net, p.up, p.down)
+                assert ModePath(net, st.op, md, plan).slope() == p.dlambda_dr
+                pairs += 1
+    assert pairs == 720
 
 
 def test_generator_gains_singular_grounded_block(random_suite):
