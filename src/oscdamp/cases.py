@@ -113,16 +113,10 @@ def load_fixture(name: str) -> CaseFixture:
 # Per-fixture computed quantities
 # ---------------------------------------------------------------------------
 
-def _profile_groups(profile: str) -> tuple[frozenset, frozenset]:
-    if "<->" in profile:
-        a, b = profile.split("<->")
-        return frozenset(a.strip().split(",")), frozenset(b.strip().split(","))
-    return frozenset(profile.strip().split(",")), frozenset()
-
-
-def _profile_is(profile: str, side_a, side_b) -> bool:
-    ga, gb = _profile_groups(profile)
-    return {ga, gb} == {frozenset(side_a), frozenset(side_b)}
+def _swings_as(mode: modal.Mode, side_a, side_b) -> bool:
+    """Whether the mode's swing groups are ``side_a`` and ``side_b``, in any order."""
+    return {frozenset(group) for group in mode.swing_groups} == {
+        frozenset(side_a), frozenset(side_b)}
 
 
 def _common_quantities(st: Study) -> dict[str, complex]:
@@ -166,10 +160,8 @@ def _quantities_six_bus(st: Study) -> dict[str, complex]:
     if len(em) == 2:
         out["lam1"] = em[0].lam
         out["lam2"] = em[1].lam
-        out["profile1_is_12v3"] = float(_profile_is(
-            em[0].swing_profile, ("G1", "G2"), ("G3",)))
-        out["profile2_is_1v2"] = float(_profile_is(
-            em[1].swing_profile, ("G1",), ("G2",)))
+        out["profile1_is_12v3"] = float(_swings_as(em[0], ("G1", "G2"), ("G3",)))
+        out["profile2_is_1v2"] = float(_swings_as(em[1], ("G1",), ("G2",)))
         report = sensitivity.sensitivity_coefficients(
             st.network, st.op, em[1], st.bundle, st.dyn)
         gains = sensitivity.const_v_coefficients(em[1], report)
@@ -197,8 +189,7 @@ def _quantities_ten_bus(st: Study) -> dict[str, complex]:
         out["omega_interarea"] = em[0].omega
         out["omega_local_low"] = em[1].omega
         out["omega_local_high"] = em[2].omega
-        out["profile_interarea"] = float(_profile_is(
-            em[0].swing_profile, ("G1", "G2"), ("G3", "G4")))
+        out["profile_interarea"] = float(_swings_as(em[0], ("G1", "G2"), ("G3", "G4")))
         plan = dispatch.plan_between(st.network, "G1", "G3")
         out["table3_r003_omega"] = (
             em[0].lam + 0.003 * dispatch.unit_dlambda(st, em[0], plan)).imag
@@ -244,7 +235,7 @@ def finite_difference_sensitivity(
     """
     if not 0 < step < np.inf:
         raise UsageError("step must be positive and finite")
-    if const_v not in (None, dispatch.angle_only(network, mode)):
+    if const_v not in (None, modal.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     path = dispatch.ModePath(network, op, mode, plan)
     if not np.any(plan.dp):

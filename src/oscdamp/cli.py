@@ -141,8 +141,7 @@ def cmd_pf(args) -> int:
     if args.dump_matrices:
         _dump_matrices(laplacian.hessian(net, op, const_v=args.const_v), args.dump_matrices)
     v = bus_voltages(net, op)
-    rows = [[b.label, b.kind, g6(op.delta[b.index - 1]), g6(v[b.index - 1])]
-            for b in net.buses]
+    rows = [[b.label, b.kind, g6(op.delta[i]), g6(v[i])] for i, b in enumerate(net.buses)]
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))
     ls = line_states(net, op)
     lrows = []
@@ -191,9 +190,17 @@ def cmd_sens(args) -> int:
 
 
 def _parse_pair(st: Study, spec_str: str) -> dispatch.RedispatchPlan:
-    if ":" not in spec_str:
+    """The plan of ``--pair GA:GB``. A label may contain ':', so the pair is
+    the one split at a ':' whose two halves both name generators."""
+    splits = [(spec_str[:i], spec_str[i + 1:]) for i, c in enumerate(spec_str) if c == ":"]
+    if not splits:
         raise UsageError(f"bad --pair {spec_str!r}, expected GA:GB")
-    up, down = spec_str.split(":", 1)
+    labels = st.network.gen_labels()
+    named = [(up, down) for up, down in splits if up in labels and down in labels]
+    if len(named) > 1:
+        raise UsageError(f"ambiguous --pair {spec_str!r}: it splits into generator "
+                         f"labels as {' or '.join(f'{up} : {down}' for up, down in named)}")
+    up, down = named[0] if named else splits[0]
     try:
         return dispatch.plan_between(st.network, up, down)
     except ValidationError as exc:

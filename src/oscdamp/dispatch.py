@@ -141,19 +141,6 @@ def flow_response(study: Study, plan: RedispatchPlan) -> np.ndarray:
     return dz
 
 
-def angle_only(network: Network, mode: modal.Mode) -> bool:
-    """Whether ``mode`` comes from the angle-only (constant-voltage) model.
-
-    Its eigenvector has n entries there and 2n - m in the full model; any
-    other size is a usage error.
-    """
-    n, size = network.n, mode.x.size
-    if size not in (n, 2 * n - network.m):
-        raise UsageError(f"mode has {size} entries; modes of this network have "
-                         f"{n} (angle-only) or {2 * n - network.m} (full model)")
-    return size == n
-
-
 def unit_dlambda(study: Study, mode: modal.Mode, plan: RedispatchPlan) -> complex:
     """dlambda/dr for a unit application of the plan, via the forward chain
     on the study's bundle; ``mode`` must come from the study's voltage model."""
@@ -190,16 +177,16 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
 
 
 class ModePath:
-    """``mode`` followed from ``op`` along the redispatch ``plan``, in the
-    mode's voltage model (``angle_only``). Redispatch moves neither M nor D, so
-    they are built once. Every re-solve at r starts its power flow from ``op``
-    and its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
+    """``mode`` followed from ``op`` along the redispatch ``plan``, in its voltage
+    model (``modal.angle_only``). Redispatch moves neither M nor D, so they
+    are built once. Every re-solve at r starts its power flow from ``op`` and
+    its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
 
     def __init__(self, network: Network, op: OperatingPoint, mode: modal.Mode,
                  plan: RedispatchPlan):
         check_plan_size(network, plan)
         self.network, self.op, self.mode, self.plan = network, op, mode, plan
-        self.const_v = angle_only(network, mode)
+        self.const_v = modal.angle_only(network, mode)
         self.dyn = modal.build_dynamic_matrices(network, const_v=self.const_v)
 
     def slope(self) -> complex:
@@ -272,7 +259,7 @@ def sweep(
     ``SingularityError`` as ``rank`` does (exit 2). The voltage model is the
     mode's; a ``const_v`` naming the other one is rejected.
     """
-    if const_v not in (None, angle_only(network, mode)):
+    if const_v not in (None, modal.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     r_values = [float(r) for r in r_values]
     if not np.all(np.isfinite(r_values)):
@@ -324,7 +311,7 @@ def _mode_gains(network: Network, op: OperatingPoint, mode: modal.Mode,
                 dyn: modal.DynamicMatrices) -> np.ndarray:
     """``generator_gains`` of ``mode`` at ``op``: one bundle in the mode's
     voltage model, its sensitivity report with ``dyn``, one grounded solve."""
-    bundle = hessian(network, op, const_v=angle_only(network, mode))
+    bundle = hessian(network, op, const_v=modal.angle_only(network, mode))
     report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
     return generator_gains(bundle.L, report, network.m)
 
@@ -339,7 +326,7 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    dyn = modal.build_dynamic_matrices(network, const_v=angle_only(network, mode))
+    dyn = modal.build_dynamic_matrices(network, const_v=modal.angle_only(network, mode))
     gains = _mode_gains(network, op, mode, dyn)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5

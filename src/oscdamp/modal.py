@@ -132,16 +132,23 @@ class Mode:
 
     ``x`` is in natural state order and normalized so the largest-magnitude
     generator angle component is 1+0j. ``residual`` is the backward error
-    ||Q(lam) x|| / (||x|| ||Q(lam)||_F). Frequency and damping ratio are
-    derived from ``lam``.
+    ||Q(lam) x|| / (||x|| ||Q(lam)||_F). ``swing_groups`` holds the labels of
+    the generators that swing together, one group per sign of their rotated
+    angle component; either may be empty. Frequency, damping ratio and the
+    ``swing_profile`` text are derived from these fields.
     """
 
     lam: complex
     x: np.ndarray
     residual: float
-    swing_profile: str
+    swing_groups: tuple[tuple[str, ...], tuple[str, ...]]
     electromechanical: bool
     warnings: tuple[str, ...] = ()
+
+    @property
+    def swing_profile(self) -> str:
+        """The swing groups as text, "G1,G2 <-> G3", or one group alone."""
+        return " <-> ".join(",".join(group) for group in self.swing_groups if group)
 
     @property
     def sigma(self) -> float:
@@ -158,6 +165,20 @@ class Mode:
     @property
     def damping_ratio(self) -> float:
         return damping_ratio(self.lam)
+
+
+def angle_only(network: Network, mode: Mode) -> bool:
+    """Whether ``mode`` comes from the angle-only (constant-voltage) model of
+    ``network``: the one rule that names a mode's voltage model.
+
+    Its eigenvector has n entries there and 2n - m in the full model; any
+    other size is a usage error.
+    """
+    n, size = network.n, mode.x.size
+    if size not in (n, 2 * n - network.m):
+        raise UsageError(f"mode has {size} entries; modes of this network have "
+                         f"{n} (angle-only) or {2 * n - network.m} (full model)")
+    return size == n
 
 
 def damping_ratio(lam: complex) -> float:
@@ -291,13 +312,22 @@ def backward_errors(
 
     Q(lam) = L + diag(s) with s = lam^2 m + lam d, so the residual is
     L X + S o X and ||Q||_F^2 = ||L||_F^2 + sum_i (|s_i|^2 + 2 Re(s_i) L_ii);
-    no Q(lam) is formed (Tisseur & Meerbergen, SIAM Review 2001).
+    no Q(lam) is formed (Tisseur & Meerbergen, SIAM Review 2001). Each
+    ||Q(lam_k)||_F is summed in units of a power of two no smaller than
+    ||L||_F or any |s_i|, so no |s_i|^2 overflows. Scaling by a power of two
+    is exact, so a column that would not overflow keeps its bits.
     """
     S = lams * lams * m_diag[:, None] + lams * d_diag[:, None]
     R = L @ X + S * X
-    q_norm2 = np.linalg.norm(L) ** 2 + np.sum(
-        np.abs(S) ** 2 + 2.0 * S.real * np.diag(L)[:, None], axis=0)
-    return np.linalg.norm(R, axis=0) / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
+    l_norm = np.linalg.norm(L)
+    s_abs = np.abs(S)
+    unit = np.ldexp(1.0, -np.frexp(np.max(s_abs, axis=0, initial=l_norm))[1])
+    s_abs *= unit
+    cross = S.real * unit
+    cross *= np.diag(L)[:, None]
+    cross *= 2.0 * unit
+    q_norm2 = (l_norm * unit) ** 2 + np.sum(s_abs * s_abs + cross, axis=0)
+    return np.linalg.norm(R, axis=0) * unit / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
 
 
 def newton_eigenpair(
@@ -336,32 +366,29 @@ def newton_eigenpair(
     return None
 
 
-def _swing_profiles(
+def _swing_groups(
     X: np.ndarray, gen_rows: np.ndarray, labels: tuple[str, ...]
-) -> list[str]:
-    """One "G1,G2 <-> G3" string per row of X.
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """One ``Mode.swing_groups`` per row of X.
 
     Each row's generator components are rotated so that the first largest is
     real and positive; those of at least PARTICIPATION_THRESHOLD of it are
-    grouped by the sign of their real part.
+    grouped by the sign of their real part, nonnegative first.
     """
     if not gen_rows.size:
-        return [""] * X.shape[0]
+        return [((), ())] * X.shape[0]
     xg = X[:, gen_rows]
     mags = np.abs(xg)
     top = np.max(mags, axis=1)
     phase = xg[np.arange(xg.shape[0]), _first_at_max(mags)]
-    # An all-zero row gets a unit phase and shows no generator: its profile is empty.
+    # An all-zero row gets a unit phase and shows no generator: both groups are empty.
     phase = np.where(top > 0, phase, 1.0)
     rotated = xg * (_abs(phase) / phase)[:, None]
     shown = ~(_abs(rotated) < PARTICIPATION_THRESHOLD * top[:, None]) & (top[:, None] > 0)
     positive = rotated.real >= 0
-    profiles = []
-    for row_shown, row_pos in zip(shown.tolist(), positive.tolist()):
-        pos = ",".join([lab for lab, s, p in zip(labels, row_shown, row_pos) if s and p])
-        neg = ",".join([lab for lab, s, p in zip(labels, row_shown, row_pos) if s and not p])
-        profiles.append(pos + " <-> " + neg if pos and neg else pos or neg)
-    return profiles
+    return [(tuple(lab for lab, s, p in zip(labels, row_shown, row_pos) if s and p),
+             tuple(lab for lab, s, p in zip(labels, row_shown, row_pos) if s and not p))
+            for row_shown, row_pos in zip(shown.tolist(), positive.tolist())]
 
 
 @dataclass(frozen=True)
@@ -488,7 +515,7 @@ def solve_qep(
     """All finite eigenpairs of the pencil, cleaned up and summarized.
 
     The eigenpairs are those of ``eigenpairs``, in its order (by omega, then
-    sigma); each becomes a ``Mode`` with its swing profile, its
+    sigma); each becomes a ``Mode`` with its swing groups, its
     electromechanical flag and a warning when another eigenvalue lies
     within RESONANCE_GAP_REL of the spectral scale.
     """
@@ -505,9 +532,9 @@ def solve_qep(
         np.max(mags[:, gen_rows], axis=1, initial=0.0)
         >= PARTICIPATION_THRESHOLD * np.max(mags, axis=1))
     modes: list[Mode] = []
-    for lam, x, residual, gap, is_em, profile in zip(
+    for lam, x, residual, gap, is_em, groups in zip(
             lams.tolist(), X, pairs.residuals.tolist(), gaps.tolist(), em.tolist(),
-            _swing_profiles(X, gen_rows, gen_labels)):
+            _swing_groups(X, gen_rows, gen_labels)):
         warn: list[str] = []
         if gap < RESONANCE_GAP_REL * pairs.spectral_scale:
             warn.append(
@@ -518,7 +545,7 @@ def solve_qep(
             lam=lam,
             x=x,
             residual=residual,
-            swing_profile=profile,
+            swing_groups=groups,
             electromechanical=is_em,
             warnings=tuple(warn),
         ))

@@ -44,10 +44,10 @@ PF_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class Bus:
-    """One bus. ``index`` is 1-based; generators occupy 1..m, loads m+1..n."""
+    """One bus. Its position in ``Network.buses`` is its index: generators
+    occupy positions 1..m, loads m+1..n (1-based)."""
 
     label: str
-    index: int
     kind: str  # "G" or "L"
     v_set: float = 1.0
     p_gen: float = 0.0
@@ -63,10 +63,10 @@ class Bus:
 
 @dataclass(frozen=True)
 class Line:
-    """One lossless line; ``from_bus``/``to_bus`` are 1-based bus indices."""
+    """One lossless line; ``from_bus``/``to_bus`` are 1-based positions in
+    ``Network.buses``."""
 
     label: str
-    index: int
     from_bus: int
     to_bus: int
     b: float
@@ -227,7 +227,7 @@ class Network:
                 f"redispatch vector has shape {dp.shape}, expected ({self.m},)"
             )
         gens = tuple(
-            Bus(label=b.label, index=b.index, kind=b.kind, v_set=b.v_set, p_gen=b.p_gen + d,
+            Bus(label=b.label, kind=b.kind, v_set=b.v_set, p_gen=b.p_gen + d,
                 p_load=b.p_load, q_load=b.q_load, inertia_h=b.inertia_h,
                 damping_d_seconds=b.damping_d_seconds)
             for b, d in zip(self.buses, dp.tolist()))
@@ -359,10 +359,10 @@ def parse_grid_file(text: str) -> Network:
             if lab not in idx:
                 raise GridFormatError(f"line {lineno}: unknown bus {lab!r}")
     network = Network(
-        buses=tuple(Bus(label=label, index=i, kind=buses[label][0], **buses[label][1])
-                    for i, label in enumerate(ordered, start=1)),
-        lines=tuple(Line(label=label, index=k, from_bus=idx[frm], to_bus=idx[to], b=b)
-                    for k, (label, (_, frm, to, b)) in enumerate(lines.items(), start=1)),
+        buses=tuple(Bus(label=label, kind=buses[label][0], **buses[label][1])
+                    for label in ordered),
+        lines=tuple(Line(label=label, from_bus=idx[frm], to_bus=idx[to], b=b)
+                    for label, (_, frm, to, b) in lines.items()),
         **(system or {}),
     )
     validate_network(network)
@@ -656,7 +656,10 @@ def solve_power_flow(
             z_try = z.copy()
             z_try[1:] -= scale * step
             if not np.any(z_try[n:] <= 0):
-                res_try = residual(z_try)
+                # A trial point may overflow; its non-finite norm then fails
+                # the test below, so numpy's warning would report nothing.
+                with np.errstate(all="ignore"):
+                    res_try = residual(z_try)
                 norm_try = float(np.max(np.abs(res_try)))
                 improved = norm_try < norm
                 # An accepted residual that a step cannot lower is at roundoff.

@@ -67,12 +67,11 @@ def sensitivity_coefficients(
 
     ``bundle`` and ``dyn`` are the Hessian bundle and dynamic matrices of
     ``network`` at ``op``, as a ``Study`` holds them; the voltage model is
-    the bundle's, and ``mode`` must come from it.
+    the bundle's, and ``mode`` must come from it (``modal.angle_only``).
     """
-    if mode.x.size != bundle.L.shape[0]:
+    if modal.angle_only(network, mode) != bundle.const_v:
         model = "angle-only" if bundle.const_v else "full"
-        raise UsageError(f"mode has {mode.x.size} entries; the {model} model of the "
-                         f"Hessian bundle has {bundle.L.shape[0]}")
+        raise UsageError(f"the Hessian bundle is of the {model} model and the mode is not")
     n, m, nl = network.n, network.m, network.n_lines
     al = modal.alpha(mode, dyn.m, dyn.d)
     x = mode.x

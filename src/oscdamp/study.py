@@ -11,11 +11,15 @@ from .network import Network, OperatingPoint, solve_power_flow
 @dataclass(frozen=True)
 class Study:
     network: Network
-    const_v: bool
     op: OperatingPoint
     bundle: laplacian.LaplacianBundle
     dyn: modal.DynamicMatrices
     modes: tuple[modal.Mode, ...]
+
+    @property
+    def const_v(self) -> bool:
+        """The voltage model, as the bundle holds it: True for angle-only."""
+        return self.bundle.const_v
 
     def oscillatory(self) -> tuple[modal.Mode, ...]:
         return tuple(md for md in self.modes if md.omega > 0)
@@ -38,7 +42,4 @@ def build_study(
         n_angles=network.n,
         gen_labels=network.gen_labels(),
     )
-    return Study(
-        network=network, const_v=const_v, op=op,
-        bundle=bundle, dyn=dyn, modes=tuple(modes),
-    )
+    return Study(network=network, op=op, bundle=bundle, dyn=dyn, modes=tuple(modes))

@@ -134,7 +134,7 @@ def test_criterion_05_mode_summary_published_arithmetic():
     def summary(sigma, omega):
         md = modal.Mode(
             lam=complex(sigma, omega), x=np.array([1.0 + 0j]), residual=0.0,
-            swing_profile="", electromechanical=True,
+            swing_groups=((), ()), electromechanical=True,
         )
         return md.freq_hz, 100.0 * md.damping_ratio
 

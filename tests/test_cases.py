@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oscdamp import UsageError, ValidationError
+from oscdamp import UsageError, ValidationError, cases
 from oscdamp.cases import (
     FIXTURE_NAMES,
     finite_difference_sensitivity,
@@ -24,6 +24,18 @@ def test_all_fixtures_load_and_carry_provenance():
             assert exp.tol > 0
             assert exp.provenance
             assert exp.status in ("verified", "contingent")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("em_count 2 0 verified", "six_bus.expected line 1: need 5 fields"),
+    ("em_count 2 0 maybe paper", "six_bus.expected line 1: bad status 'maybe'"),
+])
+def test_a_malformed_expected_line_is_a_usage_error(monkeypatch, line, message):
+    read = cases._read_data
+    monkeypatch.setattr(cases, "_read_data", lambda fname: (
+        line + "\n" if fname.endswith(".expected") else read(fname)))
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        load_fixture("six_bus")
 
 
 def test_unknown_fixture_rejected():

@@ -90,6 +90,41 @@ def test_convergence_error_exit_code(tmp_path):
     assert code == 2
 
 
+# Two generators behind one load bus. The variants are valid grids that push
+# the float range: a set-point of 1e200 overflows Newton's trial points, a
+# damping of 1e300 makes |s|^2 of the backward error overflow, and a reactive
+# load of 10 zeroes the load-voltage diagonal of the flat-start Jacobian.
+STAR = ("bus G1 G V=1 H=3\nbus G2 G V=1 H=3\nbus L1 L\n"
+        "line a G1 L1 b=5\nline b G2 L1 b=5\n")
+STAR_HUGE_V = STAR.replace("G V=1 H=3", "G V=1e200 H=3", 1)
+STAR_HUGE_D = STAR.replace("G V=1 H=3", "G V=1 H=3 D=1e300", 1).replace(
+    "bus L1 L", "bus L1 L D=1e300")
+STAR_HEAVY_Q = STAR.replace("bus L1 L", "bus L1 L Ql=10")
+
+
+@pytest.mark.parametrize("text, message", [
+    (STAR_HUGE_V, "power flow did not converge: residual max-norm 5.000e+200 > 1.0e-10"),
+    (STAR_HEAVY_Q, "power-flow Jacobian is singular beyond the angle-reference nullspace"),
+], ids=["overflowing-trial-points", "singular-jacobian"])
+def test_a_power_flow_failure_exits_2_with_one_line(tmp_path, capsys, text, message):
+    grid = tmp_path / "star.grid"
+    grid.write_text(text, encoding="utf-8")
+    assert main(["pf", str(grid)]) == 2
+    assert capsys.readouterr() == ("", f"oscdamp: {message}\n")
+
+
+def test_modes_of_a_damping_past_the_square_range_print_no_warning(tmp_path, capsys):
+    grid = tmp_path / "star.grid"
+    grid.write_text(STAR_HUGE_D, encoding="utf-8")
+    assert main(["modes", str(grid)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].split() == ["1", "0", "17.7245", "2.82095", "-0", "G2", "em"]
+    # ||Q(lam)||_F stays finite, so the gate reads a residual, not 0.
+    mode, = oscdamp.build_study(oscdamp.parse_grid_file(STAR_HUGE_D)).oscillatory()
+    assert 0 < mode.residual <= 1e-298
+
+
 def test_pf_does_not_run_the_eigensolve(monkeypatch, tmp_path, capsys):
     # With every QZ call failing, pf succeeds and modes fails with one line.
     fail_qz(monkeypatch)
@@ -383,6 +418,32 @@ def test_bad_paths_and_arguments_exit_with_one_line(tmp_path, capsys, make_argv,
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("oscdamp: ")
     assert message in err
+
+
+COLON_LABELS = ("bus G:1 G V=1 H=3 Pg=0.2 D=1\nbus G2 G V=1 H=4 Pg=-0.2 D=1\nbus L1 L\n"
+                "line a G:1 L1 b=5\nline b G2 L1 b=5\n")
+NESTED = ("A", "A:B", "B:C", "C")
+NESTED_LABELS = "".join(f"bus {g} G V=1 H=3\n" for g in NESTED) + "bus L1 L\n" + \
+    "".join(f"line {k} {g} L1 b=5\n" for k, g in enumerate(NESTED))
+
+
+@pytest.mark.parametrize("pair, description", [("G:1:G2", "G:1->G2"), ("G2:G:1", "G2->G:1")])
+def test_pair_names_a_generator_whose_label_has_a_colon(tmp_path, capsys, pair, description):
+    grid = tmp_path / "colon.grid"
+    grid.write_text(COLON_LABELS, encoding="utf-8")
+    assert main(["rank", str(grid), "--mode", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["G:1", "G2"]
+    assert main(["sweep", str(grid), "--mode", "1", "--pair", pair, "--r", "0.01"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"redispatch {description}, mode lambda = ")
+
+
+def test_a_pair_that_splits_two_ways_is_a_usage_error(tmp_path, capsys):
+    grid = tmp_path / "nested.grid"
+    grid.write_text(NESTED_LABELS, encoding="utf-8")
+    assert main(["sweep", str(grid), "--mode", "1", "--pair", "A:B:C", "--r", "0.01"]) == 64
+    assert capsys.readouterr() == ("", "oscdamp: ambiguous --pair 'A:B:C': it splits into "
+                                       "generator labels as A : B:C or A:B : C\n")
 
 
 def test_no_command_imports_scipy_linalg():

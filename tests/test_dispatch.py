@@ -387,7 +387,7 @@ def test_match_mode_ambiguity_raises():
     def as_mode(lam, vec):
         from oscdamp.modal import Mode
         return Mode(lam=lam, x=vec, residual=0.0,
-                    swing_profile="", electromechanical=True)
+                    swing_groups=((), ()), electromechanical=True)
     ref = as_mode(1j, x)
     near1 = as_mode(1.1j, np.array([1.0, 0.05], dtype=complex))
     near2 = as_mode(2.3j, np.array([1.0, -0.05], dtype=complex))

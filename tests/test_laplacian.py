@@ -82,10 +82,10 @@ def test_two_identical_generators_angle_block():
     # the Hessian algebra itself is well defined for this textbook toy.
     net = Network(
         buses=(
-            Bus(label="A", index=1, kind="G", v_set=1.0, inertia_h=3.0),
-            Bus(label="B", index=2, kind="G", v_set=1.0, inertia_h=3.0),
+            Bus(label="A", kind="G", v_set=1.0, inertia_h=3.0),
+            Bus(label="B", kind="G", v_set=1.0, inertia_h=3.0),
         ),
-        lines=(Line(label="t", index=1, from_bus=1, to_bus=2, b=1.0),),
+        lines=(Line(label="t", from_bus=1, to_bus=2, b=1.0),),
     )
     op = OperatingPoint(delta=np.zeros(2), v_load=np.zeros(0))
     bundle = hessian(net, op)

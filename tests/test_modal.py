@@ -14,6 +14,7 @@ import scipy.linalg
 from oscdamp import (
     ConvergenceError,
     DegenerateModeError,
+    ReductionError,
     UsageError,
     alpha,
     dispatch,
@@ -139,6 +140,15 @@ def test_reduced_jacobian_no_algebraic_block_is_identity_case():
     J_red = reduced_jacobian(TOY_M, TOY_D, TOY_L)
     _, J = extended_jacobian(TOY_M, TOY_D, TOY_L)
     assert np.array_equal(J_red, J)
+
+
+@pytest.mark.parametrize("L", [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, np.nan]])],
+                         ids=["singular", "non-finite"])
+def test_reduced_jacobian_rejects_an_algebraic_block_it_cannot_solve(L):
+    # Row 1 is algebraic (m = d = 0): LAPACK reports the zero block singular,
+    # and the NaN one solves to a non-finite value.
+    with pytest.raises(ReductionError, match="^algebraic block is singular"):
+        reduced_jacobian(np.array([1.0, 0.0]), np.zeros(2), L)
 
 
 def test_reduced_jacobian_with_connecting_bus():
@@ -377,7 +387,7 @@ def test_alpha_matches_termwise_sum(random_suite):
 def test_alpha_degeneracy_raises():
     md = Mode(
         lam=1j, x=np.array([1.0, 1.0], dtype=complex), residual=0.0,
-        swing_profile="", electromechanical=True,
+        swing_groups=((), ()), electromechanical=True,
     )
     with pytest.raises(DegenerateModeError):
         alpha(md, np.zeros(2), np.zeros(2))
@@ -386,7 +396,7 @@ def test_alpha_degeneracy_raises():
 def test_mode_summary_published_arithmetic():
     def summarize(lam):
         md = Mode(lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
-                  swing_profile="", electromechanical=True)
+                  swing_groups=((), ()), electromechanical=True)
         return md.freq_hz, 100.0 * md.damping_ratio
 
     f1, z1 = summarize(complex(-0.175611, 9.66364))
@@ -403,8 +413,21 @@ def test_mode_summary_published_arithmetic():
 def test_swing_profiles_on_fixtures(fixture_studies):
     _, ten = fixture_studies["ten_bus"]
     interarea = ten.electromechanical()[0]
-    groups = {frozenset(side.split(",")) for side in interarea.swing_profile.split(" <-> ")}
-    assert groups == {frozenset({"G1", "G2"}), frozenset({"G3", "G4"})}
+    assert interarea.swing_groups == (("G1", "G2"), ("G3", "G4"))
+    assert interarea.swing_profile == "G1,G2 <-> G3,G4"
     _, six = fixture_studies["six_bus"]
     md2 = six.electromechanical()[1]
-    assert "G3" not in md2.swing_profile  # below the participation threshold
+    assert md2.swing_groups == (("G2",), ("G1",))  # G3 is below the participation threshold
+    assert md2.swing_profile == "G2 <-> G1"
+
+
+@pytest.mark.parametrize("groups, text", [
+    ((("G1", "G2"), ("G3",)), "G1,G2 <-> G3"),
+    ((("G1",), ()), "G1"),
+    (((), ("G2",)), "G2"),
+    (((), ()), ""),
+])
+def test_swing_profile_is_the_text_of_the_groups(groups, text):
+    md = Mode(lam=1j, x=np.array([1.0 + 0j]), residual=0.0, swing_groups=groups,
+              electromechanical=True)
+    assert md.swing_profile == text

@@ -41,11 +41,11 @@ def _first_at_max(mags):
     return int(np.argmax(mags >= top * (1.0 - 1e-12)))
 
 
-def _loop_swing_profile(x, gen_rows, labels):
+def _loop_swing_groups(x, gen_rows, labels):
     xg = x[gen_rows]
     top = np.max(np.abs(xg))
     if top == 0:
-        return ""
+        return (), ()
     phase = xg[_first_at_max(np.abs(xg))]
     rotated = xg * (abs(phase) / phase)
     with_group = []
@@ -53,11 +53,8 @@ def _loop_swing_profile(x, gen_rows, labels):
         if abs(val) < PARTICIPATION_THRESHOLD * top:
             continue
         with_group.append((lab, float(val.real)))
-    pos = [lab for lab, re in with_group if re >= 0]
-    neg = [lab for lab, re in with_group if re < 0]
-    if pos and neg:
-        return ",".join(pos) + " <-> " + ",".join(neg)
-    return ",".join(pos or neg)
+    return (tuple(lab for lab, re in with_group if re >= 0),
+            tuple(lab for lab, re in with_group if re < 0))
 
 
 def _loop_solve_qep(m_diag, d_diag, L, n_angles=None, gen_labels=None):
@@ -113,7 +110,8 @@ def _loop_solve_qep(m_diag, d_diag, L, n_angles=None, gen_labels=None):
         )
         modes.append(Mode(
             lam=lam, x=x, residual=residual,
-            swing_profile=_loop_swing_profile(x, gen_rows, gen_labels) if gen_rows.size else "",
+            swing_groups=(_loop_swing_groups(x, gen_rows, gen_labels) if gen_rows.size
+                          else ((), ())),
             electromechanical=bool(em), warnings=tuple(warn),
         ))
     modes.sort(key=lambda md: (md.lam.imag, md.lam.real))
@@ -148,7 +146,7 @@ def _assert_same_modes(got, want):
         assert np.array_equal(np.signbit(a.x.real), np.signbit(b.x.real))
         assert np.array_equal(np.signbit(a.x.imag), np.signbit(b.x.imag))
         assert _same_float(a.residual, b.residual)
-        assert a.swing_profile == b.swing_profile
+        assert a.swing_groups == b.swing_groups
         assert a.electromechanical is b.electromechanical
         assert a.warnings == b.warnings
 

@@ -73,8 +73,7 @@ line 1 LA GB x=0.5
 line 2 LA LC x=0.5
 """)
     assert [b.label for b in net.buses] == ["GB", "LA", "LC"]
-    assert [b.index for b in net.buses] == [1, 2, 3]
-    # Line endpoints follow the new indices.
+    # Line endpoints follow the new positions.
     assert (net.lines[0].from_bus, net.lines[0].to_bus) == (2, 1)
 
 
@@ -94,11 +93,10 @@ def test_validate_rejects_generators_after_a_load(order):
     kinds = {"G1": dict(kind="G", v_set=1.0, p_gen=0.5, inertia_h=3.0),
              "G2": dict(kind="G", v_set=1.0, inertia_h=3.0),
              "L1": dict(kind="L", p_load=0.5), "L2": dict(kind="L")}
-    buses = tuple(Bus(label, i, **kinds[label]) for i, label in enumerate(order, start=1))
+    buses = tuple(Bus(label, **kinds[label]) for label in order)
     pos = {label: i for i, label in enumerate(order, start=1)}
     ends = [("L1", "G1"), ("L1", "G2")] + ([("L1", "L2")] if "L2" in pos else [])
-    lines = tuple(Line(name, k, pos[a], pos[b], 5.0)
-                  for k, (name, (a, b)) in enumerate(zip("abc", ends), start=1))
+    lines = tuple(Line(name, pos[a], pos[b], 5.0) for name, (a, b) in zip("abc", ends))
     with pytest.raises(ValidationError,
                        match="bus 'L1' at position 1 is out of order: the 2 generator"):
         validate_network(Network(buses=buses, lines=lines))
@@ -108,7 +106,7 @@ def test_validate_rejects_generators_after_a_load(order):
 def test_validate_rejects_a_line_end_that_is_not_a_bus(from_bus, to_bus):
     # Built directly: the parser resolves every endpoint label to a position.
     net = parse_grid_file(TWO_BUS)
-    bad = Network(buses=net.buses, lines=(Line("a", 1, from_bus, to_bus, 5.0),))
+    bad = Network(buses=net.buses, lines=(Line("a", from_bus, to_bus, 5.0),))
     end = to_bus if from_bus == 1 else from_bus
     with pytest.raises(ValidationError, match=re.escape(
             f"line 'a' ends at {end!r}, which is not a bus position 1..2")):
@@ -164,19 +162,46 @@ def test_parse_rejects_non_finite_numbers(value):
     ("line t2 G1 L2 b=5 rate=9", "line 1: line record has no field 'rate' (allowed: b x)"),
     ("line t2 G1 L2", "line 1: give exactly one of b= or x="),
     ("line t2 G1 L2 b5", "line 1: expected key=value, got 'b5'"),
+    ("bus G1 G V=1.0 H=3.0", "line 2: duplicate bus label 'G1'"),
+    ("line t G1 L2 b=1.0", "line 4: duplicate line label 't'"),
+    ("bus G9 X", "line 1: bus kind must be G or L, got 'X'"),
+    ("node G9 G", "line 1: unknown record type 'node'"),
+    ("bus G9", "line 1: bus record needs a label and a kind"),
+    ("line t2 G1", "line 1: line record needs a label and two endpoints"),
+    ("line t2 G1 L9 b=5", "line 1: unknown bus 'L9'"),
 ])
 def test_parse_checks_every_field_against_its_record(records, message):
     with pytest.raises(GridFormatError, match=f"^{re.escape(message)}$"):
         parse_grid_file(records + TWO_BUS)
 
 
+@pytest.mark.parametrize("records, message", [
+    ("line s L2 L2 b=1.0", "line 's' joins a bus to itself"),
+    ("bus G9 G V=1.0 H=0", "generator bus 'G9' needs inertia H > 0"),
+    ("bus G9 G V=0 H=3.0", "generator bus 'G9' needs V > 0"),
+    ("bus G9 G V=-1.0 H=3.0", "generator bus 'G9' needs V > 0"),
+])
+def test_parse_validates_the_buses_and_lines_it_reads(records, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_grid_file(records + TWO_BUS)
+
+
+def test_validate_rejects_a_load_bus_with_inertia():
+    # Built directly: a load bus record has no H= field.
+    from dataclasses import replace
+    net = parse_grid_file(TWO_BUS)
+    bad = replace(net, buses=(net.buses[0], replace(net.buses[1], inertia_h=1.0)))
+    with pytest.raises(ValidationError, match="^load bus 'L2' must have zero inertia$"):
+        validate_network(bad)
+
+
 def test_parse_reads_fields_in_any_order_with_dataclass_defaults():
     net = parse_grid_file("system omega0=314.0\nbus L2 L D=0.5\nbus G1 G H=3.0 V=1.02\n"
                           "line t L2 G1 x=0.5\n")
     assert net.omega0 == 314.0
-    assert net.buses[0] == Bus(label="G1", index=1, kind="G", v_set=1.02, inertia_h=3.0)
-    assert net.buses[1] == Bus(label="L2", index=2, kind="L", damping_d_seconds=0.5)
-    assert net.lines[0] == Line(label="t", index=1, from_bus=2, to_bus=1, b=2.0)
+    assert net.buses[0] == Bus(label="G1", kind="G", v_set=1.02, inertia_h=3.0)
+    assert net.buses[1] == Bus(label="L2", kind="L", damping_d_seconds=0.5)
+    assert net.lines[0] == Line(label="t", from_bus=2, to_bus=1, b=2.0)
 
 
 # (n_load, m, const_v) of the rank-mesh, modes-large and sweep-oracle benchmark workloads.
@@ -396,7 +421,7 @@ def test_voltage_readers_reject_nonpositive_voltage(reader, v):
 def test_hessian_without_lines_is_float():
     # Built directly: the parser rejects a grid without lines, but the bus
     # terms alone still give a well-defined (float) Hessian.
-    net = Network(buses=(Bus("G1", 1, "G"), Bus("L2", 2, "L", q_load=0.5)), lines=())
+    net = Network(buses=(Bus("G1", "G"), Bus("L2", "L", q_load=0.5)), lines=())
     L = hessian_matrix(net, flat_start(net))
     assert L.dtype == np.float64
     assert np.array_equal(L, np.diag([0.0, 0.0, -0.5]))
