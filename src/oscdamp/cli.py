@@ -1,7 +1,8 @@
 """Command-line surface: pf, modes, sens, sweep, rank, verify.
 
-Exit codes: 0 success, 3 failed verification; a package error prints one
-line on stderr and exits with its class's ``exit_code`` (see ``errors``).
+Exit codes: 0 success, 3 failed verification, 141 when the reader closes
+stdout early; a package error prints one line on stderr and exits with its
+class's ``exit_code`` (see ``errors``).
 All numeric output uses 6 significant digits and identical invocations
 produce byte-identical stdout. A command with ``--csv`` writes the file
 before it prints anything (``_emit``), so an unwritable path exits 64 with
@@ -25,6 +26,7 @@ from .study import Study, build_study
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,10 +355,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OscdampError as exc:
         print(f"oscdamp: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout (``oscdamp rank ... | head -1``). Point it
+        # at the null device so the flush at exit cannot raise again, and
+        # exit as a shell reports a process ended by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ FLOW_RESIDUAL_TOL = 1e-9
 BALANCE_REL_TOL = 1e-12
 MATCH_AMBIGUITY_GAP = 0.1
 
-# What scipy.linalg.solve calls for a symmetric positive definite matrix.
-_DPOTRF = modal._linalg_extension("_flapack").dpotrf
-_DPOTRS = modal._linalg_extension("_flapack").dpotrs
-
 
 @dataclass(frozen=True)
 class RedispatchPlan:
@@ -296,12 +292,12 @@ def generator_gains(
     """
     c = report.state_coeff
     y = np.zeros(L.shape[0], dtype=complex)
-    factor, info = _DPOTRF(L[1:, 1:], lower=0, clean=1)
+    factor, info = modal._DPOTRF(L[1:, 1:], lower=0, clean=1)
     if info != 0:
         raise SingularityError(
             f"grounded Laplacian is not positive definite (LAPACK dpotrf info = "
             f"{info}); the equilibrium is singular or a saddle of the energy function")
-    parts, _ = _DPOTRS(factor, np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
+    parts, _ = modal._DPOTRS(factor, np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
     y[1:] = parts[:, 0] + 1j * parts[:, 1]
     _check_in_range(L, y, c)
     return np.concatenate([[0.0], -y[1:m] / report.alpha])

@@ -374,8 +374,19 @@ def validate_network(network: Network) -> None:
     n, m = network.n, network.m
     if not network.lines:
         raise ValidationError("grid has no lines")
+    if not (math.isfinite(network.omega0) and network.omega0 > 0):
+        raise ValidationError(f"omega0 must be positive and finite, got {network.omega0!r}")
+    # Labels name buses and lines in messages and generators in plans and pairs.
+    for what, items in (("bus", network.buses), ("line", network.lines)):
+        seen: set[str] = set()
+        for item in items:
+            if item.label in seen:
+                raise ValidationError(f"duplicate {what} label {item.label!r}")
+            seen.add(item.label)
     # Every array of the model reads the first m buses as the generators.
     for position, bus in enumerate(network.buses):
+        if bus.kind not in ("G", "L"):
+            raise ValidationError(f"bus {bus.label!r} has kind {bus.kind!r}, not G or L")
         if bus.is_generator != (position < m):
             raise ValidationError(
                 f"bus {bus.label!r} at position {position + 1} is out of order: "

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import inspect
+import pkgutil
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,47 @@ def random_suite():
         st = cases.random_network(seed)
         out.append((st.network, st))
     return out
+
+
+class CallCounter(Counter):
+    """Python calls of the functions at the given dotted names, counted while
+    the counter is entered.
+
+    A call is matched by the code object it runs, so it counts however the
+    function is bound: module attribute, name import, alias or method. A
+    wrapped function (``np.linalg.pinv``) is counted by the implementation it
+    wraps. ``counter[name]`` counts every call, ``counter[name, module]`` the
+    calls made from code in ``module``, and ``returned`` keeps the return
+    values of the function named ``keep``. Compiled routines, such as the
+    LAPACK handles of ``modal``, run no Python code and are not seen.
+    """
+
+    def __init__(self, *names: str, keep: str | None = None):
+        super().__init__()
+        self._names = {inspect.unwrap(pkgutil.resolve_name(name)).__code__: name
+                       for name in names}
+        self._keep = inspect.unwrap(pkgutil.resolve_name(keep)).__code__ if keep else None
+        self.returned: list = []
+
+    def _profile(self, frame, event, arg):
+        if event == "call" and frame.f_code in self._names:
+            name = self._names[frame.f_code]
+            self[name] += 1
+            self[name, frame.f_back.f_globals.get("__name__")] += 1
+        elif event == "return" and frame.f_code is self._keep:
+            self.returned.append(arg)
+
+    def clear(self):
+        super().clear()
+        self.returned.clear()
+
+    def __enter__(self) -> CallCounter:
+        self._previous = sys.getprofile()
+        sys.setprofile(self._profile)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.setprofile(self._previous)
 
 
 def stiff_star_grid(b: float) -> str:

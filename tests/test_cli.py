@@ -92,24 +92,31 @@ def test_convergence_error_exit_code(tmp_path):
 
 # Two generators behind one load bus. The variants are valid grids that push
 # the float range: a set-point of 1e200 overflows Newton's trial points, a
-# damping of 1e300 makes |s|^2 of the backward error overflow, and a reactive
-# load of 10 zeroes the load-voltage diagonal of the flat-start Jacobian.
+# damping of 1e300 makes |s|^2 of the backward error overflow, a reactive
+# load of 10 zeroes the load-voltage diagonal of the flat-start Jacobian, and
+# subnormal susceptances make the first Newton step overflow.
 STAR = ("bus G1 G V=1 H=3\nbus G2 G V=1 H=3\nbus L1 L\n"
         "line a G1 L1 b=5\nline b G2 L1 b=5\n")
 STAR_HUGE_V = STAR.replace("G V=1 H=3", "G V=1e200 H=3", 1)
 STAR_HUGE_D = STAR.replace("G V=1 H=3", "G V=1 H=3 D=1e300", 1).replace(
     "bus L1 L", "bus L1 L D=1e300")
 STAR_HEAVY_Q = STAR.replace("bus L1 L", "bus L1 L Ql=10")
+STAR_SUBNORMAL_B = ("bus G1 G V=1 H=3 Pg=0.2\nbus G2 G V=1 H=3 Pg=-0.2\nbus L1 L\n"
+                    "line a G1 L1 b=1e-310\nline b G2 L1 b=1e-310\n")
+SINGULAR_PF = "power-flow Jacobian is singular beyond the angle-reference nullspace"
 
 
-@pytest.mark.parametrize("text, message", [
-    (STAR_HUGE_V, "power flow did not converge: residual max-norm 5.000e+200 > 1.0e-10"),
-    (STAR_HEAVY_Q, "power-flow Jacobian is singular beyond the angle-reference nullspace"),
-], ids=["overflowing-trial-points", "singular-jacobian"])
-def test_a_power_flow_failure_exits_2_with_one_line(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("text, flags, message", [
+    (STAR_HUGE_V, [], "power flow did not converge: residual max-norm 5.000e+200 > 1.0e-10"),
+    (STAR_HEAVY_Q, [], SINGULAR_PF),
+    (STAR_SUBNORMAL_B, [], SINGULAR_PF),
+    (STAR_SUBNORMAL_B, ["--const-v"], SINGULAR_PF),
+], ids=["overflowing-trial-points", "singular-jacobian", "non-finite-step",
+        "non-finite-step-const-v"])
+def test_a_power_flow_failure_exits_2_with_one_line(tmp_path, capsys, text, flags, message):
     grid = tmp_path / "star.grid"
     grid.write_text(text, encoding="utf-8")
-    assert main(["pf", str(grid)]) == 2
+    assert main(["pf", str(grid), *flags]) == 2
     assert capsys.readouterr() == ("", f"oscdamp: {message}\n")
 
 
@@ -459,12 +466,27 @@ for argv in (["pf", {six!r}], ["modes", {six!r}], ["sens", {six!r}, *mode],
     assert main(argv) == 0, argv
 assert "scipy.linalg" not in sys.modules
 """
-    src = str(Path(oscdamp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _package_env() -> dict[str, str]:
+    """The environment for a fresh process that imports this ``oscdamp``."""
+    src = str(Path(oscdamp.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_traceback():
+    # Unbuffered, so the next print after the close writes to the closed pipe.
+    with subprocess.Popen([sys.executable, "-u", "-m", "oscdamp.cli", "verify"],
+                          env=_package_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"== three_bus_s7: ok (locked)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
 
 
 @pytest.mark.parametrize("argv, good, bad", [

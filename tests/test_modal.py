@@ -17,7 +17,6 @@ from oscdamp import (
     ReductionError,
     UsageError,
     alpha,
-    dispatch,
     extended_jacobian,
     reduced_jacobian,
     modal,
@@ -290,8 +289,8 @@ def test_the_eigensolve_calls_scipys_own_lapack_and_blas_routines():
 
 
 def test_the_ranking_solve_calls_scipys_own_cholesky_routines():
-    assert dispatch._DPOTRF is scipy.linalg.lapack.dpotrf
-    assert dispatch._DPOTRS is scipy.linalg.lapack.dpotrs
+    assert modal._DPOTRF is scipy.linalg.lapack.dpotrf
+    assert modal._DPOTRS is scipy.linalg.lapack.dpotrs
 
 
 def test_a_missing_scipy_extension_is_one_import_error_naming_its_file():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from oscdamp.network import (
     validate_network,
 )
 
-from conftest import RANDOM_SUITE_SIZE, stiff_star_grid
+from conftest import RANDOM_SUITE_SIZE, CallCounter, stiff_star_grid
 
 TWO_BUS = """
 bus G1 G V=1.0 Pg=0.0 H=3.0 D=0.0
@@ -113,6 +114,30 @@ def test_validate_rejects_a_line_end_that_is_not_a_bus(from_bus, to_bus):
         validate_network(bad)
 
 
+# A valid two-generator star, built directly, and the G2 it replaces.
+STAR_G2 = Bus("G2", "G", p_gen=-0.2, inertia_h=3.0)
+STAR_NET = Network(buses=(Bus("G1", "G", p_gen=0.2, inertia_h=3.0), STAR_G2, Bus("L1", "L")),
+                   lines=(Line("a", 1, 3, 5.0), Line("b", 2, 3, 5.0)))
+
+
+# Built directly: the parser rejects each of these with a line number first.
+@pytest.mark.parametrize("changes, message", [
+    ({"buses": (STAR_NET.buses[0], replace(STAR_G2, label="G1"), STAR_NET.buses[2])},
+     "duplicate bus label 'G1'"),
+    ({"lines": (Line("a", 1, 3, 5.0), Line("a", 2, 3, 5.0))}, "duplicate line label 'a'"),
+    ({"buses": STAR_NET.buses[:2] + (Bus("L1", "X"),)}, "bus 'L1' has kind 'X', not G or L"),
+    ({"omega0": 0.0}, "omega0 must be positive and finite, got 0.0"),
+    ({"omega0": -1.0}, "omega0 must be positive and finite, got -1.0"),
+    ({"omega0": math.nan}, "omega0 must be positive and finite, got nan"),
+    ({"omega0": math.inf}, "omega0 must be positive and finite, got inf"),
+], ids=["duplicate-bus", "duplicate-line", "bus-kind", "omega0-zero", "omega0-negative",
+        "omega0-nan", "omega0-inf"])
+def test_validate_rejects_what_the_parser_rejects(changes, message):
+    validate_network(STAR_NET)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_network(replace(STAR_NET, **changes))
+
+
 def test_parse_malformed_record_reports_line_number():
     with pytest.raises(GridFormatError, match="line 3"):
         parse_grid_file("bus G1 G V=1.0 H=3.0\nbus L2 L\nline t G1 L2 b=oops\n")
@@ -188,7 +213,6 @@ def test_parse_validates_the_buses_and_lines_it_reads(records, message):
 
 def test_validate_rejects_a_load_bus_with_inertia():
     # Built directly: a load bus record has no H= field.
-    from dataclasses import replace
     net = parse_grid_file(TWO_BUS)
     bad = replace(net, buses=(net.buses[0], replace(net.buses[1], inertia_h=1.0)))
     with pytest.raises(ValidationError, match="^load bus 'L2' must have zero inertia$"):
@@ -233,7 +257,6 @@ def test_parse_accepts_every_grid_the_code_runs_on():
     "v_set", "p_gen", "p_load", "q_load", "inertia_h", "damping_d_seconds",
 ])
 def test_validate_rejects_non_finite_bus_fields(field):
-    from dataclasses import replace
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[0], **{field: math.nan})
     bad = replace(net, buses=(bus,) + net.buses[1:])
@@ -251,7 +274,6 @@ def test_parse_rejects_negative_damping(record):
 
 
 def test_validate_rejects_negative_damping():
-    from dataclasses import replace
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[1], damping_d_seconds=-1e-12)
     with pytest.raises(ValidationError, match="'L2' needs damping D >= 0"):
@@ -587,8 +609,6 @@ def test_the_angle_only_residual_is_the_real_half_of_the_full_one(fixture_studie
 
 
 def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_studies, random_suite):
-    from dataclasses import replace
-
     nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
     rng = np.random.default_rng(8)
     for net in nets:
@@ -605,19 +625,15 @@ def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_stud
         assert shifted._topology is net._topology
 
 
-def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error(monkeypatch):
+def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error():
     # 5e-10 passes the parser's 1e-9 bound but not the power flow's 1e-10:
     # the dropped bus-1 residual equals -sum P at any solution.
-    import oscdamp.network as network
-
     text = _read_data("ten_bus.grid").replace("Pl=10.110245 ", "Pl=10.1102450005 ")
     net = parse_grid_file(text)
-    steps = []
-    monkeypatch.setattr(network, "hessian_matrix",
-                        lambda *args, **kwargs: steps.append(1) or hessian_matrix(*args, **kwargs))
-    for const_v in (False, True):
-        with pytest.raises(ValidationError, match=r"^real power does not balance: "
-                           r"sum of injections = -5\.000e-10 \(the lossless model has no "
-                           r"slack bus\)$"):
-            solve_power_flow(net, const_v=const_v)
-    assert steps == []
+    with CallCounter("oscdamp.network.hessian_matrix") as steps:
+        for const_v in (False, True):
+            with pytest.raises(ValidationError, match=r"^real power does not balance: "
+                               r"sum of injections = -5\.000e-10 \(the lossless model has no "
+                               r"slack bus\)$"):
+                solve_power_flow(net, const_v=const_v)
+    assert steps["oscdamp.network.hessian_matrix"] == 0
