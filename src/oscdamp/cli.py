@@ -57,7 +57,7 @@ def _load_network(args) -> Network:
     if not os.path.exists(args.grid):
         raise UsageError(f"file not found: {args.grid}")
     try:
-        with open(args.grid, encoding="utf-8") as fh:
+        with open(args.grid, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise GridFormatError(

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import importlib
 import inspect
+import io
 import pkgutil
+import re
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscdamp import cases, modal
+from oscdamp.cli import main
 from oscdamp.study import build_study
 
 RANDOM_SUITE_SIZE = 50
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +81,66 @@ class CallCounter(Counter):
 
     def __exit__(self, *exc) -> None:
         sys.setprofile(self._previous)
+
+
+def perfbench_module(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, imported as the
+    benchmark imports it: by its bare name, with ``perfbench/`` on the path."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def data_path(name: str) -> str:
+    """Path of the file ``name`` shipped in the package's ``data`` directory."""
+    return str(resources.files("oscdamp").joinpath("data", name))
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """``oscdamp argv`` run in this process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused(result: tuple[int, str, str], code: int, message: str | None = None) -> None:
+    """The CLI's failure contract: exit ``code``, nothing on stdout, and one
+    line ``oscdamp: <message>`` on stderr (any message when it is None)."""
+    assert result[:2] == (code, ""), result
+    if message is None:
+        assert re.fullmatch(r"oscdamp: [^\n]+\n", result[2]), result
+    else:
+        assert result[2] == f"oscdamp: {message}\n"
+
+
+def assert_same_bits(a, b) -> None:
+    """``a`` and ``b`` are the same array bit for bit: dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def companion_spectrum(m_diag, d_diag, L) -> np.ndarray:
+    """Finite eigenvalues of the QEP by an independent route: its first
+    companion pencil of size 2 nz."""
+    # Not imported with the module: oscdamp.modal, imported first, then loads
+    # scipy's LAPACK extension from its file as a CLI run does.
+    import scipy.linalg
+
+    nz = L.shape[0]
+    A = np.zeros((2 * nz, 2 * nz))
+    B = np.zeros((2 * nz, 2 * nz))
+    A[:nz, :nz] = -np.diag(d_diag)
+    A[:nz, nz:] = -L
+    A[nz:, :nz] = np.eye(nz)
+    B[:nz, :nz] = np.diag(m_diag)
+    B[nz:, nz:] = np.eye(nz)
+    alph, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
+    keep = np.abs(beta) > 1e-12 * np.hypot(np.abs(alph), np.abs(beta))
+    return alph[keep] / beta[keep]
 
 
 def stiff_star_grid(b: float) -> str:

@@ -19,7 +19,7 @@ from oscdamp import cases, dispatch, modal, sensitivity
 from oscdamp.network import line_states
 from oscdamp.study import build_study
 
-from conftest import balanced_directions
+from conftest import balanced_directions, companion_spectrum
 
 
 def _fixtures_with_redispatch(fixture_studies):
@@ -57,14 +57,7 @@ def test_criterion_02_qep_dae_equivalence(random_suite):
         pencil = alph[finite] / beta[finite]
         scale = max(1.0, float(np.max(np.abs(pencil))))
 
-        # Independent QEP route: companion linearization.
-        nz = L.shape[0]
-        A = np.zeros((2 * nz, 2 * nz)); B = np.zeros((2 * nz, 2 * nz))
-        A[:nz, :nz] = -np.diag(dd); A[:nz, nz:] = -L
-        A[nz:, :nz] = np.eye(nz); B[:nz, :nz] = np.diag(md); B[nz:, nz:] = np.eye(nz)
-        ac, bc = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
-        fc = np.abs(bc) > 1e-12 * np.hypot(np.abs(ac), np.abs(bc))
-        qep = ac[fc] / bc[fc]
+        qep = companion_spectrum(md, dd, L)  # independent QEP route
         for lam in pencil:
             d = float(np.min(np.abs(qep - lam))) / scale
             worst_spec = max(worst_spec, d)
@@ -142,6 +135,7 @@ def test_criterion_05_mode_summary_published_arithmetic():
     f2, z2 = summary(-0.166826, 10.8247)
     for got, want in ((f1, 1.53802), (z1, 1.81694), (f2, 1.72281), (z2, 1.54097)):
         assert abs(got / want - 1.0) < 1e-5, (got, want)
+    assert summary(0.0, 5.0)[1] == 0.0  # sigma = 0 gives exactly zero damping ratio
     print("\nCRITERION 5 PASS: published frequency/damping-ratio pairs "
           "reproduced to 5 significant digits")
 

@@ -24,7 +24,7 @@ from oscdamp.network import (
     solve_power_flow,
 )
 
-from conftest import stiff_star_grid
+from conftest import assert_same_bits, stiff_star_grid
 
 
 def _loop_b_sums(network):
@@ -88,12 +88,6 @@ def _loop_hessian(network, op, const_v):
     return L
 
 
-def _assert_bits_equal(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.fixture(scope="module")
 def solved(fixture_studies, random_suite):
     """(network, const_v, solved op) for every fixture, the random suite and
@@ -107,13 +101,13 @@ def solved(fixture_studies, random_suite):
 
 def test_incident_b_sums_match_line_loop(solved):
     for net, _, _ in solved:
-        _assert_bits_equal(incident_b_sums(net), _loop_b_sums(net))
+        assert_same_bits(incident_b_sums(net), _loop_b_sums(net))
 
 
 def test_residual_vectors_match_line_loop(solved):
     for net, _, op in solved:
         for got, want in zip(residual_vectors(net, op), _loop_residuals(net, op)):
-            _assert_bits_equal(got, want)
+            assert_same_bits(got, want)
 
 
 def test_hessian_matrix_matches_line_loop(solved):
@@ -121,4 +115,4 @@ def test_hessian_matrix_matches_line_loop(solved):
         for state in (op, flat_start(net)):
             want = _loop_hessian(net, state, const_v)
             size = want.shape[0]
-            _assert_bits_equal(hessian_matrix(net, state)[:size, :size], want)
+            assert_same_bits(hessian_matrix(net, state)[:size, :size], want)

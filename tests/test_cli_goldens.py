@@ -7,17 +7,14 @@ read here; ``perfbench/make_goldens.py`` is the one place that writes them.
 
 from __future__ import annotations
 
-import io
 import json
-from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
-from oscdamp.cli import main
+from conftest import PERFBENCH, run_cli
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDENS = ROOT / "perfbench" / "goldens"
+ROOT = PERFBENCH.parent
+GOLDENS = PERFBENCH / "goldens"
 MANIFEST = json.loads((GOLDENS / "manifest.json").read_text(encoding="utf-8"))
 
 
@@ -25,8 +22,6 @@ MANIFEST = json.loads((GOLDENS / "manifest.json").read_text(encoding="utf-8"))
 def test_cli_output_matches_golden(key, monkeypatch):
     entry = MANIFEST[key]
     monkeypatch.chdir(ROOT)  # manifest argv paths are relative to the repo root
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(list(entry["argv"]))
+    code, out, _ = run_cli(list(entry["argv"]))
     assert code == entry["exit"]
-    assert buf.getvalue().encode("utf-8") == (GOLDENS / f"{key}.out").read_bytes()
+    assert out.encode("utf-8") == (GOLDENS / f"{key}.out").read_bytes()

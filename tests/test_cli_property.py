@@ -8,15 +8,13 @@ through ``oscdamp modes`` and ``oscdamp rank``.
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oscdamp.cli import main
+from conftest import assert_refused, run_cli
 
 DAMPING = st.sampled_from([0.0, 0.5, 2.0])
 STRESSES = ["none", "none", "none", "weak_line", "stiff_line",
@@ -61,13 +59,6 @@ def grids(draw) -> str:
     return "\n".join(out) + "\n"
 
 
-def _run(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=grids(), const_v=st.booleans())
@@ -78,10 +69,9 @@ def test_cli_maps_every_grid_to_an_exit_code(text, const_v):
             fh.write(text)
         flags = ["--const-v"] if const_v else []
         for argv in (["modes", path, *flags], ["rank", path, "--mode", "1", *flags]):
-            code, out, err = _run(argv)
+            result = code, out, err = run_cli(argv)
             assert code in (0, 1, 2), (argv, code, err)
             if code:
-                assert err.count("\n") == 1 and err.endswith("\n"), err
-                assert "Traceback" not in err
+                assert_refused(result, code)
             else:
                 assert "nan" not in out.lower(), out

@@ -114,14 +114,6 @@ def test_hessian_matches_finite_differences(random_suite):
     assert np.max(np.abs(L - fd)) < 1e-6
 
 
-def test_factorization_identity_everywhere(fixture_studies, random_suite):
-    studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite]
-    for st in studies:
-        L = st.bundle.L
-        dev = np.max(np.abs(L - st.bundle.assemble_from_parts()))
-        assert dev < 1e-12 * np.max(np.abs(L))
-
-
 def test_factorization_identity_off_equilibrium():
     # The stored bus complement makes the identity exact at any state, not
     # just at solved equilibria.

@@ -27,26 +27,11 @@ from oscdamp.modal import Mode, _pencil, backward_errors
 from oscdamp.network import parse_grid_file
 from oscdamp.study import build_study
 
-from conftest import fail_qz, stiff_star_grid
+from conftest import companion_spectrum, fail_qz, stiff_star_grid
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TOY_M = np.ones(2)
 TOY_D = np.zeros(2)
-
-
-def _companion_spectrum(m_diag, d_diag, L):
-    """Independent QEP route: first companion pencil of size 2 nz."""
-    nz = L.shape[0]
-    A = np.zeros((2 * nz, 2 * nz))
-    B = np.zeros((2 * nz, 2 * nz))
-    A[:nz, :nz] = -np.diag(d_diag)
-    A[:nz, nz:] = -L
-    A[nz:, :nz] = np.eye(nz)
-    B[:nz, :nz] = np.diag(m_diag)
-    B[nz:, nz:] = np.eye(nz)
-    alph, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
-    keep = np.abs(beta) > 1e-12 * np.hypot(np.abs(alph), np.abs(beta))
-    return alph[keep] / beta[keep]
 
 
 def _match_spectra(a, b, tol):
@@ -118,21 +103,9 @@ def test_finite_spectrum_count(random_suite):
         assert int(finite.sum()) == 2 * n_inertial + n_first_order
         # Companion view: the QEP has 2 nz eigenvalues; the infinite ones
         # number twice the algebraic variables plus the first-order rows.
-        comp = _companion_spectrum(md, dd, st.bundle.L)
+        comp = companion_spectrum(md, dd, st.bundle.L)
         n_alg = int(np.sum((md == 0) & (dd == 0)))
         assert 2 * md.size - comp.size == 2 * n_alg + n_first_order
-
-
-def test_qep_matches_companion_and_reduced(random_suite):
-    for net, st in random_suite[:8]:
-        E, J = extended_jacobian(st.dyn.m, st.dyn.d, st.bundle.L)
-        alph, beta = scipy.linalg.eig(J, E, right=False, homogeneous_eigvals=True)
-        finite = np.abs(beta) > 1e-12 * np.hypot(np.abs(alph), np.abs(beta))
-        pencil_spec = alph[finite] / beta[finite]
-        comp_spec = _companion_spectrum(st.dyn.m, st.dyn.d, st.bundle.L)
-        _match_spectra(pencil_spec, comp_spec, 1e-9)
-        red_spec = np.linalg.eigvals(reduced_jacobian(st.dyn.m, st.dyn.d, st.bundle.L))
-        _match_spectra(pencil_spec, red_spec, 1e-9)
 
 
 def test_reduced_jacobian_no_algebraic_block_is_identity_case():
@@ -302,14 +275,6 @@ def test_a_missing_scipy_extension_is_one_import_error_naming_its_file():
     assert "scipy.linalg._no_such_wrapper" not in sys.modules
 
 
-def test_ten_bus_real_parts_not_contingent(fixture_studies):
-    _, st = fixture_studies["ten_bus"]
-    em = st.electromechanical()
-    assert len(em) == 3
-    for md in em:
-        assert abs(md.sigma + 0.038462) < 1e-5
-
-
 def test_uniform_damping_pins_real_parts():
     # d_i/m_i identical on all machines, no load damping: every oscillatory
     # eigenvalue sits at -c/2.
@@ -390,23 +355,6 @@ def test_alpha_degeneracy_raises():
     )
     with pytest.raises(DegenerateModeError):
         alpha(md, np.zeros(2), np.zeros(2))
-
-
-def test_mode_summary_published_arithmetic():
-    def summarize(lam):
-        md = Mode(lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
-                  swing_groups=((), ()), electromechanical=True)
-        return md.freq_hz, 100.0 * md.damping_ratio
-
-    f1, z1 = summarize(complex(-0.175611, 9.66364))
-    assert abs(f1 / 1.53802 - 1) < 1e-5
-    assert abs(z1 / 1.81694 - 1) < 1e-5
-    f2, z2 = summarize(complex(-0.166826, 10.8247))
-    assert abs(f2 / 1.72281 - 1) < 1e-5
-    assert abs(z2 / 1.54097 - 1) < 1e-5
-    # sigma = 0 gives exactly zero damping ratio.
-    _, z3 = summarize(complex(0.0, 5.0))
-    assert z3 == 0.0
 
 
 def test_swing_profiles_on_fixtures(fixture_studies):

@@ -10,7 +10,6 @@ may move a score by an ulp but must pick the same mode.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from oscdamp.modal import (
 )
 from oscdamp.study import build_study
 
-from conftest import stiff_star_grid
+from conftest import assert_same_bits, stiff_star_grid
 
 SWEEP_R = (0.003, 0.01, 0.03, -0.01)
 
@@ -133,19 +132,13 @@ def _loop_match_mode(reference, candidates):
     return scores[0][1]
 
 
-def _same_float(a: float, b: float) -> bool:
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
 def _assert_same_modes(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert _same_float(a.lam.real, b.lam.real) and _same_float(a.lam.imag, b.lam.imag)
+        assert_same_bits(a.lam, b.lam)
         assert a.x.ndim == 1 and a.x.flags.c_contiguous
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(np.signbit(a.x.real), np.signbit(b.x.real))
-        assert np.array_equal(np.signbit(a.x.imag), np.signbit(b.x.imag))
-        assert _same_float(a.residual, b.residual)
+        assert_same_bits(a.x, b.x)
+        assert_same_bits(a.residual, b.residual)
         assert a.swing_groups == b.swing_groups
         assert a.electromechanical is b.electromechanical
         assert a.warnings == b.warnings

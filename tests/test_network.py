@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +34,13 @@ from oscdamp.network import (
     validate_network,
 )
 
-from conftest import RANDOM_SUITE_SIZE, CallCounter, stiff_star_grid
+from conftest import (
+    RANDOM_SUITE_SIZE,
+    CallCounter,
+    assert_same_bits,
+    perfbench_module,
+    stiff_star_grid,
+)
 
 TWO_BUS = """
 bus G1 G V=1.0 Pg=0.0 H=3.0 D=0.0
@@ -228,22 +232,19 @@ def test_parse_reads_fields_in_any_order_with_dataclass_defaults():
     assert net.lines[0] == Line(label="t", from_bus=2, to_bus=1, b=2.0)
 
 
-# (n_load, m, const_v) of the rank-mesh, modes-large and sweep-oracle benchmark workloads.
-BENCHMARK_GRID_SIZES = [(40, 10, False), (200, 10, False), (67, 8, True)]
-
-
 def test_parse_accepts_every_grid_the_code_runs_on():
     for name in FIXTURE_NAMES:
         parse_grid_file(_read_data(f"{name}.grid"))
     # random_network lets a GridFormatError through, so a rejected draw fails here.
     for seed in [*range(RANDOM_SUITE_SIZE), 123]:
         random_network(seed)
-    # Every draw the benchmark grids take, the rejected ones included, must parse.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "grids.py"
-    spec = importlib.util.spec_from_file_location("perfbench_grids", path)
-    grids = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(grids)
-    for n_load, m, const_v in BENCHMARK_GRID_SIZES:
+    # Every draw the benchmark grids take, the rejected ones included, must
+    # parse, at the default sizes of the rank-mesh, modes-large and
+    # sweep-oracle workloads (the last draws angle-only grids).
+    grids, workloads = perfbench_module("grids"), perfbench_module("workloads")
+    for workload, const_v in ((workloads.RankMesh(), False), (workloads.ModesLarge(), False),
+                              (workloads.SweepOracle(), True)):
+        n_load, m = workload.n_load, workload.m
         for seed in range(3):
             text, attempts = grids.synthetic_grid(n_load, m, seed, const_v)
             rng = np.random.default_rng([seed, n_load, m])
@@ -534,12 +535,6 @@ def test_a_redispatched_copy_shares_the_topology_read_only(fixture_studies):
             a.flat[0] = 1
 
 
-def _assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
-
-
 def test_the_angle_only_hessian_is_the_leading_block(fixture_studies, random_suite):
     nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
     for net in nets:
@@ -547,7 +542,7 @@ def test_the_angle_only_hessian_is_the_leading_block(fixture_studies, random_sui
             op = solve_power_flow(net, const_v=const_v)
             angle = hessian_matrix(net, op, const_v=True)
             assert angle.flags.c_contiguous
-            _assert_same_bits(angle, hessian_matrix(net, op)[:net.n, :net.n])
+            assert_same_bits(angle, hessian_matrix(net, op)[:net.n, :net.n])
 
 
 def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_suite):
@@ -568,15 +563,15 @@ def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_s
             assert cold._topology is not net._topology
             ws = build_study(warm, const_v=const_v, initial=base.op)
             cs = build_study(cold, const_v=const_v, initial=base.op)
-            _assert_same_bits(ws.op.delta, cs.op.delta)
-            _assert_same_bits(ws.op.v_load, cs.op.v_load)
+            assert_same_bits(ws.op.delta, cs.op.delta)
+            assert_same_bits(ws.op.v_load, cs.op.v_load)
             for a, b in zip(residual_vectors(warm, ws.op), residual_vectors(cold, ws.op)):
-                _assert_same_bits(a, b)
-            _assert_same_bits(hessian_matrix(warm, ws.op), hessian_matrix(cold, ws.op))
+                assert_same_bits(a, b)
+            assert_same_bits(hessian_matrix(warm, ws.op), hessian_matrix(cold, ws.op))
             wb = laplacian.hessian(warm, ws.op, const_v=const_v)
             cb = laplacian.hessian(cold, ws.op, const_v=const_v)
             for field in ("L", "H", "lp_theta_nu", "lp_nu_nu", "l_bus_diag"):
-                _assert_same_bits(getattr(wb, field), getattr(cb, field))
+                assert_same_bits(getattr(wb, field), getattr(cb, field))
             dyn = modal.build_dynamic_matrices(warm, const_v=const_v)
             wm = modal.solve_qep(dyn.m, dyn.d, wb.L, n_angles=warm.n,
                                  gen_labels=warm.gen_labels())
@@ -584,8 +579,8 @@ def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_s
                                  gen_labels=cold.gen_labels())
             assert len(wm) == len(cm) == len(ws.modes) > 0
             for a, b, c in zip(wm, cm, ws.modes):
-                _assert_same_bits(a.x, b.x)
-                _assert_same_bits(a.x, c.x)
+                assert_same_bits(a.x, b.x)
+                assert_same_bits(a.x, c.x)
                 assert (a.lam, a.residual, a.swing_profile, a.warnings) == \
                     (b.lam, b.residual, b.swing_profile, b.warnings)
 
@@ -621,7 +616,7 @@ def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_stud
         assert (shifted.lines, shifted.omega0) == (net.lines, net.omega0)
         replaced = Network(buses=want, lines=net.lines, omega0=net.omega0)
         for got, ref in zip(shifted.injections(), replaced.injections()):
-            _assert_same_bits(got, ref)
+            assert_same_bits(got, ref)
         assert shifted._topology is net._topology
 
 

@@ -8,10 +8,7 @@ handles of ``modal`` run no Python code; a test counts those by patching them.
 
 from __future__ import annotations
 
-import importlib.util
 import sys
-from importlib import resources
-from pathlib import Path
 
 import pytest
 import scipy.linalg
@@ -19,7 +16,7 @@ import scipy.linalg
 from oscdamp import cases, cli, dispatch, laplacian, modal, network, sensitivity, study
 from oscdamp.network import hessian_matrix
 
-from conftest import CallCounter, stiff_star_grid
+from conftest import CallCounter, data_path, perfbench_module, stiff_star_grid
 
 REBUILDS = (
     "oscdamp.laplacian.hessian",
@@ -134,7 +131,7 @@ def qz_calls(monkeypatch) -> list[int]:
 
 def test_rank_and_verify_never_call_scipy_linalg_solve(counts, capsys):
     # The ranking calls dpotrf and dpotrs directly.
-    six = str(resources.files("oscdamp").joinpath("data", "six_bus.grid"))
+    six = data_path("six_bus.grid")
     assert cli.main(["rank", six, "--const-v", "--mode", "2"]) == 0
     assert cli.main(["verify"]) == 0
     assert counts["scipy.linalg.solve"] == 0
@@ -365,15 +362,10 @@ def test_reproduce_case_computes_each_report_once(counts, name):
     assert counts["oscdamp.sensitivity.sensitivity_coefficients"] == reports
 
 
-def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
+def test_benchmark_tracer_finds_every_traced_name():
     # The benchmark's tracer looks up each of its TRACED names on entry, so a
     # deleted or renamed stage function breaks traced benchmark runs.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    # Registered first: its dataclasses resolve string annotations through sys.modules.
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench_module("tracer")
     original = laplacian.hessian
     with tracer.Tracer():
         assert dispatch.hessian is not original
