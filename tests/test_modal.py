@@ -357,6 +357,23 @@ def test_alpha_degeneracy_raises():
         alpha(md, np.zeros(2), np.zeros(2))
 
 
+def test_mode_summary_published_arithmetic():
+    def summarize(lam):
+        md = Mode(lam=lam, x=np.array([1.0 + 0j]), residual=0.0,
+                  swing_groups=((), ()), electromechanical=True)
+        return md.freq_hz, 100.0 * md.damping_ratio
+
+    f1, z1 = summarize(complex(-0.175611, 9.66364))
+    assert abs(f1 / 1.53802 - 1) < 1e-5
+    assert abs(z1 / 1.81694 - 1) < 1e-5
+    f2, z2 = summarize(complex(-0.166826, 10.8247))
+    assert abs(f2 / 1.72281 - 1) < 1e-5
+    assert abs(z2 / 1.54097 - 1) < 1e-5
+    # sigma = 0 gives exactly zero damping ratio.
+    _, z3 = summarize(complex(0.0, 5.0))
+    assert z3 == 0.0
+
+
 def test_swing_profiles_on_fixtures(fixture_studies):
     _, ten = fixture_studies["ten_bus"]
     interarea = ten.electromechanical()[0]
