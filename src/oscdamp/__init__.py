@@ -1,4 +1,8 @@
-"""Eigenvalue sensitivity of grid oscillation modes to generator redispatch."""
+"""Eigenvalue sensitivity of grid oscillation modes to generator redispatch.
+
+The top level holds what README ``## Library`` documents and every package
+error; everything else is imported from its module.
+"""
 
 from .errors import (
     ConvergenceError,
@@ -13,44 +17,21 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .network import (
-    Bus,
-    Line,
-    LineState,
-    Network,
-    OperatingPoint,
-    build_incidence,
-    line_states,
-    parse_grid_file,
-    potential_energy,
-    solve_power_flow,
-)
-from .laplacian import LaplacianBundle, coord_jacobian, hessian
-from .modal import (
-    DynamicMatrices,
-    Mode,
-    alpha,
-    build_dynamic_matrices,
-    extended_jacobian,
-    reduced_jacobian,
-    solve_qep,
-)
-from .sensitivity import (
-    SensitivityReport,
-    const_v_coefficients,
-    dlambda,
-    sensitivity_coefficients,
-)
-from .dispatch import (
-    ModePrediction,
-    PairSensitivity,
-    RedispatchPlan,
-    flow_response,
-    plan_between,
-    rank_pairs,
-    sweep,
-    unit_dlambda,
-)
+from .network import Bus, Line, Network, parse_grid_file, solve_power_flow, validate_network
+from .modal import Mode
+from .sensitivity import const_v_coefficients, dlambda, sensitivity_coefficients
+from .dispatch import RedispatchPlan, flow_response, plan_between, rank_pairs, sweep, unit_dlambda
 from .study import Study, build_study
+
+__all__ = [
+    "ConvergenceError", "DegenerateModeError", "DomainError", "GridFormatError",
+    "ModeMatchingError", "OracleError", "OscdampError", "ReductionError",
+    "SingularityError", "UsageError", "ValidationError",
+    "Bus", "Line", "Network", "parse_grid_file", "solve_power_flow", "validate_network",
+    "Mode",
+    "const_v_coefficients", "dlambda", "sensitivity_coefficients",
+    "RedispatchPlan", "flow_response", "plan_between", "rank_pairs", "sweep", "unit_dlambda",
+    "Study", "build_study",
+]
 
 __version__ = "0.1.0"

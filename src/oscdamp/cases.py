@@ -30,6 +30,7 @@ FIXTURE_CONST_V = {
 }
 FIXTURE_NAMES = tuple(FIXTURE_CONST_V)
 MAX_THETA = 0.5  # largest |theta| a random network may have at its equilibrium
+ORACLE_STEP = 1e-5  # the oracle's central-difference step in r
 
 
 @dataclass(frozen=True)
@@ -224,17 +225,15 @@ def finite_difference_sensitivity(
     op: OperatingPoint,
     mode: modal.Mode,
     plan: dispatch.RedispatchPlan,
-    step: float = 1e-5,
     const_v: bool | None = None,
 ) -> complex:
     """Central-difference slope of the matched eigenvalue along the plan.
 
     This is the ground truth every formula prediction is checked against:
-    the power flow and the eigenproblem are re-solved at +-step by ``ModePath.exact``,
-    in the voltage model of the mode; a ``const_v`` naming the other one is rejected.
+    the power flow and the eigenproblem are re-solved at +-ORACLE_STEP by
+    ``ModePath.exact``, in the voltage model of the mode; a ``const_v`` naming
+    the other one is rejected.
     """
-    if not 0 < step < np.inf:
-        raise UsageError("step must be positive and finite")
     if const_v not in (None, modal.angle_only(network, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     path = dispatch.ModePath(network, op, mode, plan)
@@ -242,25 +241,18 @@ def finite_difference_sensitivity(
         raise ValidationError("finite differencing needs a nonzero redispatch direction")
 
     try:
-        lam_p = path.exact(step)
-        lam_m = path.exact(-step)
+        lam_p = path.exact(ORACLE_STEP)
+        lam_m = path.exact(-ORACLE_STEP)
     except dispatch.ModeMatchingError:
         raise
     except OscdampError as exc:  # power flow divergence etc.
-        raise OracleError(f"oracle unavailable at step {step:g}: {exc}") from exc
-    return (lam_p - lam_m) / (2.0 * step)
+        raise OracleError(f"oracle unavailable at step {ORACLE_STEP:g}: {exc}") from exc
+    return (lam_p - lam_m) / (2.0 * ORACLE_STEP)
 
 
 # ---------------------------------------------------------------------------
 # Seeded random networks for property tests
 # ---------------------------------------------------------------------------
-
-def zero_damping_variant(network: Network) -> Network:
-    """Copy of the network with every damping constant set to zero."""
-    from dataclasses import replace
-    buses = tuple(replace(b, damping_d_seconds=0.0) for b in network.buses)
-    return Network(buses=buses, lines=network.lines, omega0=network.omega0)
-
 
 def random_network(seed: int) -> Study:
     """Connected random test network, as the full-model Study solved to

@@ -12,6 +12,7 @@ stdout empty.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import os
 import sys
@@ -57,13 +58,17 @@ def _load_network(args) -> Network:
     if not os.path.exists(args.grid):
         raise UsageError(f"file not found: {args.grid}")
     try:
-        with open(args.grid, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise GridFormatError(
-            f"{args.grid} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        with open(args.grid, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.grid}: {exc.strerror or exc}") from None
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The decoder counts from after a byte-order mark, the message from the file's start.
+        start = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        raise GridFormatError(
+            f"{args.grid} is not UTF-8 text: {exc.reason} at byte {start}") from None
     return parse_grid_file(text)
 
 

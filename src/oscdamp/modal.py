@@ -224,19 +224,6 @@ def _pencil(m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray):
     return E, J, zcol, inertial, n_dyn
 
 
-def extended_jacobian(
-    m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Singular pencil (E, J) whose finite eigenstructure matches the QEP.
-
-    State order: dynamic z rows, then one speed per inertial row, then
-    algebraic z rows; E = blockdiag(I, 0). A finite eigenvector carries
-    lam * x_g in its speed block.
-    """
-    E, J, *_ = _pencil(np.asarray(m_diag, float), np.asarray(d_diag, float), L)
-    return E, J
-
-
 def reduced_jacobian(
     m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray
 ) -> np.ndarray:

@@ -612,7 +612,6 @@ def solve_power_flow(
     network: Network,
     initial: OperatingPoint | None = None,
     const_v: bool = False,
-    max_iter: int = PF_MAX_ITER,
 ) -> OperatingPoint:
     """Newton solve of the lossless power flow from a flat (or given) start.
 
@@ -648,7 +647,7 @@ def solve_power_flow(
     _check_balance(network, tol)
     res = residual(z)
     norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
+    for _ in range(PF_MAX_ITER):
         if norm < PF_TARGET_TOL:
             break
         J = hessian_matrix(network, point(z), const_v=const_v)[1:, 1:]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import laplacian, modal
-from .network import Network, OperatingPoint, solve_power_flow
+from .network import Network, OperatingPoint, solve_power_flow, validate_network
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,9 @@ def build_study(
     const_v: bool = False,
     initial: OperatingPoint | None = None,
 ) -> Study:
-    """Solve the equilibrium and compute every modal quantity downstream of it."""
+    """Validate the network, solve its equilibrium and compute every modal
+    quantity downstream of it."""
+    validate_network(network)
     op = solve_power_flow(network, initial=initial, const_v=const_v)
     bundle = laplacian.hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)

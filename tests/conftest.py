@@ -8,6 +8,7 @@ import re
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 from oscdamp import cases, modal
 from oscdamp.cli import main
+from oscdamp.network import Network
 from oscdamp.study import build_study
 
 RANDOM_SUITE_SIZE = 50
@@ -141,6 +143,12 @@ def companion_spectrum(m_diag, d_diag, L) -> np.ndarray:
     alph, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
     keep = np.abs(beta) > 1e-12 * np.hypot(np.abs(alph), np.abs(beta))
     return alph[keep] / beta[keep]
+
+
+def zero_damping_variant(network: Network) -> Network:
+    """Copy of the network with every damping constant set to zero."""
+    return replace(network, buses=tuple(replace(b, damping_d_seconds=0.0)
+                                        for b in network.buses))
 
 
 def stiff_star_grid(b: float) -> str:

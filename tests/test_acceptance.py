@@ -19,7 +19,7 @@ from oscdamp import cases, dispatch, modal, sensitivity
 from oscdamp.network import line_states
 from oscdamp.study import build_study
 
-from conftest import balanced_directions, companion_spectrum
+from conftest import balanced_directions, companion_spectrum, zero_damping_variant
 
 
 def _fixtures_with_redispatch(fixture_studies):
@@ -99,7 +99,7 @@ def test_criterion_03_formula_vs_oracle(fixture_studies, random_suite):
             plan = dispatch.RedispatchPlan(dp=dp)
             slope = dispatch.unit_dlambda(st, mode, plan)
             fd = cases.finite_difference_sensitivity(
-                net, st.op, mode, plan, step=1e-5, const_v=const_v)
+                net, st.op, mode, plan, const_v=const_v)
             err = abs(slope - fd) / max(1.0, abs(slope))
             worst = max(worst, err)
             checked += 1
@@ -146,7 +146,7 @@ def test_criterion_06_zero_damping_neutrality(fixture_studies):
     worst_re = 0.0
     worst_dl = 0.0
     for name, (fx, _) in fixture_studies.items():
-        net = cases.zero_damping_variant(fx.network)
+        net = zero_damping_variant(fx.network)
         st = build_study(net, const_v=fx.const_v)
         for md in st.modes:
             worst_re = max(worst_re, abs(md.sigma))

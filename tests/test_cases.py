@@ -10,10 +10,11 @@ from oscdamp.cases import (
     load_fixture,
     random_network,
     reproduce_case,
-    zero_damping_variant,
 )
 from oscdamp.dispatch import RedispatchPlan, plan_between, unit_dlambda
 from oscdamp.study import build_study
+
+from conftest import zero_damping_variant
 
 
 def test_all_fixtures_load_and_carry_provenance():
@@ -70,25 +71,24 @@ def test_oracle_symmetric_toy_agrees_with_formula(fixture_studies):
     md = st.electromechanical()[0]
     plan = plan_between(st.network, "G1", "G3")
     slope = unit_dlambda(st, md, plan)
-    fd = finite_difference_sensitivity(st.network, st.op, md, plan,
-                                       step=1e-5, const_v=True)
+    fd = finite_difference_sensitivity(st.network, st.op, md, plan, const_v=True)
     assert abs(fd - slope) < 1e-8 * max(1.0, abs(slope))
 
 
-def test_oracle_step_refinement_is_second_order(fixture_studies):
+def test_oracle_step_refinement_is_second_order(fixture_studies, monkeypatch):
     # Slopes at h and h/2 agree to O(h^2); Richardson extrapolation is stable.
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
     plan = plan_between(st.network, "G1", "G3")
+
+    def slope(h):
+        monkeypatch.setattr(cases, "ORACLE_STEP", h)
+        return finite_difference_sensitivity(st.network, st.op, md, plan, const_v=True)
+
     h = 1e-4
-    s1 = finite_difference_sensitivity(st.network, st.op, md, plan, step=h,
-                                       const_v=True)
-    s2 = finite_difference_sensitivity(st.network, st.op, md, plan, step=h / 2,
-                                       const_v=True)
+    s1, s2, s3 = slope(h), slope(h / 2), slope(h / 4)
     assert abs(s1 - s2) < 1e-6 * max(1.0, abs(s1))
     rich1 = (4 * s2 - s1) / 3
-    s3 = finite_difference_sensitivity(st.network, st.op, md, plan, step=h / 4,
-                                       const_v=True)
     rich2 = (4 * s3 - s2) / 3
     assert abs(rich1 - rich2) < 1e-8 * max(1.0, abs(rich1))
 
@@ -98,8 +98,7 @@ def test_oracle_rejects_zero_direction(fixture_studies):
     md = st.electromechanical()[0]
     with pytest.raises(ValidationError):
         finite_difference_sensitivity(
-            st.network, st.op, md, RedispatchPlan(dp=np.zeros(2)),
-            step=1e-5, const_v=True)
+            st.network, st.op, md, RedispatchPlan(dp=np.zeros(2)), const_v=True)
 
 
 def test_oracle_rejects_a_plan_of_the_wrong_size_as_the_formula_does(fixture_studies):

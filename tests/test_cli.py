@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -107,6 +108,10 @@ REFUSALS = [
     refusal("grid-not-utf8", "modes {grid}", 1,
             "{grid} is not UTF-8 text: invalid continuation byte at byte 346",
             S7.encode() + b"# caf\xe9\n"),
+    # The offset counts the byte-order mark.
+    refusal("grid-not-utf8-after-a-byte-order-mark", "modes {grid}", 1,
+            "{grid} is not UTF-8 text: invalid continuation byte at byte 349",
+            b"\xef\xbb\xbf" + S7.encode() + b"# caf\xe9\n"),
     refusal("csv-missing-dir", "modes {six_bus} --const-v --csv {tmp}/missing/x.csv", 64,
             "cannot write {tmp}/missing/x.csv: No such file or directory"),
     refusal("csv-is-directory", "modes {six_bus} --const-v --csv {tmp}", 64,
@@ -463,17 +468,30 @@ def test_every_package_error_exits_with_its_code_and_one_line(monkeypatch, cls):
                    "something went wrong")
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+LIBRARY_SECTION = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+LIBRARY_BLOCKS = [part.split("```", 1)[0] for part in LIBRARY_SECTION.split("```python\n")[1:]]
+
+
 def test_the_readme_library_example_runs(capsys):
     # Every python block of the section runs, in order, in one namespace, on
     # a shipped fixture in place of case.grid; a name the package no longer
     # exports fails here.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
-    assert len(blocks) == 2 and "".join(blocks).count('"case.grid"') == 1
+    assert len(LIBRARY_BLOCKS) == 2 and "".join(LIBRARY_BLOCKS).count('"case.grid"') == 1
     namespace = {}
-    for block in blocks:
+    for block in LIBRARY_BLOCKS:
         exec(block.replace('"case.grid"', repr(data_path("ten_bus.grid"))), namespace)
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows] == ["0.003", "0.01"]
     assert namespace["gains"].shape == namespace["dtheta"].shape
+
+
+def test_the_top_level_exports_the_readme_library_names_and_the_errors():
+    used = set(re.findall(r"\bod\.(\w+)", "".join(LIBRARY_BLOCKS)))
+    exported = set(oscdamp.__all__)
+    assert used <= exported
+    assert {cls.__name__ for cls in PACKAGE_ERRORS} <= exported
+    for name in exported:
+        assert hasattr(oscdamp, name), name
+        if name not in vars(errors):
+            assert re.search(rf"(`|\bod\.){name}\b", LIBRARY_SECTION), name

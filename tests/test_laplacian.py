@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oscdamp import OperatingPoint, coord_jacobian, hessian, solve_power_flow
+from oscdamp import solve_power_flow
 from oscdamp.cases import _read_data, random_network
-from oscdamp.network import Bus, Line, Network, bus_voltages, parse_grid_file, potential_energy
+from oscdamp.laplacian import coord_jacobian, hessian
+from oscdamp.network import (
+    Bus, Line, Network, OperatingPoint, bus_voltages, parse_grid_file, potential_energy,
+)
 
 
 @pytest.fixture(scope="module")

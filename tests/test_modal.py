@@ -11,27 +11,28 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscdamp import (
-    ConvergenceError,
-    DegenerateModeError,
-    ReductionError,
-    UsageError,
-    alpha,
-    extended_jacobian,
-    reduced_jacobian,
-    modal,
-    solve_qep,
-)
-from oscdamp.cases import random_network, zero_damping_variant
-from oscdamp.modal import Mode, _pencil, backward_errors
+from oscdamp import ConvergenceError, DegenerateModeError, ReductionError, UsageError, modal
+from oscdamp.cases import random_network
+from oscdamp.modal import Mode, _pencil, alpha, backward_errors, reduced_jacobian, solve_qep
 from oscdamp.network import parse_grid_file
 from oscdamp.study import build_study
 
-from conftest import companion_spectrum, fail_qz, stiff_star_grid
+from conftest import companion_spectrum, fail_qz, stiff_star_grid, zero_damping_variant
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TOY_M = np.ones(2)
 TOY_D = np.zeros(2)
+
+
+def extended_jacobian(m_diag, d_diag, L):
+    """Singular pencil (E, J) whose finite eigenstructure matches the QEP.
+
+    State order: dynamic z rows, then one speed per inertial row, then
+    algebraic z rows; E = blockdiag(I, 0). A finite eigenvector carries
+    lam * x_g in its speed block.
+    """
+    E, J, *_ = _pencil(np.asarray(m_diag, float), np.asarray(d_diag, float), L)
+    return E, J
 
 
 def _match_spectra(a, b, tol):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscdamp import ModeMatchingError, parse_grid_file, solve_qep
+from oscdamp import ModeMatchingError, parse_grid_file
 from oscdamp.dispatch import match_mode, plan_between
 from oscdamp.modal import (
     INFINITE_EIG_TOL,
@@ -27,6 +27,7 @@ from oscdamp.modal import (
     Mode,
     _pencil,
     backward_errors,
+    solve_qep,
 )
 from oscdamp.study import build_study
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,10 @@ from oscdamp import (
     ConvergenceError,
     DomainError,
     GridFormatError,
-    OperatingPoint,
     ValidationError,
-    build_incidence,
-    line_states,
+    build_study,
+    network,
     parse_grid_file,
-    potential_energy,
     solve_power_flow,
 )
 from oscdamp.cases import FIXTURE_NAMES, _read_data, load_fixture, random_network
@@ -24,12 +23,16 @@ from oscdamp.network import (
     Bus,
     Line,
     Network,
+    OperatingPoint,
     PF_ACCEPT_TOL,
     PF_ACCEPT_ULPS,
+    build_incidence,
     bus_voltages,
     flat_start,
     hessian_matrix,
     incident_b_sums,
+    line_states,
+    potential_energy,
     residual_vectors,
     validate_network,
 )
@@ -49,6 +52,17 @@ line t G1 L2 b=1.0
 """
 
 CHAIN_3 = _read_data("three_bus_s9.grid")
+
+
+def assert_invalid(net: Network, message: str) -> None:
+    """``validate_network`` and ``build_study`` both refuse ``net`` with a
+    ValidationError matching ``message``, and ``build_study`` warns nothing."""
+    with pytest.raises(ValidationError, match=message):
+        validate_network(net)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            build_study(net)
 
 
 def test_parse_two_bus_minimal():
@@ -102,9 +116,8 @@ def test_validate_rejects_generators_after_a_load(order):
     pos = {label: i for i, label in enumerate(order, start=1)}
     ends = [("L1", "G1"), ("L1", "G2")] + ([("L1", "L2")] if "L2" in pos else [])
     lines = tuple(Line(name, pos[a], pos[b], 5.0) for name, (a, b) in zip("abc", ends))
-    with pytest.raises(ValidationError,
-                       match="bus 'L1' at position 1 is out of order: the 2 generator"):
-        validate_network(Network(buses=buses, lines=lines))
+    assert_invalid(Network(buses=buses, lines=lines),
+                   "bus 'L1' at position 1 is out of order: the 2 generator")
 
 
 @pytest.mark.parametrize("from_bus, to_bus", [(1, 5), (0, 2), (1, 2.5)])
@@ -113,9 +126,7 @@ def test_validate_rejects_a_line_end_that_is_not_a_bus(from_bus, to_bus):
     net = parse_grid_file(TWO_BUS)
     bad = Network(buses=net.buses, lines=(Line("a", from_bus, to_bus, 5.0),))
     end = to_bus if from_bus == 1 else from_bus
-    with pytest.raises(ValidationError, match=re.escape(
-            f"line 'a' ends at {end!r}, which is not a bus position 1..2")):
-        validate_network(bad)
+    assert_invalid(bad, re.escape(f"line 'a' ends at {end!r}, which is not a bus position 1..2"))
 
 
 # A valid two-generator star, built directly, and the G2 it replaces.
@@ -138,8 +149,7 @@ STAR_NET = Network(buses=(Bus("G1", "G", p_gen=0.2, inertia_h=3.0), STAR_G2, Bus
         "omega0-nan", "omega0-inf"])
 def test_validate_rejects_what_the_parser_rejects(changes, message):
     validate_network(STAR_NET)
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        validate_network(replace(STAR_NET, **changes))
+    assert_invalid(replace(STAR_NET, **changes), f"^{re.escape(message)}$")
 
 
 def test_parse_malformed_record_reports_line_number():
@@ -219,8 +229,7 @@ def test_validate_rejects_a_load_bus_with_inertia():
     # Built directly: a load bus record has no H= field.
     net = parse_grid_file(TWO_BUS)
     bad = replace(net, buses=(net.buses[0], replace(net.buses[1], inertia_h=1.0)))
-    with pytest.raises(ValidationError, match="^load bus 'L2' must have zero inertia$"):
-        validate_network(bad)
+    assert_invalid(bad, "^load bus 'L2' must have zero inertia$")
 
 
 def test_parse_reads_fields_in_any_order_with_dataclass_defaults():
@@ -260,9 +269,7 @@ def test_parse_accepts_every_grid_the_code_runs_on():
 def test_validate_rejects_non_finite_bus_fields(field):
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[0], **{field: math.nan})
-    bad = replace(net, buses=(bus,) + net.buses[1:])
-    with pytest.raises(ValidationError, match="non-finite"):
-        validate_network(bad)
+    assert_invalid(replace(net, buses=(bus,) + net.buses[1:]), "non-finite")
 
 
 @pytest.mark.parametrize("record", [
@@ -277,15 +284,15 @@ def test_parse_rejects_negative_damping(record):
 def test_validate_rejects_negative_damping():
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[1], damping_d_seconds=-1e-12)
-    with pytest.raises(ValidationError, match="'L2' needs damping D >= 0"):
-        validate_network(replace(net, buses=(net.buses[0], bus)))
+    assert_invalid(replace(net, buses=(net.buses[0], bus)), "'L2' needs damping D >= 0")
 
 
-def test_power_flow_nan_residual_is_not_converged():
+def test_power_flow_nan_residual_is_not_converged(monkeypatch):
     net = parse_grid_file(TWO_BUS)
     start = OperatingPoint(delta=np.array([0.0, math.nan]), v_load=np.ones(1))
+    monkeypatch.setattr(network, "PF_MAX_ITER", 0)
     with pytest.raises(ConvergenceError):
-        solve_power_flow(net, initial=start, max_iter=0)
+        solve_power_flow(net, initial=start)
 
 
 def test_power_flow_accepts_roundoff_of_stiff_lines():
