@@ -17,7 +17,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .network import Bus, Line, Network, parse_grid_file, solve_power_flow, validate_network
+from .network import Bus, Line, Network, parse_grid_file, solve_power_flow
 from .modal import Mode
 from .sensitivity import const_v_coefficients, dlambda, sensitivity_coefficients
 from .dispatch import RedispatchPlan, flow_response, plan_between, rank_pairs, sweep, unit_dlambda
@@ -27,7 +27,7 @@ __all__ = [
     "ConvergenceError", "DegenerateModeError", "DomainError", "GridFormatError",
     "ModeMatchingError", "OracleError", "OscdampError", "ReductionError",
     "SingularityError", "UsageError", "ValidationError",
-    "Bus", "Line", "Network", "parse_grid_file", "solve_power_flow", "validate_network",
+    "Bus", "Line", "Network", "parse_grid_file", "solve_power_flow",
     "Mode",
     "const_v_coefficients", "dlambda", "sensitivity_coefficients",
     "RedispatchPlan", "flow_response", "plan_between", "rank_pairs", "sweep", "unit_dlambda",

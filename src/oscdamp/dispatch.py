@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .network import Network, OperatingPoint, hessian_matrix, solve_power_flow
+from .network import Network, OperatingPoint, _Unbalanced, hessian_matrix, solve_power_flow
 from .laplacian import hessian
 from .study import Study
 
@@ -192,13 +192,13 @@ class ModePath:
 
     def _hessian_at(self, r: float) -> np.ndarray:
         """Hessian of the grid redispatched by r, at its power flow solved from ``op``."""
-        shifted = self.network.with_redispatch(r * self.plan.dp)
         try:
+            shifted = self.network.with_redispatch(r * self.plan.dp)
             shifted_op = solve_power_flow(shifted, initial=self.op, const_v=self.const_v)
-        except ValidationError:  # its balance check, which the unshifted grid passes
+        except _Unbalanced as exc:  # a balance check, which the unshifted grid passes
             raise ValidationError(
                 f"real power does not balance: redispatching by r = {r:g} lost the balance to "
-                f"rounding (sum of injections = {np.sum(shifted.injections()[0]):.3e})") from None
+                f"rounding (sum of injections = {exc.imbalance:.3e})") from None
         return hessian_matrix(shifted, shifted_op, const_v=self.const_v)
 
     def _matched(self, L: np.ndarray) -> complex:

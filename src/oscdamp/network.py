@@ -6,6 +6,9 @@ generator voltage magnitudes are fixed parameters. All line and bus data are
 per unit; inertia and damping are in seconds and are converted to dynamic
 coefficients elsewhere (2h/omega0 and d/omega0).
 
+A ``Network`` is valid from construction (``dataclasses.replace`` included),
+and a ``with_redispatch`` copy shares its parent's checked structure.
+
 Sign conventions, fixed here once and relied on everywhere else:
 
 * b_k > 0 is the absolute susceptance of line k (b = 1/x for a pure
@@ -168,13 +171,15 @@ class Network:
     """Buses and lines of one grid.
 
     The index and injection arrays below are built once per grid, on first
-    use, and come back read-only: every caller shares them. A
-    ``with_redispatch`` copy shares every one of them except the injections.
+    use, and come back read-only: every caller shares them.
     """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     omega0: float = DEFAULT_OMEGA0
+
+    def __post_init__(self) -> None:
+        validate_network(self)
 
     @cached_property
     def _topology(self) -> _Topology:
@@ -218,22 +223,21 @@ class Network:
 
     def with_redispatch(self, dp: np.ndarray) -> "Network":
         """Return a copy with generator outputs shifted by ``dp`` (one entry per
-        generator). The copy shares this grid's read-only ``_Topology``: only
-        the injections are its own. Its generator buses are built directly,
-        with the fields ``dataclasses.replace`` would give them."""
+        generator). The copy shares every array but the injections, and checks
+        only that the outputs stay finite and balance, as ``validate_network`` does."""
         dp = np.asarray(dp, dtype=float)
         if dp.shape != (self.m,):
-            raise ValidationError(
-                f"redispatch vector has shape {dp.shape}, expected ({self.m},)"
-            )
-        gens = tuple(
-            Bus(label=b.label, kind=b.kind, v_set=b.v_set, p_gen=b.p_gen + d,
-                p_load=b.p_load, q_load=b.q_load, inertia_h=b.inertia_h,
-                damping_d_seconds=b.damping_d_seconds)
-            for b, d in zip(self.buses, dp.tolist()))
-        copy = Network(buses=gens + self.buses[self.m:], lines=self.lines, omega0=self.omega0)
-        # Where cached_property keeps its value; the frozen __setattr__ refuses it.
-        copy.__dict__["_topology"] = self._topology
+            raise ValidationError(f"redispatch vector has shape {dp.shape}, expected ({self.m},)")
+        gens = tuple(Bus(**{**vars(b), "p_gen": b.p_gen + d})
+                     for b, d in zip(self.buses, dp.tolist()))
+        for bus in gens:
+            if not math.isfinite(bus.p_gen):
+                raise ValidationError(f"bus {bus.label!r} has a non-finite value")
+        # Past __init__ and its validation; _topology is cached_property's slot.
+        copy = object.__new__(Network)
+        copy.__dict__.update(buses=gens + self.buses[self.m:], lines=self.lines,
+                             omega0=self.omega0, _topology=self._topology)
+        _check_balance(copy, POWER_BALANCE_TOL)
         return copy
 
 
@@ -305,7 +309,8 @@ def _read_fields(tokens: list[str], kind: str, lineno: int) -> dict[str, float]:
 
 
 def parse_grid_file(text: str) -> Network:
-    """Parse the line-oriented grid format and validate the resulting network.
+    """Parse the line-oriented grid format into a ``Network``, valid from
+    construction; its redispatch copies share its checked structure.
 
     Buses are re-indexed so that all generators precede all loads (file order
     preserved within each group); line records may give either ``b=`` or
@@ -358,19 +363,17 @@ def parse_grid_file(text: str) -> Network:
         for lab in (frm, to):
             if lab not in idx:
                 raise GridFormatError(f"line {lineno}: unknown bus {lab!r}")
-    network = Network(
+    return Network(
         buses=tuple(Bus(label=label, kind=buses[label][0], **buses[label][1])
                     for label in ordered),
         lines=tuple(Line(label=label, from_bus=idx[frm], to_bus=idx[to], b=b)
                     for label, (_, frm, to, b) in lines.items()),
         **(system or {}),
     )
-    validate_network(network)
-    return network
 
 
 def validate_network(network: Network) -> None:
-    """Raise ValidationError on any violated structural invariant."""
+    """Raise ValidationError on any violated invariant; constructing a ``Network`` runs it."""
     n, m = network.n, network.m
     if not network.lines:
         raise ValidationError("grid has no lines")
@@ -427,34 +430,34 @@ def validate_network(network: Network) -> None:
     if not finite_sums.all():
         label = network.buses[int(np.argmin(finite_sums))].label
         raise ValidationError(f"the line susceptances at bus {label!r} sum past the float range")
-    # Connectivity.
-    if n > 0:
-        adjacency: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-        for ln in network.lines:
-            adjacency[ln.from_bus].add(ln.to_bus)
-            adjacency[ln.to_bus].add(ln.from_bus)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
-            missing = sorted(set(range(1, n + 1)) - seen)
-            labels = [network.buses[i - 1].label for i in missing]
-            raise ValidationError(f"network graph is disconnected; unreachable buses {labels}")
+    # Connectivity; a grid with lines has buses.
+    adjacency: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
+    for ln in network.lines:
+        adjacency[ln.from_bus].add(ln.to_bus)
+        adjacency[ln.to_bus].add(ln.from_bus)
+    seen, stack = {1}, [1]
+    while stack:
+        fresh = adjacency[stack.pop()] - seen
+        seen |= fresh
+        stack.extend(fresh)
+    if len(seen) != n:
+        labels = [bus.label for i, bus in enumerate(network.buses, start=1) if i not in seen]
+        raise ValidationError(f"network graph is disconnected; unreachable buses {labels}")
     _check_balance(network, POWER_BALANCE_TOL)
 
 
+class _Unbalanced(ValidationError):
+    """Real injections that sum to ``imbalance``, not to zero."""
+
+
 def _check_balance(network: Network, tol: float) -> None:
-    """Raise ValidationError unless the real injections sum to within ``tol``."""
+    """Raise ``_Unbalanced`` unless the real injections sum to within ``tol``."""
     imbalance = float(np.sum(network.injections()[0]))
     if not abs(imbalance) <= tol:
-        raise ValidationError(
-            f"real power does not balance: sum of injections = {imbalance:.3e} "
-            "(the lossless model has no slack bus)"
-        )
+        exc = _Unbalanced(f"real power does not balance: sum of injections = {imbalance:.3e} "
+                          "(the lossless model has no slack bus)")
+        exc.imbalance = imbalance
+        raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +599,6 @@ def hessian_matrix(
     # Line-major, so that as in onto_buses each entry sums its terms in line
     # order: bincount, like np.add.at, adds its weights in input order.
     L = np.bincount(flat, weights=weights, minlength=size * size).reshape(size, size)
-    # Without lines bincount has no weights to add and returns int64 zeros.
-    L = L.astype(float, copy=False)
     if not const_v:
         _, q_inj = network.injections()
         L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import laplacian, modal
-from .network import Network, OperatingPoint, solve_power_flow, validate_network
+from .network import Network, OperatingPoint, solve_power_flow
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,8 @@ def build_study(
     const_v: bool = False,
     initial: OperatingPoint | None = None,
 ) -> Study:
-    """Validate the network, solve its equilibrium and compute every modal
-    quantity downstream of it."""
-    validate_network(network)
+    """Solve the equilibrium of a network (valid from construction, as are its
+    redispatch copies) and compute every modal quantity downstream of it."""
     op = solve_power_flow(network, initial=initial, const_v=const_v)
     bundle = laplacian.hessian(network, op, const_v=const_v)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)

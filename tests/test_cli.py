@@ -56,6 +56,7 @@ COLON_LABELS = ("bus G:1 G V=1 H=3 Pg=0.2 D=1\nbus G2 G V=1 H=4 Pg=-0.2 D=1\nbus
 NESTED = ("A", "A:B", "B:C", "C")
 NESTED_LABELS = "".join(f"bus {g} G V=1 H=3\n" for g in NESTED) + "bus L1 L\n" + \
     "".join(f"line {k} {g} L1 b=5\n" for k, g in enumerate(NESTED))
+TWO_BUS = "bus G1 G V=1 H=3\nbus L2 L\nline t G1 L2 {}\n"  # with the line's b= or x=
 TEN_BUS_LINE_1 = "line 1 G1 C7 x=0.0435\n"
 SWEEP_SIX = "sweep {six_bus} --const-v --mode 2 --pair G1:G3"
 OVERFLOW_MESSAGE = ("the dynamic coefficients 2H/omega0 and D/omega0 of bus 'G1' "
@@ -134,6 +135,11 @@ REFUSALS = [
             edited(TEN, "Pl=10.110245 ", "Pl=10.1102450005 ")),
     refusal("non-finite-value", "pf {grid}", 1, "line 4: Pg='nan' is not a finite number",
             edited(S7, "Pg=0.5 H=4.0", "Pg=nan H=nan")),
+    refusal("not-a-number", "pf {grid}", 1, "line 1: Pg='abc' is not a number",
+            TWO_BUS.format("b=1").replace("H=3", "H=3 Pg=abc")),
+    *[refusal(f"susceptance-{field}", "pf {grid}", 1,
+              "line 't' needs a positive finite susceptance", TWO_BUS.format(field))
+      for field in ("b=0", "x=0", "x=-2")],
     *pf_and_modes("negative-load-damping", edited(
         S7, "bus L3 L Pl=0.5 Ql=0.2", "bus L3 L Pl=0.5 Ql=0.2 D=-1.0"),
         "bus 'L3' needs damping D >= 0"),
@@ -349,6 +355,25 @@ def test_verify_green_and_deterministic():
     assert "verification PASSED" in out
     assert "FAIL" not in out.replace("FAILED", "")
     assert run_cli(["verify"]) == result
+
+
+def test_verify_fails_on_a_missed_verified_quantity_and_a_missed_spot_check(monkeypatch):
+    quantities = cases._QUANTITY_FNS["three_bus_s7"]
+    monkeypatch.setitem(cases._QUANTITY_FNS, "three_bus_s7",
+                        lambda st: {**quantities(st), "em_count": 1.0})
+    oracle, calls = cases.finite_difference_sensitivity, []
+
+    def second_draw_missed(*args):
+        calls.append(args)
+        return oracle(*args) + (1.0 if len(calls) == 2 else 0.0)
+
+    monkeypatch.setattr(cases, "finite_difference_sensitivity", second_draw_missed)
+    code, out, err = run_cli(["verify"])
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert lines[0] == "== three_bus_s7: FAILED (locked)"
+    assert [ln.split()[1] for ln in lines if ln.startswith("FAIL")] == ["em_count", "random[1]"]
+    assert lines[-1] == "verification FAILED (contingent mismatches are warnings)"
 
 
 def test_a_grid_file_with_a_byte_order_mark_reads_as_the_same_text(tmp_path):

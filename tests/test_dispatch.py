@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 import warnings
 from collections import Counter
@@ -28,7 +29,7 @@ from oscdamp import (
 from oscdamp.cases import FIXTURE_NAMES, _read_data, finite_difference_sensitivity, random_network
 from oscdamp.dispatch import ModePath, generator_gains, match_mode
 from oscdamp.network import OperatingPoint, line_states, parse_grid_file
-from oscdamp.sensitivity import sensitivity_coefficients
+from oscdamp.sensitivity import const_v_coefficients, sensitivity_coefficients
 from oscdamp.study import build_study
 
 from conftest import CallCounter, perfbench_module
@@ -52,6 +53,9 @@ line e2 B2 B3 b=2
 """
 
 
+ONE_GENERATOR = "bus G1 G V=1.0 H=3.0 D=1.0\nbus L2 L\nline t G1 L2 b=1.0\n"
+
+
 def _matched(reference, modes):
     """The mode of ``modes`` that ``match_mode`` picks for ``reference``."""
     return modes[match_mode(reference, np.array([md.lam for md in modes]),
@@ -72,6 +76,28 @@ def test_plan_keeps_a_read_only_copy_of_dp():
     assert plan.dp.tolist() == [1.0, -1.0]
     with pytest.raises(ValueError, match="read-only"):
         plan.dp[0] = 5.0
+
+
+def _line_gains(st):
+    mode, = st.modes  # the one mode of the grid, a real one
+    return const_v_coefficients(
+        mode, sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda st: rank_pairs(st.network, st.op, st.modes[0]), ValidationError,
+     "pair ranking needs at least two generators"),
+    (lambda st: st.network.with_redispatch([1.0, 2.0]), ValidationError,
+     "redispatch vector has shape (2,), expected (1,)"),
+    (lambda st: st.network.with_redispatch([math.nan]), ValidationError,
+     "bus 'G1' has a non-finite value"),
+    (_line_gains, UsageError, "line gains are defined for oscillatory modes only"),
+], ids=["rank-one-generator", "redispatch-shape", "redispatch-nan", "line-gains-real-mode"])
+def test_library_refusals_the_cli_cannot_reach(call, error, message):
+    # The parser or an earlier check stops each of these inputs on the CLI.
+    st = build_study(parse_grid_file(ONE_GENERATOR), const_v=True)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(st)
 
 
 @pytest.mark.parametrize("dp", [[math.nan, 0.0, 0.0, 0.0], [math.inf, -math.inf, 0.0, 0.0]])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,18 +83,16 @@ def test_line_coordinate_hessian_printed_pattern(chain3):
 
 
 def test_two_identical_generators_angle_block():
-    # Constructed directly: the network validator refuses generator ties, but
-    # the Hessian algebra itself is well defined for this textbook toy.
+    # Behind one load bus: a network refuses a line between two generators.
+    gen = Bus(label="A", kind="G", v_set=1.0, inertia_h=3.0)
     net = Network(
-        buses=(
-            Bus(label="A", kind="G", v_set=1.0, inertia_h=3.0),
-            Bus(label="B", kind="G", v_set=1.0, inertia_h=3.0),
-        ),
-        lines=(Line(label="t", from_bus=1, to_bus=2, b=1.0),),
+        buses=(gen, replace(gen, label="B"), Bus(label="C", kind="L")),
+        lines=(Line(label="s", from_bus=1, to_bus=3, b=1.0),
+               Line(label="t", from_bus=2, to_bus=3, b=1.0)),
     )
-    op = OperatingPoint(delta=np.zeros(2), v_load=np.zeros(0))
+    op = OperatingPoint(delta=np.zeros(3), v_load=np.ones(1))
     bundle = hessian(net, op)
-    assert np.allclose(bundle.L, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(bundle.L[:3, :3], [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
 
 
 def test_hessian_matches_finite_differences(random_suite):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,6 @@ from oscdamp import (
     DomainError,
     GridFormatError,
     ValidationError,
-    build_study,
     network,
     parse_grid_file,
     solve_power_flow,
@@ -34,7 +32,6 @@ from oscdamp.network import (
     line_states,
     potential_energy,
     residual_vectors,
-    validate_network,
 )
 
 from conftest import (
@@ -53,16 +50,17 @@ line t G1 L2 b=1.0
 
 CHAIN_3 = _read_data("three_bus_s9.grid")
 
+# A valid two-generator star, built directly, and the G2 it replaces.
+STAR_G2 = Bus("G2", "G", p_gen=-0.2, inertia_h=3.0)
+STAR_NET = Network(buses=(Bus("G1", "G", p_gen=0.2, inertia_h=3.0), STAR_G2, Bus("L1", "L")),
+                   lines=(Line("a", 1, 3, 5.0), Line("b", 2, 3, 5.0)))
 
-def assert_invalid(net: Network, message: str) -> None:
-    """``validate_network`` and ``build_study`` both refuse ``net`` with a
-    ValidationError matching ``message``, and ``build_study`` warns nothing."""
+
+def assert_invalid(net: Network, message: str, **changes) -> None:
+    """Replacing ``changes`` in ``net`` raises a ValidationError matching
+    ``message``: no invalid network exists to reach the rest of the chain."""
     with pytest.raises(ValidationError, match=message):
-        validate_network(net)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=message):
-            build_study(net)
+        replace(net, **changes)
 
 
 def test_parse_two_bus_minimal():
@@ -116,23 +114,17 @@ def test_validate_rejects_generators_after_a_load(order):
     pos = {label: i for i, label in enumerate(order, start=1)}
     ends = [("L1", "G1"), ("L1", "G2")] + ([("L1", "L2")] if "L2" in pos else [])
     lines = tuple(Line(name, pos[a], pos[b], 5.0) for name, (a, b) in zip("abc", ends))
-    assert_invalid(Network(buses=buses, lines=lines),
-                   "bus 'L1' at position 1 is out of order: the 2 generator")
+    assert_invalid(STAR_NET, "bus 'L1' at position 1 is out of order: the 2 generator",
+                   buses=buses, lines=lines)
 
 
 @pytest.mark.parametrize("from_bus, to_bus", [(1, 5), (0, 2), (1, 2.5)])
 def test_validate_rejects_a_line_end_that_is_not_a_bus(from_bus, to_bus):
     # Built directly: the parser resolves every endpoint label to a position.
-    net = parse_grid_file(TWO_BUS)
-    bad = Network(buses=net.buses, lines=(Line("a", from_bus, to_bus, 5.0),))
     end = to_bus if from_bus == 1 else from_bus
-    assert_invalid(bad, re.escape(f"line 'a' ends at {end!r}, which is not a bus position 1..2"))
-
-
-# A valid two-generator star, built directly, and the G2 it replaces.
-STAR_G2 = Bus("G2", "G", p_gen=-0.2, inertia_h=3.0)
-STAR_NET = Network(buses=(Bus("G1", "G", p_gen=0.2, inertia_h=3.0), STAR_G2, Bus("L1", "L")),
-                   lines=(Line("a", 1, 3, 5.0), Line("b", 2, 3, 5.0)))
+    assert_invalid(parse_grid_file(TWO_BUS),
+                   re.escape(f"line 'a' ends at {end!r}, which is not a bus position 1..2"),
+                   lines=(Line("a", from_bus, to_bus, 5.0),))
 
 
 # Built directly: the parser rejects each of these with a line number first.
@@ -148,8 +140,7 @@ STAR_NET = Network(buses=(Bus("G1", "G", p_gen=0.2, inertia_h=3.0), STAR_G2, Bus
 ], ids=["duplicate-bus", "duplicate-line", "bus-kind", "omega0-zero", "omega0-negative",
         "omega0-nan", "omega0-inf"])
 def test_validate_rejects_what_the_parser_rejects(changes, message):
-    validate_network(STAR_NET)
-    assert_invalid(replace(STAR_NET, **changes), f"^{re.escape(message)}$")
+    assert_invalid(STAR_NET, f"^{re.escape(message)}$", **changes)
 
 
 def test_parse_malformed_record_reports_line_number():
@@ -228,8 +219,8 @@ def test_parse_validates_the_buses_and_lines_it_reads(records, message):
 def test_validate_rejects_a_load_bus_with_inertia():
     # Built directly: a load bus record has no H= field.
     net = parse_grid_file(TWO_BUS)
-    bad = replace(net, buses=(net.buses[0], replace(net.buses[1], inertia_h=1.0)))
-    assert_invalid(bad, "^load bus 'L2' must have zero inertia$")
+    assert_invalid(net, "^load bus 'L2' must have zero inertia$",
+                   buses=(net.buses[0], replace(net.buses[1], inertia_h=1.0)))
 
 
 def test_parse_reads_fields_in_any_order_with_dataclass_defaults():
@@ -269,7 +260,7 @@ def test_parse_accepts_every_grid_the_code_runs_on():
 def test_validate_rejects_non_finite_bus_fields(field):
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[0], **{field: math.nan})
-    assert_invalid(replace(net, buses=(bus,) + net.buses[1:]), "non-finite")
+    assert_invalid(net, "^bus 'G1' has a non-finite value$", buses=(bus,) + net.buses[1:])
 
 
 @pytest.mark.parametrize("record", [
@@ -284,7 +275,31 @@ def test_parse_rejects_negative_damping(record):
 def test_validate_rejects_negative_damping():
     net = parse_grid_file(TWO_BUS)
     bus = replace(net.buses[1], damping_d_seconds=-1e-12)
-    assert_invalid(replace(net, buses=(net.buses[0], bus)), "'L2' needs damping D >= 0")
+    assert_invalid(net, "'L2' needs damping D >= 0", buses=(net.buses[0], bus))
+
+
+def test_a_line_past_the_last_bus_is_refused_where_the_network_is_built(fixture_studies):
+    # Not an IndexError from the first array that reads the endpoint.
+    net = fixture_studies["six_bus"][1].network
+    assert_invalid(net, r"^line 'x' ends at 9, which is not a bus position 1\.\.6$",
+                   lines=net.lines[:-1] + (Line("x", 1, 9, 5.0),))
+
+
+def test_a_duplicate_generator_label_never_reaches_the_ranking(fixture_studies):
+    # rank_pairs names a pair by its labels: a second G1 would list "G1 G1".
+    net = fixture_studies["six_bus"][1].network
+    buses = (net.buses[0], replace(net.buses[1], label="G1")) + net.buses[2:]
+    with pytest.raises(ValidationError, match="^duplicate bus label 'G1'$"):
+        Network(buses=buses, lines=net.lines, omega0=net.omega0)
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, 0.5])
+def test_redispatching_into_an_invalid_grid_raises_what_building_it_raises(shift):
+    g1 = STAR_NET.buses[0]
+    with pytest.raises(ValidationError) as built:
+        replace(STAR_NET, buses=(replace(g1, p_gen=g1.p_gen + shift),) + STAR_NET.buses[1:])
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(built.value))}$"):
+        STAR_NET.with_redispatch(np.array([shift, 0.0]))
 
 
 def test_power_flow_nan_residual_is_not_converged(monkeypatch):
@@ -448,15 +463,6 @@ def test_voltage_readers_reject_nonpositive_voltage(reader, v):
         reader(net, OperatingPoint(delta=np.zeros(2), v_load=np.array([v])))
 
 
-def test_hessian_without_lines_is_float():
-    # Built directly: the parser rejects a grid without lines, but the bus
-    # terms alone still give a well-defined (float) Hessian.
-    net = Network(buses=(Bus("G1", "G"), Bus("L2", "L", q_load=0.5)), lines=())
-    L = hessian_matrix(net, flat_start(net))
-    assert L.dtype == np.float64
-    assert np.array_equal(L, np.diag([0.0, 0.0, -0.5]))
-
-
 def test_hessian_matches_residual_jacobian_off_equilibrium():
     net = random_network(123).network
     rng = np.random.default_rng(2)
@@ -615,6 +621,7 @@ def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_stud
     rng = np.random.default_rng(8)
     for net in nets:
         dp = rng.standard_normal(net.m)
+        dp[-1] = -np.sum(dp[:-1])  # a copy that does not balance is refused
         shifted = net.with_redispatch(dp)
         want = tuple(replace(b, p_gen=b.p_gen + dp[g]) if g < net.m else b
                      for g, b in enumerate(net.buses))

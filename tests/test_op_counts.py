@@ -8,7 +8,9 @@ handles of ``modal`` run no Python code; a test counts those by patching them.
 
 from __future__ import annotations
 
+import json
 import sys
+from pathlib import Path
 
 import pytest
 import scipy.linalg
@@ -16,7 +18,7 @@ import scipy.linalg
 from oscdamp import cases, cli, dispatch, laplacian, modal, network, sensitivity, study
 from oscdamp.network import hessian_matrix
 
-from conftest import CallCounter, data_path, perfbench_module, stiff_star_grid
+from conftest import PERFBENCH, CallCounter, data_path, perfbench_module, stiff_star_grid
 
 REBUILDS = (
     "oscdamp.laplacian.hessian",
@@ -35,6 +37,7 @@ COUNTED = REBUILDS + (
     "oscdamp.network.residual_vectors",
     "oscdamp.network.solve_power_flow",
     "oscdamp.network._Topology.__init__",
+    "oscdamp.network.validate_network",
     "oscdamp.study.build_study",
     "numpy.linalg.pinv",
     "scipy.linalg.solve",
@@ -213,8 +216,11 @@ def test_sweep_and_oracle_build_the_dynamic_matrices_once(counts, qz_calls, name
     assert counts["oscdamp.network.solve_power_flow"] == 2
     assert counts["oscdamp.modal.eigenpairs"] == 0 and qz_calls == []
     assert counts["oscdamp.dispatch.match_mode"] == 0
+    # A redispatched copy shares its grid's checked structure.
+    assert counts["oscdamp.network.validate_network"] == 0
     counts.clear()
     cases.finite_difference_sensitivity(st.network, st.op, mode, plan)
+    assert counts["oscdamp.network.validate_network"] == 0
     assert counts["oscdamp.modal.build_dynamic_matrices"] == 1
     assert counts["oscdamp.laplacian.hessian"] == 0
     assert counts["oscdamp.network.solve_power_flow"] == 2
@@ -322,6 +328,19 @@ def test_sweep_and_oracle_build_the_topology_once(monkeypatch, counts, name):
     assert counts["oscdamp.network._Topology.__init__"] == 1
     # One pencil order throughout: the states plus one speed per generator.
     assert queries == [st.bundle.L.shape[0] + st.network.m]
+
+
+GOLDEN_COMMANDS = {name: item for name, item in json.loads(
+    (PERFBENCH / "goldens" / "manifest.json").read_text(encoding="utf-8")).items()
+    if name != "verify"}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+def test_a_command_on_a_grid_file_validates_the_grid_once(counts, capsys, name):
+    command, grid, *flags = GOLDEN_COMMANDS[name]["argv"]
+    code = cli.main([command, data_path(Path(grid).name), *flags])
+    assert code == GOLDEN_COMMANDS[name]["exit"]
+    assert counts["oscdamp.network.validate_network"] == 1
 
 
 def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
