@@ -231,10 +231,10 @@ def finite_difference_sensitivity(
 
     This is the ground truth every formula prediction is checked against:
     the power flow and the eigenproblem are re-solved at +-ORACLE_STEP by
-    ``ModePath.exact``, in the voltage model of the mode; a ``const_v`` naming
-    the other one is rejected.
+    ``ModePath.exact``, in the voltage model ``op`` records, which must be the
+    mode's; a ``const_v`` naming the other one is rejected.
     """
-    if const_v not in (None, modal.angle_only(network, mode)):
+    if const_v not in (None, modal.angle_only(network, op, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     path = dispatch.ModePath(network, op, mode, plan)
     if not np.any(plan.dp):

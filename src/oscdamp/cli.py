@@ -146,7 +146,7 @@ def cmd_pf(args) -> int:
     net = _load_network(args)
     op = solve_power_flow(net, const_v=args.const_v)
     if args.dump_matrices:
-        _dump_matrices(laplacian.hessian(net, op, const_v=args.const_v), args.dump_matrices)
+        _dump_matrices(laplacian.hessian(net, op), args.dump_matrices)
     v = bus_voltages(net, op)
     rows = [[b.label, b.kind, g6(op.delta[i]), g6(v[i])] for i, b in enumerate(net.buses)]
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))

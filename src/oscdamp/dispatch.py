@@ -13,7 +13,9 @@ dp . g. Either way the right-hand side must lie in the range of the
 singular Laplacian, so the residual is checked rather than assumed. The
 first-order eigenvalue formula is evaluated once at the base point;
 predictions for finite r are lambda + r * dlambda and are compared against
-the exact eigenvalue at r.
+the exact eigenvalue at r. The voltage model is the one the operating point
+records; every entry point refuses a mode of the other one
+(``modal.angle_only``), before any solve.
 
 Every re-solve goes through one ``ModePath``, which builds the dynamic
 matrices once: ``sweep`` has one for its slope and rows, the finite-difference
@@ -173,17 +175,17 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
 
 
 class ModePath:
-    """``mode`` followed from ``op`` along the redispatch ``plan``, in its voltage
-    model (``modal.angle_only``). Redispatch moves neither M nor D, so they
-    are built once. Every re-solve at r starts its power flow from ``op`` and
-    its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
+    """``mode`` followed from ``op`` along the redispatch ``plan``, in the voltage
+    model ``op`` records (``modal.angle_only``). Redispatch moves neither M nor
+    D, so they are built once. Every re-solve at r starts its power flow from
+    ``op`` and its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
 
     def __init__(self, network: Network, op: OperatingPoint, mode: modal.Mode,
                  plan: RedispatchPlan):
         check_plan_size(network, plan)
         self.network, self.op, self.mode, self.plan = network, op, mode, plan
-        self.const_v = modal.angle_only(network, mode)
-        self.dyn = modal.build_dynamic_matrices(network, const_v=self.const_v)
+        modal.angle_only(network, op, mode)
+        self.dyn = modal.build_dynamic_matrices(network, const_v=op.const_v)
 
     def slope(self) -> complex:
         """dlambda/dr for a unit application of the plan, as the plan's sum of
@@ -194,12 +196,12 @@ class ModePath:
         """Hessian of the grid redispatched by r, at its power flow solved from ``op``."""
         try:
             shifted = self.network.with_redispatch(r * self.plan.dp)
-            shifted_op = solve_power_flow(shifted, initial=self.op, const_v=self.const_v)
+            shifted_op = solve_power_flow(shifted, initial=self.op, const_v=self.op.const_v)
         except _Unbalanced as exc:  # a balance check, which the unshifted grid passes
             raise ValidationError(
                 f"real power does not balance: redispatching by r = {r:g} lost the balance to "
                 f"rounding (sum of injections = {exc.imbalance:.3e})") from None
-        return hessian_matrix(shifted, shifted_op, const_v=self.const_v)
+        return hessian_matrix(shifted, shifted_op)
 
     def _matched(self, L: np.ndarray) -> complex:
         """The eigenvalue ``match_mode`` picks for the mode out of a whole
@@ -252,10 +254,10 @@ def sweep(
     is the row's failure and leaves the other rows standing. The slope is the
     plan's sum of ``generator_gains``, so at a saddle of the energy function,
     where the grounded Laplacian is not positive definite, ``sweep`` raises
-    ``SingularityError`` as ``rank`` does (exit 2). The voltage model is the
-    mode's; a ``const_v`` naming the other one is rejected.
+    ``SingularityError`` as ``rank`` does (exit 2). The voltage model is
+    ``op``'s and the mode's; a ``const_v`` naming the other one is rejected.
     """
-    if const_v not in (None, modal.angle_only(network, mode)):
+    if const_v not in (None, modal.angle_only(network, op, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
     r_values = [float(r) for r in r_values]
     if not np.all(np.isfinite(r_values)):
@@ -305,9 +307,9 @@ def generator_gains(
 
 def _mode_gains(network: Network, op: OperatingPoint, mode: modal.Mode,
                 dyn: modal.DynamicMatrices) -> np.ndarray:
-    """``generator_gains`` of ``mode`` at ``op``: one bundle in the mode's
-    voltage model, its sensitivity report with ``dyn``, one grounded solve."""
-    bundle = hessian(network, op, const_v=modal.angle_only(network, mode))
+    """``generator_gains`` of ``mode`` at ``op``: one bundle in the voltage
+    model ``op`` records, its sensitivity report with ``dyn``, one grounded solve."""
+    bundle = hessian(network, op)
     report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
     return generator_gains(bundle.L, report, network.m)
 
@@ -322,7 +324,7 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    dyn = modal.build_dynamic_matrices(network, const_v=modal.angle_only(network, mode))
+    dyn = modal.build_dynamic_matrices(network, const_v=modal.angle_only(network, op, mode))
     gains = _mode_gains(network, op, mode, dyn)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5

@@ -35,9 +35,9 @@ class LaplacianBundle:
     """Hessian L plus its line-coordinate factorization pieces.
 
     The 2x2 block structure of L'_line has the diagonals (-q, p, q); the
-    bundle keeps ``lp_theta_nu = p`` and ``lp_nu_nu = q``. With
-    ``const_v`` there are no voltage coordinates: H has only the theta rows
-    and ``l_bus_diag`` is empty.
+    bundle keeps ``lp_theta_nu = p`` and ``lp_nu_nu = q``. At an angle-only
+    operating point H has only the theta rows and ``l_bus_diag`` is empty; a
+    full-model one never is, since no line joins two generators.
     """
 
     L: np.ndarray
@@ -45,7 +45,6 @@ class LaplacianBundle:
     lp_theta_nu: np.ndarray
     lp_nu_nu: np.ndarray
     l_bus_diag: np.ndarray
-    const_v: bool = False
 
     @property
     def A(self) -> np.ndarray:
@@ -58,7 +57,7 @@ class LaplacianBundle:
         nl = self.lp_nu_nu.size
         Ht = self.H[:nl]
         out = Ht.T @ (-self.lp_nu_nu[:, None] * Ht)
-        if not self.const_v:
+        if self.l_bus_diag.size:
             Hv = self.H[nl:]
             out += Ht.T @ (self.lp_theta_nu[:, None] * Hv)
             out += Hv.T @ (self.lp_theta_nu[:, None] * Ht)
@@ -83,18 +82,16 @@ def coord_jacobian(network: Network, op: OperatingPoint) -> np.ndarray:
     return H
 
 
-def hessian(
-    network: Network, op: OperatingPoint, const_v: bool = False
-) -> LaplacianBundle:
+def hessian(network: Network, op: OperatingPoint) -> LaplacianBundle:
     """Analytic Hessian bundle at the given state (no numerical differentiation).
 
-    ``const_v`` builds L in the angle coordinates alone, and H is then the
+    At an angle-only ``op`` L has only the angle coordinates and H is the
     signed incidence transpose A^T, the angle block of ``coord_jacobian``.
     """
     n, m, nl = network.n, network.m, network.n_lines
-    L = hessian_matrix(network, op, const_v=const_v)
+    L = hessian_matrix(network, op)
     ls = line_states(network, op)
-    if const_v:
+    if op.const_v:
         H = np.ascontiguousarray(build_incidence(network)[0].T)
         l_bus = np.zeros(0)
     else:
@@ -109,5 +106,4 @@ def hessian(
         lp_theta_nu=ls.p,
         lp_nu_nu=ls.q,
         l_bus_diag=l_bus,
-        const_v=const_v,
     )

@@ -49,7 +49,7 @@ import scipy
 from .errors import (
     ConvergenceError, DegenerateModeError, ReductionError, UsageError, ValidationError,
 )
-from .network import Network
+from .network import Network, OperatingPoint
 
 INFINITE_EIG_TOL = 1e-12     # |beta| below this times the pair norm is infinite
 # The rigid uniform-angle mode is a defective double zero when damping is
@@ -172,18 +172,21 @@ class Mode:
         return damping_ratio(self.lam)
 
 
-def angle_only(network: Network, mode: Mode) -> bool:
-    """Whether ``mode`` comes from the angle-only (constant-voltage) model of
-    ``network``: the one rule that names a mode's voltage model.
+def angle_only(network: Network, op: OperatingPoint, mode: Mode) -> bool:
+    """Whether ``mode`` is of the angle-only (constant-voltage) model of ``network``:
+    the one rule that ties a mode to the state ``op`` it is read at.
 
     Its eigenvector has n entries there and 2n - m in the full model; any
-    other size is a usage error.
+    other size, or a model other than the one ``op`` records, is a usage error.
     """
     n, size = network.n, mode.x.size
     if size not in (n, 2 * n - network.m):
         raise UsageError(f"mode has {size} entries; modes of this network have "
                          f"{n} (angle-only) or {2 * n - network.m} (full model)")
-    return size == n
+    if (size == n) != op.const_v:
+        model = "angle-only" if op.const_v else "full"
+        raise UsageError(f"the operating point is of the {model} model and the mode is not")
+    return op.const_v
 
 
 def damping_ratio(lam: complex) -> float:

@@ -243,11 +243,13 @@ class Network:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Bus angles (rad, delta[0] = 0 reference) and load voltage magnitudes."""
+    """Bus angles (rad, delta[0] = 0 reference) and load voltage magnitudes, in the
+    model ``const_v`` names: True for angle-only, whose load voltages are fixed."""
 
     delta: np.ndarray
     v_load: np.ndarray
     residual_norm: float = math.nan
+    const_v: bool = False
 
 
 @dataclass(frozen=True)
@@ -537,15 +539,13 @@ def bus_energy(network: Network, op: OperatingPoint) -> float:
     return float(-np.sum(p_inj * op.delta + 0.5 * bii * v ** 2 + q_inj * np.log(v)))
 
 
-def residual_vectors(
-    network: Network, op: OperatingPoint, const_v: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def residual_vectors(network: Network, op: OperatingPoint) -> tuple[np.ndarray, np.ndarray]:
     """Steady-state power balance residuals (the gradient of R).
 
     Returns (real over all buses, reactive over load buses); the reactive
-    residual is the voltage-scaled form, i.e. dR/dV_i. Under ``const_v`` the
-    load voltages are parameters, not unknowns, so the reactive residual is
-    not computed and comes back empty; the real one has the same bits.
+    residual is the voltage-scaled form, i.e. dR/dV_i. At an angle-only ``op``
+    the load voltages are parameters, not unknowns, so the reactive residual
+    is not computed and comes back empty; the real one has the same bits.
     """
     v = bus_voltages(network, op)
     theta, _, w = _line_terms(network, op, v)
@@ -553,7 +553,7 @@ def residual_vectors(
     topology = network._topology
     p = w * np.sin(theta)
     real = topology.onto_buses(p, -p, start=-p_inj)
-    if const_v:
+    if op.const_v:
         return real, np.empty(0)
     q = -w * np.cos(theta)
     qsum = topology.onto_buses(q, q)
@@ -563,16 +563,14 @@ def residual_vectors(
     return real, reactive
 
 
-def hessian_matrix(
-    network: Network, op: OperatingPoint, const_v: bool = False
-) -> np.ndarray:
+def hessian_matrix(network: Network, op: OperatingPoint) -> np.ndarray:
     """Weighted-Laplacian Hessian of R in bus coordinates at the given state.
 
     State ordering is (delta_1..delta_n, V_{m+1}..V_n). The leading n x n
     block is the angle Hessian of the angle-only model at the voltage profile
-    of ``op``: no voltage term reaches it. With ``const_v`` only that block
-    is built; each entry adds the same line terms in the same order as in
-    the full matrix, so it has the same bits.
+    of ``op``: no voltage term reaches it. At an angle-only ``op`` only that
+    block is built; each entry adds the same line terms in the same order as
+    in the full matrix, so it has the same bits.
     """
     n, m = network.n, network.m
     v = bus_voltages(network, op)
@@ -581,7 +579,7 @@ def hessian_matrix(
     w = network.susceptances() * v[f] * v[t]
     wc = w * np.cos(d[f] - d[t])
     topology = network._topology
-    if const_v:
+    if op.const_v:
         size, flat = n, topology.angle_scatter
         weights = np.stack([wc, -wc, -wc, wc], axis=1).ravel()
     else:
@@ -599,7 +597,7 @@ def hessian_matrix(
     # Line-major, so that as in onto_buses each entry sums its terms in line
     # order: bincount, like np.add.at, adds its weights in input order.
     L = np.bincount(flat, weights=weights, minlength=size * size).reshape(size, size)
-    if not const_v:
+    if not op.const_v:
         _, q_inj = network.injections()
         L[diag, diag] += incident_b_sums(network)[m:] + q_inj[m:] / v[m:] ** 2
     return L
@@ -617,16 +615,17 @@ def solve_power_flow(
     """Newton solve of the lossless power flow from a flat (or given) start.
 
     The state is z = (delta - delta_1, V_load), or the angles alone under
-    ``const_v``, which keeps the voltages of the start. The angle reference
-    z_1 = 0 is pinned and the bus-1 real-power equation dropped (redundant
-    under exact balance). Steps are halved when the residual norm would
-    increase. The iteration targets well below the acceptance tolerance so
-    downstream finite differencing stays clean, but stops once the residual
-    is accepted and a step no longer lowers it. The residual is accepted at
-    PF_ACCEPT_TOL, or at PF_ACCEPT_ULPS roundoff units of the largest
-    incident susceptance sum when that is larger: the line terms of a stiff
-    grid cancel to no better than that. Real injections that do not balance
-    to within that tolerance raise ValidationError before any Newton step.
+    ``const_v``, which keeps the voltages of the start; the point returned
+    records that model. The angle reference z_1 = 0 is pinned and the bus-1
+    real-power equation dropped (redundant under exact balance). Steps are
+    halved when the residual norm would increase. The iteration targets well
+    below the acceptance tolerance so downstream finite differencing stays
+    clean, but stops once the residual is accepted and a step no longer
+    lowers it. The residual is accepted at PF_ACCEPT_TOL, or at
+    PF_ACCEPT_ULPS roundoff units of the largest incident susceptance sum
+    when that is larger: the line terms of a stiff grid cancel to no better
+    than that. Real injections that do not balance to within that tolerance
+    raise ValidationError before any Newton step.
     """
     n = network.n
     op = initial if initial is not None else flat_start(network)
@@ -635,11 +634,12 @@ def solve_power_flow(
         z = np.concatenate([z, op.v_load])
 
     def point(z: np.ndarray) -> OperatingPoint:
-        return OperatingPoint(delta=z[:n], v_load=op.v_load if const_v else z[n:])
+        return OperatingPoint(delta=z[:n], v_load=op.v_load if const_v else z[n:],
+                              const_v=const_v)
 
     def residual(z: np.ndarray) -> np.ndarray:
         # Real then reactive balance; the reactive part is empty under const_v.
-        return np.concatenate(residual_vectors(network, point(z), const_v=const_v))
+        return np.concatenate(residual_vectors(network, point(z)))
 
     tol = max(PF_ACCEPT_TOL,
               PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(incident_b_sums(network))))
@@ -651,7 +651,7 @@ def solve_power_flow(
     for _ in range(PF_MAX_ITER):
         if norm < PF_TARGET_TOL:
             break
-        J = hessian_matrix(network, point(z), const_v=const_v)[1:, 1:]
+        J = hessian_matrix(network, point(z))[1:, 1:]
         try:
             step = np.linalg.solve(J, res[1:])
         except np.linalg.LinAlgError:

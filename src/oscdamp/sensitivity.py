@@ -67,11 +67,9 @@ def sensitivity_coefficients(
 
     ``bundle`` and ``dyn`` are the Hessian bundle and dynamic matrices of
     ``network`` at ``op``, as a ``Study`` holds them; the voltage model is
-    the bundle's, and ``mode`` must come from it (``modal.angle_only``).
+    the one ``op`` records, and ``mode`` must come from it (``modal.angle_only``).
     """
-    if modal.angle_only(network, mode) != bundle.const_v:
-        model = "angle-only" if bundle.const_v else "full"
-        raise UsageError(f"the Hessian bundle is of the {model} model and the mode is not")
+    const_v = modal.angle_only(network, op, mode)
     n, m, nl = network.n, network.m, network.n_lines
     al = modal.alpha(mode, dyn.m, dyn.d)
     x = mode.x
@@ -79,7 +77,7 @@ def sensitivity_coefficients(
     xt = xp[:nl]
     p, q = bundle.lp_theta_nu, bundle.lp_nu_nu
 
-    if bundle.const_v:
+    if const_v:
         theta_coeff = -(xt ** 2) * p
         vln_coeff = vln_state = np.zeros(0, dtype=complex)
     else:

@@ -18,8 +18,8 @@ class Study:
 
     @property
     def const_v(self) -> bool:
-        """The voltage model, as the bundle holds it: True for angle-only."""
-        return self.bundle.const_v
+        """The voltage model, as the operating point records it: True for angle-only."""
+        return self.op.const_v
 
     def oscillatory(self) -> tuple[modal.Mode, ...]:
         return tuple(md for md in self.modes if md.omega > 0)
@@ -36,7 +36,7 @@ def build_study(
     """Solve the equilibrium of a network (valid from construction, as are its
     redispatch copies) and compute every modal quantity downstream of it."""
     op = solve_power_flow(network, initial=initial, const_v=const_v)
-    bundle = laplacian.hessian(network, op, const_v=const_v)
+    bundle = laplacian.hessian(network, op)
     dyn = modal.build_dynamic_matrices(network, const_v=const_v)
     modes = modal.solve_qep(
         dyn.m, dyn.d, bundle.L,

@@ -154,15 +154,20 @@ def _fd_inputs():
 
 
 def test_oracle_maps_a_failed_re_solve_to_oracle_error(monkeypatch):
-    from oscdamp import ConvergenceError, OracleError, cases
+    # Except a failed mode match, which passes through as it is.
+    from oscdamp import ConvergenceError, ModeMatchingError, OracleError, cases
     net, st, md, plan = _fd_inputs()
+    for raised, caught, message in (
+        (ConvergenceError, OracleError, "^oracle unavailable at step 1e-05: eig did not converge$"),
+        (ModeMatchingError, ModeMatchingError, "^eig did not converge$"),
+    ):
+        def broken(*args, **kwargs):
+            raise raised("eig did not converge")
 
-    def broken(*args, **kwargs):
-        raise ConvergenceError("eig did not converge")
-
-    monkeypatch.setattr(cases.dispatch.ModePath, "exact", broken)
-    with pytest.raises(OracleError, match="eig did not converge"):
-        finite_difference_sensitivity(net, st.op, md, plan)
+        monkeypatch.setattr(cases.dispatch.ModePath, "exact", broken)
+        with pytest.raises(caught, match=message) as failure:
+            finite_difference_sensitivity(net, st.op, md, plan)
+        assert type(failure.value) is caught
 
 
 def test_oracle_lets_programming_errors_through(monkeypatch):

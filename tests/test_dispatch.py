@@ -203,6 +203,7 @@ def test_predict_identity_at_zero(random_suite):
     plan = plan_between(net, *net.gen_labels()[:2])
     pred = sweep(net, st.op, md, plan, [0.0])[0]
     assert pred.lambda_exact == md.lam
+    assert _outcome(lambda: ModePath(net, st.op, md, plan).exact(0.0)) == _outcome(lambda: md.lam)
     assert pred.lambda_approx == md.lam
     assert pred.error == 0.0
 
@@ -610,22 +611,35 @@ def test_tracked_undamped_rows_keep_a_zero_real_part(fixture_studies):
 
 
 def test_a_mode_of_neither_model_is_rejected(fixture_studies):
-    for net, st in _both_models(fixture_studies):
-        md = st.electromechanical()[0]
+    # Nor a mode of the other model than the operating point's, either way round.
+    for name in ("six_bus", "ten_bus"):
+        _, base = fixture_studies[name]
+        net = base.network
+        studies = (base, build_study(net, const_v=not base.const_v))
         plan = plan_between(net, "G1", "G3")
-        # One entry short of the angle-only size, one past the full size.
-        bad = replace(md, x=md.x[:-1] if st.const_v else np.append(md.x, 0.0))
-        calls = (
-            lambda: unit_dlambda(st, bad, plan),
-            lambda: rank_pairs(net, st.op, bad),
-            lambda: ModePath(net, st.op, bad, plan).exact(0.003),
-            lambda: ModePath(net, st.op, bad, plan).tracked(0.0),
-            lambda: sweep(net, st.op, bad, plan, [0.003]),
-            lambda: finite_difference_sensitivity(net, st.op, bad, plan),
-        )
-        for call in calls:
-            with pytest.raises(UsageError, match=f"mode has {bad.x.size} entries"):
-                call()
+        for st, other in (studies, studies[::-1]):
+            md = st.electromechanical()[0]
+            model = "angle-only" if st.const_v else "full"
+            # One entry short of the angle-only size, one past the full size.
+            wrong_size = replace(md, x=md.x[:-1] if st.const_v else np.append(md.x, 0.0))
+            for bad, message in (
+                (wrong_size, f"^mode has {wrong_size.x.size} entries"),
+                (other.electromechanical()[0],
+                 f"^the operating point is of the {model} model and the mode is not$"),
+            ):
+                calls = (
+                    lambda: unit_dlambda(st, bad, plan),
+                    lambda: sensitivity_coefficients(net, st.op, bad, st.bundle, st.dyn),
+                    lambda: rank_pairs(net, st.op, bad),
+                    lambda: ModePath(net, st.op, bad, plan).slope(),
+                    lambda: ModePath(net, st.op, bad, plan).exact(0.003),
+                    lambda: ModePath(net, st.op, bad, plan).tracked(0.0),
+                    lambda: sweep(net, st.op, bad, plan, [0.003]),
+                    lambda: finite_difference_sensitivity(net, st.op, bad, plan),
+                )
+                for call in calls:
+                    with pytest.raises(UsageError, match=message):
+                        call()
 
 
 def test_the_sweep_slope_agrees_with_the_pinv_chain(base_studies):

@@ -205,9 +205,12 @@ def test_newton_eigenpair_gives_up_without_raising(random_suite, monkeypatch):
     _, st = random_suite[0]
     md = st.oscillatory()[0]
     args = (st.dyn.m, st.dyn.d, st.bundle.L, 0)
-    # A zero start makes the bordered matrix singular; a far start needs more
-    # than one step.
+    # A zero start makes the bordered matrix singular; a NaN in the Hessian
+    # makes the step non-finite; a far start needs more than one step.
     assert modal.newton_eigenpair(md.lam, np.zeros_like(md.x), *args) is None
+    nan_hessian = st.bundle.L.copy()
+    nan_hessian[0, 0] = np.nan
+    assert modal.newton_eigenpair(md.lam, md.x, st.dyn.m, st.dyn.d, nan_hessian, 0) is None
     monkeypatch.setattr(modal, "NEWTON_MAX_STEPS", 1)
     assert modal.newton_eigenpair(md.lam * 1.1, md.x, *args) is None
 

@@ -141,7 +141,7 @@ def test_mode_from_the_other_voltage_model_is_rejected(fixture_studies):
     _, cv = fixture_studies["six_bus"]
     cv_mode = cv.electromechanical()[0]
     full = build_study(cv.network)
-    with pytest.raises(UsageError, match="^the Hessian bundle is of the full model and "
+    with pytest.raises(UsageError, match="^the operating point is of the full model and "
                                          "the mode is not$"):
         sensitivity_coefficients(cv.network, full.op, cv_mode, full.bundle, full.dyn)
 
