@@ -145,7 +145,7 @@ def _quantities_three_bus_s9(st: Study) -> dict[str, complex]:
     out["max_abs_real_part"] = max(abs(md.sigma) for md in st.modes)
     mode = st.electromechanical()[0]
     plan = dispatch.plan_between(st.network, "G1", "G3")  # along base flow
-    report = sensitivity.sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn)
+    report = sensitivity.sensitivity_coefficients(st, mode)
     dz = dispatch.flow_response(st, plan)
     dl = sensitivity.dlambda(report, dz)
     out["re_dlambda_along_flow"] = abs(dl.real)
@@ -163,8 +163,7 @@ def _quantities_six_bus(st: Study) -> dict[str, complex]:
         out["lam2"] = em[1].lam
         out["profile1_is_12v3"] = float(_swings_as(em[0], ("G1", "G2"), ("G3",)))
         out["profile2_is_1v2"] = float(_swings_as(em[1], ("G1",), ("G2",)))
-        report = sensitivity.sensitivity_coefficients(
-            st.network, st.op, em[1], st.bundle, st.dyn)
+        report = sensitivity.sensitivity_coefficients(st, em[1])
         gains = sensitivity.const_v_coefficients(em[1], report)
         out["ar1_negative"] = float(gains[0].real < 0)
         out["aI1_negative"] = float(gains[0].imag < 0)

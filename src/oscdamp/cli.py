@@ -146,7 +146,7 @@ def cmd_pf(args) -> int:
     net = _load_network(args)
     op = solve_power_flow(net, const_v=args.const_v)
     if args.dump_matrices:
-        _dump_matrices(laplacian.hessian(net, op), args.dump_matrices)
+        _dump_matrices(Study(net, op).bundle, args.dump_matrices)
     v = bus_voltages(net, op)
     rows = [[b.label, b.kind, g6(op.delta[i]), g6(v[i])] for i, b in enumerate(net.buses)]
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))
@@ -178,7 +178,7 @@ def cmd_modes(args) -> int:
 def cmd_sens(args) -> int:
     st = _load_study(args)
     mode = _select_mode(st, args)
-    report = sensitivity.sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn)
+    report = sensitivity.sensitivity_coefficients(st, mode)
     print(f"mode: lambda = {g6(mode.sigma)} + {g6(mode.omega)}j  "
           f"f = {g6(mode.freq_hz)} Hz  zeta = {g6(100 * mode.damping_ratio)} %")
     print(f"alpha = {g6(report.alpha.real)} + {g6(report.alpha.imag)}j")

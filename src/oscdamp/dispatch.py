@@ -1,31 +1,33 @@
 """Redispatch chain: dP -> dz -> dlambda, predictions, rankings.
 
 dlambda is the state covector c of the sensitivity report applied to the
-state move dz, -c . dz / alpha. The forward chain (``unit_dlambda``, used
-only by ``verify`` and the fixture checks of ``cases``) reads the bundle and
-dynamic matrices of the caller's ``Study`` and solves the linearized load
-flow L dz = (dP, 0) with the least-squares pseudo-inverse. ``rank`` and
-``sweep`` solve the adjoint instead: with the bus-1 angle pinned (the
-uniform-angle vector is the only nullspace of the symmetric L), one Cholesky solve
-L y = c gives the gain g_k = -y_k / alpha of the shift from generator 1 to
-generator k. Every ordered pair is g_up - g_down, and a plan's slope is
-dp . g. Either way the right-hand side must lie in the range of the
-singular Laplacian, so the residual is checked rather than assumed. The
-first-order eigenvalue formula is evaluated once at the base point;
-predictions for finite r are lambda + r * dlambda and are compared against
-the exact eigenvalue at r. The voltage model is the one the operating point
-records; every entry point refuses a mode of the other one
+state move dz, -c . dz / alpha, everything read off one ``Study`` (network,
+op). The forward chain (``unit_dlambda``, used only by ``verify`` and the
+fixture checks of ``cases``) takes the caller's study and solves the
+linearized load flow L dz = (dP, 0) with the least-squares pseudo-inverse.
+``rank`` and ``sweep`` solve the adjoint (``generator_gains``) on a study
+of their (network, op) that is never eigensolved: with the bus-1 angle
+pinned (the uniform-angle vector is the only nullspace of the symmetric L),
+one Cholesky solve L y = c gives the gain g_k = -y_k / alpha of the shift
+from generator 1 to generator k. Every ordered pair is g_up - g_down, and a
+plan's slope is dp . g. Either way the right-hand side must lie in the
+range of the singular Laplacian, so the residual is checked rather than
+assumed. The first-order eigenvalue formula is evaluated once at the base
+point; predictions for finite r are lambda + r * dlambda and are compared
+against the exact eigenvalue at r. The voltage model is the one the
+operating point records; every entry point refuses a mode of the other one
 (``modal.angle_only``), before any solve.
 
-Every re-solve goes through one ``ModePath``, which builds the dynamic
-matrices once: ``sweep`` has one for its slope and rows, the finite-difference
-oracle one for its two steps. A re-solve at r is one power flow and one
-Hessian. ``exact`` eigensolves it (``modal.eigenpairs``, with every check of
-a whole study) and runs ``match_mode``, building no bundle and no ``Mode``
-summaries; the oracle uses it as it is. A ``sweep`` row (``tracked``) follows
-the mode by Newton's method from the base pair instead, under three guards
-(convergence, the backward-error gate, the eigenvector correlation), and
-falls back to ``exact``'s eigensolve and match of that same Hessian.
+Every re-solve goes through one ``ModePath``, whose study builds the dynamic
+matrices once, on construction: ``sweep`` has one for its slope and rows,
+the finite-difference oracle one for its two steps. A re-solve at r is one
+power flow and one Hessian. ``exact`` eigensolves it (``modal.eigenpairs``,
+with every check of a whole study) and runs ``match_mode``, building no
+bundle and no ``Mode`` summaries; the oracle uses it as it is. A ``sweep``
+row (``tracked``) follows the mode by Newton's method from the base pair
+instead, under three guards (convergence, the backward-error gate, the
+eigenvector correlation), and falls back to ``exact``'s eigensolve and
+match of that same Hessian.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ from .errors import (
     ValidationError,
 )
 from .network import Network, OperatingPoint, _Unbalanced, hessian_matrix, solve_power_flow
-from .laplacian import hessian
 from .study import Study
 
 PINV_RCOND = 1e-10
@@ -142,8 +143,7 @@ def flow_response(study: Study, plan: RedispatchPlan) -> np.ndarray:
 def unit_dlambda(study: Study, mode: modal.Mode, plan: RedispatchPlan) -> complex:
     """dlambda/dr for a unit application of the plan, via the forward chain
     on the study's bundle; ``mode`` must come from the study's voltage model."""
-    report = sensitivity.sensitivity_coefficients(
-        study.network, study.op, mode, study.bundle, study.dyn)
+    report = sensitivity.sensitivity_coefficients(study, mode)
     return sensitivity.dlambda(report, flow_response(study, plan))
 
 
@@ -177,26 +177,29 @@ def match_mode(reference: modal.Mode, lams: np.ndarray, X: np.ndarray) -> int:
 class ModePath:
     """``mode`` followed from ``op`` along the redispatch ``plan``, in the voltage
     model ``op`` records (``modal.angle_only``). Redispatch moves neither M nor
-    D, so they are built once. Every re-solve at r starts its power flow from
-    ``op`` and its Newton iteration from the base pair; at r = 0 it is ``mode.lam``."""
+    D, so the path's ``Study(network, op)`` builds them once, on
+    construction, and its slope reads that study's bundle. Every re-solve at
+    r starts its power flow from ``op`` and its Newton iteration from the
+    base pair; at r = 0 it is ``mode.lam``."""
 
     def __init__(self, network: Network, op: OperatingPoint, mode: modal.Mode,
                  plan: RedispatchPlan):
         check_plan_size(network, plan)
-        self.network, self.op, self.mode, self.plan = network, op, mode, plan
         modal.angle_only(network, op, mode)
-        self.dyn = modal.build_dynamic_matrices(network, const_v=op.const_v)
+        self.study, self.mode, self.plan = Study(network, op), mode, plan
+        self.study.dyn  # built here, so a refused coefficient fails the construction
 
     def slope(self) -> complex:
         """dlambda/dr for a unit application of the plan, as the plan's sum of
         ``generator_gains``: one bundle and one grounded Cholesky solve."""
-        return complex(self.plan.dp @ _mode_gains(self.network, self.op, self.mode, self.dyn))
+        return complex(self.plan.dp @ generator_gains(self.study, self.mode))
 
     def _hessian_at(self, r: float) -> np.ndarray:
         """Hessian of the grid redispatched by r, at its power flow solved from ``op``."""
+        op = self.study.op
         try:
-            shifted = self.network.with_redispatch(r * self.plan.dp)
-            shifted_op = solve_power_flow(shifted, initial=self.op, const_v=self.op.const_v)
+            shifted = self.study.network.with_redispatch(r * self.plan.dp)
+            shifted_op = solve_power_flow(shifted, initial=op, const_v=op.const_v)
         except _Unbalanced as exc:  # a balance check, which the unshifted grid passes
             raise ValidationError(
                 f"real power does not balance: redispatching by r = {r:g} lost the balance to "
@@ -206,7 +209,8 @@ class ModePath:
     def _matched(self, L: np.ndarray) -> complex:
         """The eigenvalue ``match_mode`` picks for the mode out of a whole
         eigensolve of the Hessian L."""
-        pairs = modal.eigenpairs(self.dyn.m, self.dyn.d, L, n_angles=self.network.n)
+        dyn = self.study.dyn
+        pairs = modal.eigenpairs(dyn.m, dyn.d, L, n_angles=self.study.network.n)
         return complex(pairs.lams[match_mode(self.mode, pairs.lams, pairs.X)])
 
     def exact(self, r: float) -> complex:
@@ -227,8 +231,8 @@ class ModePath:
         """
         if r == 0.0:
             return self.mode.lam
-        L, x = self._hessian_at(r), self.mode.x
-        pair = modal.newton_eigenpair(self.mode.lam, x, self.dyn.m, self.dyn.d, L,
+        L, x, dyn = self._hessian_at(r), self.mode.x, self.study.dyn
+        pair = modal.newton_eigenpair(self.mode.lam, x, dyn.m, dyn.d, L,
                                       int(np.argmax(np.abs(x))))
         if pair is not None:
             lam, x_r, residual = pair
@@ -277,14 +281,14 @@ def sweep(
     return rows
 
 
-def generator_gains(
-    L: np.ndarray, report: sensitivity.SensitivityReport, m: int
-) -> np.ndarray:
-    """dlambda/dr per generator for a unit shift from generator 1 to it.
+def generator_gains(study: Study, mode: modal.Mode) -> np.ndarray:
+    """dlambda/dr of ``mode`` per generator for a unit shift from generator 1
+    to it, at the study's state.
 
     The shift's response dz_k solves L dz_k = e_k - e_1 with the bus-1 angle
     pinned to zero, so by the symmetry of L, c . dz_k = y_k for the adjoint
-    L y = c (same pin), c being the report's state covector. The real and
+    L y = c (same pin), c being the state covector of the mode's sensitivity
+    report, with L the Hessian of the study's bundle. The real and
     imaginary parts of c are solved in one upper Cholesky factorization of
     the grounded block L[1:, 1:] (LAPACK ``dpotrf`` then ``dpotrs``). A block
     that is not positive definite, at a singular equilibrium or a saddle of
@@ -292,7 +296,8 @@ def generator_gains(
     (generator 1 against itself) is zero, and the plan moving one unit from
     ``down`` to ``up`` has dlambda = g[up] - g[down].
     """
-    c = report.state_coeff
+    report = sensitivity.sensitivity_coefficients(study, mode)
+    L, c = study.bundle.L, report.state_coeff
     y = np.zeros(L.shape[0], dtype=complex)
     factor, info = modal._DPOTRF(L[1:, 1:], lower=0, clean=1)
     if info != 0:
@@ -302,16 +307,7 @@ def generator_gains(
     parts, _ = modal._DPOTRS(factor, np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
     y[1:] = parts[:, 0] + 1j * parts[:, 1]
     _check_in_range(L, y, c)
-    return np.concatenate([[0.0], -y[1:m] / report.alpha])
-
-
-def _mode_gains(network: Network, op: OperatingPoint, mode: modal.Mode,
-                dyn: modal.DynamicMatrices) -> np.ndarray:
-    """``generator_gains`` of ``mode`` at ``op``: one bundle in the voltage
-    model ``op`` records, its sensitivity report with ``dyn``, one grounded solve."""
-    bundle = hessian(network, op)
-    report = sensitivity.sensitivity_coefficients(network, op, mode, bundle, dyn)
-    return generator_gains(bundle.L, report, network.m)
+    return np.concatenate([[0.0], -y[1:study.network.m] / report.alpha])
 
 
 def rank_pairs(
@@ -324,8 +320,7 @@ def rank_pairs(
     """
     if network.m < 2:
         raise ValidationError("pair ranking needs at least two generators")
-    dyn = modal.build_dynamic_matrices(network, const_v=modal.angle_only(network, op, mode))
-    gains = _mode_gains(network, op, mode, dyn)
+    gains = generator_gains(Study(network, op), mode)
     sigma, omega = mode.sigma, mode.omega
     mag3 = (sigma * sigma + omega * omega) ** 1.5
     labels = network.gen_labels()

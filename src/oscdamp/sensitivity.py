@@ -36,8 +36,7 @@ import numpy as np
 
 from . import modal
 from .errors import UsageError
-from .network import Network, OperatingPoint
-from .laplacian import LaplacianBundle
+from .study import Study
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,16 @@ class SensitivityReport:
     alpha: complex
 
 
-def sensitivity_coefficients(
-    network: Network,
-    op: OperatingPoint,
-    mode: modal.Mode,
-    bundle: LaplacianBundle,
-    dyn: modal.DynamicMatrices,
-) -> SensitivityReport:
-    """Assemble the per-line and per-load-bus numerator coefficients.
+def sensitivity_coefficients(study: Study, mode: modal.Mode) -> SensitivityReport:
+    """Assemble the per-line and per-load-bus numerator coefficients of
+    ``mode`` at the study's state, from its bundle and dynamic matrices.
 
-    ``bundle`` and ``dyn`` are the Hessian bundle and dynamic matrices of
-    ``network`` at ``op``, as a ``Study`` holds them; the voltage model is
-    the one ``op`` records, and ``mode`` must come from it (``modal.angle_only``).
+    The voltage model is the one the study's operating point records, and
+    ``mode`` must come from it (``modal.angle_only``).
     """
+    network, op = study.network, study.op
     const_v = modal.angle_only(network, op, mode)
+    dyn, bundle = study.dyn, study.bundle
     n, m, nl = network.n, network.m, network.n_lines
     al = modal.alpha(mode, dyn.m, dyn.d)
     x = mode.x

@@ -1,8 +1,9 @@
-"""One-stop pipeline: power flow, Hessian bundle, dynamic matrices, modes."""
+"""One state of a network, and every modal quantity derived from it once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import laplacian, modal
 from .network import Network, OperatingPoint, solve_power_flow
@@ -10,16 +11,31 @@ from .network import Network, OperatingPoint, solve_power_flow
 
 @dataclass(frozen=True)
 class Study:
+    """``network`` at its operating point ``op``, in the voltage model ``op``
+    records. The Hessian bundle, dynamic matrices and modes are derived from
+    those two on first use, once each, so every reader reads the same state."""
+
     network: Network
     op: OperatingPoint
-    bundle: laplacian.LaplacianBundle
-    dyn: modal.DynamicMatrices
-    modes: tuple[modal.Mode, ...]
 
     @property
     def const_v(self) -> bool:
         """The voltage model, as the operating point records it: True for angle-only."""
         return self.op.const_v
+
+    @cached_property
+    def bundle(self) -> laplacian.LaplacianBundle:
+        return laplacian.hessian(self.network, self.op)
+
+    @cached_property
+    def dyn(self) -> modal.DynamicMatrices:
+        return modal.build_dynamic_matrices(self.network, const_v=self.op.const_v)
+
+    @cached_property
+    def modes(self) -> tuple[modal.Mode, ...]:
+        bundle, dyn = self.bundle, self.dyn
+        return tuple(modal.solve_qep(dyn.m, dyn.d, bundle.L, n_angles=self.network.n,
+                                     gen_labels=self.network.gen_labels()))
 
     def oscillatory(self) -> tuple[modal.Mode, ...]:
         return tuple(md for md in self.modes if md.omega > 0)
@@ -34,13 +50,8 @@ def build_study(
     initial: OperatingPoint | None = None,
 ) -> Study:
     """Solve the equilibrium of a network (valid from construction, as are its
-    redispatch copies) and compute every modal quantity downstream of it."""
-    op = solve_power_flow(network, initial=initial, const_v=const_v)
-    bundle = laplacian.hessian(network, op)
-    dyn = modal.build_dynamic_matrices(network, const_v=const_v)
-    modes = modal.solve_qep(
-        dyn.m, dyn.d, bundle.L,
-        n_angles=network.n,
-        gen_labels=network.gen_labels(),
-    )
-    return Study(network=network, op=op, bundle=bundle, dyn=dyn, modes=tuple(modes))
+    redispatch copies) and its modes, so a failed power flow or eigensolve
+    raises here."""
+    st = Study(network, solve_power_flow(network, initial=initial, const_v=const_v))
+    st.modes
+    return st

@@ -190,8 +190,7 @@ def test_criterion_08_special_case_collapse(fixture_studies):
     for name in ("three_bus_s9", "six_bus"):
         fx, st = fixture_studies[name]
         for mode in st.electromechanical():
-            rep = sensitivity.sensitivity_coefficients(
-                st.network, st.op, mode, st.bundle, st.dyn)
+            rep = sensitivity.sensitivity_coefficients(st, mode)
             # Frozen voltages: the general coefficient reduces to the simple
             # -(x'_theta)^2 p_k form with the voltage sums absent.
             xt = (st.bundle.H @ mode.x)[:st.network.n_lines]

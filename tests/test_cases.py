@@ -3,18 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oscdamp import UsageError, ValidationError, cases
+from oscdamp import OracleError, UsageError, ValidationError, cases
 from oscdamp.cases import (
     FIXTURE_NAMES,
+    MAX_THETA,
     finite_difference_sensitivity,
     load_fixture,
     random_network,
     reproduce_case,
 )
 from oscdamp.dispatch import RedispatchPlan, plan_between, unit_dlambda
+from oscdamp.network import line_states
 from oscdamp.study import build_study
 
-from conftest import zero_damping_variant
+from conftest import CallCounter, fail_qz, zero_damping_variant
 
 
 def test_all_fixtures_load_and_carry_provenance():
@@ -124,7 +126,6 @@ def test_random_network_determinism_and_guarantees():
         assert a.m >= 2
         for ln in a.lines:
             assert not (ln.from_bus <= a.m and ln.to_bus <= a.m)
-        from oscdamp.network import line_states
         assert np.max(np.abs(line_states(a, st.op).theta)) < 0.5
 
 
@@ -196,6 +197,43 @@ def test_random_network_retries_after_a_failed_study(monkeypatch):
     st = random_network(0)
     assert len(calls) >= 2
     assert st.network == calls[-1]
+
+
+DRAW_COUNTED = ("oscdamp.network.parse_grid_file", "oscdamp.study.build_study",
+                "oscdamp.network.solve_power_flow", "oscdamp.modal.solve_qep")
+
+
+@pytest.mark.parametrize("seed, parses, raised", [
+    (4, 2, [False]),          # the parser refuses the first draw's unbalanced text
+    (0, 2, [True, False]),    # the first draw's power flow raises inside build_study
+    (50, 3, [False, False]),  # a parser refusal, then a study with |theta| >= MAX_THETA
+])
+def test_random_network_rejects_a_draw_at_each_check(seed, parses, raised):
+    # ``raised`` says, per study built, whether build_study raised (the
+    # counter sees None returned); every study but the last is rejected.
+    with CallCounter(*DRAW_COUNTED, keep="oscdamp.study.build_study") as calls:
+        st = random_network(seed)
+    assert calls["oscdamp.network.parse_grid_file"] == parses
+    assert calls["oscdamp.study.build_study"] == calls["oscdamp.network.solve_power_flow"] \
+        == len(raised)
+    assert calls["oscdamp.modal.solve_qep"] == raised.count(False)
+    assert [out is None for out in calls.returned] == raised
+    assert calls.returned[-1] is st
+    for rejected in calls.returned[:-1]:
+        if rejected is not None:
+            assert np.max(np.abs(line_states(rejected.network, rejected.op).theta)) >= MAX_THETA
+
+
+def test_a_draw_whose_eigensolve_fails_is_rejected_inside_build_study(monkeypatch):
+    # build_study eigensolves before it returns, so every draw is refused there
+    # and none reaches the acceptance checks.
+    fail_qz(monkeypatch)
+    with CallCounter(*DRAW_COUNTED, keep="oscdamp.study.build_study") as calls:
+        with pytest.raises(OracleError, match="^could not draw a usable random network "
+                                              "for seed 4$"):
+            random_network(4)
+    assert calls["oscdamp.modal.solve_qep"] > 0
+    assert calls.returned == [None] * calls["oscdamp.study.build_study"]
 
 
 def test_random_network_lets_programming_errors_through(monkeypatch):

@@ -20,6 +20,7 @@ from oscdamp import (
     UsageError,
     ValidationError,
     flow_response,
+    laplacian,
     modal,
     plan_between,
     rank_pairs,
@@ -30,7 +31,7 @@ from oscdamp.cases import FIXTURE_NAMES, _read_data, finite_difference_sensitivi
 from oscdamp.dispatch import ModePath, generator_gains, match_mode
 from oscdamp.network import OperatingPoint, line_states, parse_grid_file
 from oscdamp.sensitivity import const_v_coefficients, sensitivity_coefficients
-from oscdamp.study import build_study
+from oscdamp.study import Study, build_study
 
 from conftest import CallCounter, perfbench_module
 
@@ -80,8 +81,7 @@ def test_plan_keeps_a_read_only_copy_of_dp():
 
 def _line_gains(st):
     mode, = st.modes  # the one mode of the grid, a real one
-    return const_v_coefficients(
-        mode, sensitivity_coefficients(st.network, st.op, mode, st.bundle, st.dyn))
+    return const_v_coefficients(mode, sensitivity_coefficients(st, mode))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -92,7 +92,10 @@ def _line_gains(st):
     (lambda st: st.network.with_redispatch([math.nan]), ValidationError,
      "bus 'G1' has a non-finite value"),
     (_line_gains, UsageError, "line gains are defined for oscillatory modes only"),
-], ids=["rank-one-generator", "redispatch-shape", "redispatch-nan", "line-gains-real-mode"])
+    (lambda st: modal.eigenpairs(st.dyn.m, st.dyn.d, st.bundle.L[1:, 1:]), UsageError,
+     "L has shape (1, 1), expected (2, 2)"),
+], ids=["rank-one-generator", "redispatch-shape", "redispatch-nan", "line-gains-real-mode",
+        "eigenpairs-hessian-shape"])
 def test_library_refusals_the_cli_cannot_reach(call, error, message):
     # The parser or an earlier check stops each of these inputs on the CLI.
     st = build_study(parse_grid_file(ONE_GENERATOR), const_v=True)
@@ -345,26 +348,29 @@ def test_mode_path_slope_is_the_ranked_pair_gain(base_studies):
     assert pairs == 720
 
 
-def test_generator_gains_singular_grounded_block(random_suite):
-    net, st = random_suite[0]
-    md = st.electromechanical()[0]
-    report = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+def _gains_with_hessian(monkeypatch, st, L):
+    """``generator_gains`` of the study's first electromechanical mode, with
+    its bundle's Hessian replaced by L (the report does not read L)."""
+    monkeypatch.setattr(laplacian, "hessian", lambda net, op: replace(st.bundle, L=L))
+    return generator_gains(Study(st.network, st.op), st.electromechanical()[0])
+
+
+def test_generator_gains_singular_grounded_block(random_suite, monkeypatch):
+    _, st = random_suite[0]
     L = st.bundle.L.copy()
     L[-1, :] = 0.0
     L[:, -1] = 0.0
     with pytest.raises(SingularityError):
-        generator_gains(L, report, net.m)
+        _gains_with_hessian(monkeypatch, st, L)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_generator_gains_nan_fails_residual_check(random_suite):
-    net, st = random_suite[0]
-    md = st.electromechanical()[0]
-    report = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+def test_generator_gains_nan_fails_residual_check(random_suite, monkeypatch):
+    _, st = random_suite[0]
     L = st.bundle.L.copy()
     L[1, 1] = math.nan
     with pytest.raises(SingularityError):
-        generator_gains(L, report, net.m)
+        _gains_with_hessian(monkeypatch, st, L)
 
 
 def _gains_by_scipy_solve(L, report, m):
@@ -385,8 +391,8 @@ def test_generator_gains_is_bit_identical_to_scipy_solve(fixture_studies, random
             continue
         assert st.electromechanical()
         for md in st.electromechanical():
-            report = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
-            assert np.array_equal(generator_gains(st.bundle.L, report, st.network.m),
+            report = sensitivity_coefficients(st, md)
+            assert np.array_equal(generator_gains(st, md),
                                   _gains_by_scipy_solve(st.bundle.L, report, st.network.m))
 
 
@@ -629,7 +635,7 @@ def test_a_mode_of_neither_model_is_rejected(fixture_studies):
             ):
                 calls = (
                     lambda: unit_dlambda(st, bad, plan),
-                    lambda: sensitivity_coefficients(net, st.op, bad, st.bundle, st.dyn),
+                    lambda: sensitivity_coefficients(st, bad),
                     lambda: rank_pairs(net, st.op, bad),
                     lambda: ModePath(net, st.op, bad, plan).slope(),
                     lambda: ModePath(net, st.op, bad, plan).exact(0.003),

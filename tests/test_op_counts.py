@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import scipy.linalg
 
-from oscdamp import cases, cli, dispatch, laplacian, modal, network, sensitivity, study
+from oscdamp import cases, cli, dispatch, modal, network, sensitivity, study
 from oscdamp.network import hessian_matrix
 
 from conftest import PERFBENCH, CallCounter, data_path, perfbench_module, stiff_star_grid
@@ -69,21 +69,31 @@ def test_sensitivity_reads_the_bundle(fixture_studies, random_suite, counts):
     studies = [st for _, st in fixture_studies.values()] + [st for _, st in random_suite[:5]]
     for st in studies:
         for md in st.oscillatory():
-            rep = sensitivity.sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+            rep = sensitivity.sensitivity_coefficients(st, md)
             if st.const_v:
                 sensitivity.const_v_coefficients(md, rep)
     assert counts["oscdamp.sensitivity.sensitivity_coefficients"] > 0
     assert {key: counts[key] for key in REBUILDS} == dict.fromkeys(REBUILDS, 0)
 
 
-def test_build_study_assembles_each_matrix_once(counts):
+def test_build_study_assembles_each_matrix_once(counts, tmp_path, capsys):
     fx = cases.load_fixture("ten_bus")
-    study.build_study(fx.network, const_v=fx.const_v)
+    st = study.build_study(fx.network, const_v=fx.const_v)
+    for _ in range(2):  # a second read finds each piece already built
+        st.bundle, st.dyn, st.modes
+        assert counts["oscdamp.laplacian.hessian"] == 1
+        assert counts["oscdamp.laplacian.coord_jacobian"] == 1
+        assert counts["oscdamp.network.build_incidence"] == 1
+        assert counts["oscdamp.modal.build_dynamic_matrices"] == 1
+        assert counts["oscdamp.modal.solve_qep"] == 1
+    # The power flow's dump builds the bundle alone.
+    counts.clear()
+    assert cli.main(["pf", data_path("ten_bus.grid"), "--dump-matrices", str(tmp_path)]) == 0
     assert counts["oscdamp.laplacian.hessian"] == 1
     assert counts["oscdamp.laplacian.coord_jacobian"] == 1
     assert counts["oscdamp.network.build_incidence"] == 1
-    assert counts["oscdamp.modal.build_dynamic_matrices"] == 1
-    assert counts["oscdamp.modal.solve_qep"] == 1
+    assert counts["oscdamp.modal.build_dynamic_matrices"] == 0
+    assert counts["oscdamp.modal.solve_qep"] == 0
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
@@ -100,6 +110,9 @@ def test_rank_pairs_builds_one_bundle(fixture_studies, counts, name):
     assert counts["oscdamp.modal.build_dynamic_matrices"] == 1
     assert counts["oscdamp.sensitivity.sensitivity_coefficients"] == 1
     assert counts["oscdamp.dispatch.flow_response"] == 0
+    # Its own study of (network, op) is never eigensolved.
+    assert counts["oscdamp.modal.solve_qep"] == 0
+    assert counts["oscdamp.modal.eigenpairs"] == 0
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
@@ -384,9 +397,11 @@ def test_reproduce_case_computes_each_report_once(counts, name):
 def test_benchmark_tracer_finds_every_traced_name():
     # The benchmark's tracer looks up each of its TRACED names on entry, so a
     # deleted or renamed stage function breaks traced benchmark runs.
+    # ``dispatch`` imports ``hessian_matrix`` by name, so the tracer must
+    # rebind that name as well as the defining module's.
     tracer = perfbench_module("tracer")
-    original = laplacian.hessian
+    original = network.hessian_matrix
     with tracer.Tracer():
-        assert dispatch.hessian is not original
-        assert dispatch.hessian is laplacian.hessian
-    assert dispatch.hessian is original and laplacian.hessian is original
+        assert dispatch.hessian_matrix is not original
+        assert dispatch.hessian_matrix is network.hessian_matrix
+    assert dispatch.hessian_matrix is original and network.hessian_matrix is original

@@ -65,7 +65,7 @@ def test_const_v_coefficients_collapse(fixture_studies):
     from oscdamp.network import line_states
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(st, md)
     assert rep.vln_coeff.size == 0
     ls = line_states(st.network, st.op)
     xt = (st.bundle.H @ md.x)[:st.network.n_lines]
@@ -75,7 +75,7 @@ def test_const_v_coefficients_collapse(fixture_studies):
 def test_zero_damping_makes_dlambda_imaginary(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(st, md)
     assert abs(rep.alpha.real) < 1e-12 * abs(rep.alpha)
     plan = plan_between(st.network, "G1", "G3")
     dl = unit_dlambda(st, md, plan)
@@ -87,7 +87,7 @@ def test_report_matches_matrix_finite_difference(random_suite):
     # an arbitrary state direction, not just load-flow responses.
     net, st = random_suite[12]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(st, md)
     rng = np.random.default_rng(5)
     n, m = net.n, net.m
     for _ in range(3):
@@ -104,7 +104,7 @@ def test_report_matches_matrix_finite_difference(random_suite):
 def test_dlambda_zero_perturbation(random_suite):
     net, st = random_suite[2]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(st, md)
     assert dlambda(rep, np.zeros(2 * net.n - net.m)) == 0j
 
 
@@ -119,7 +119,7 @@ def test_state_coeff_is_the_pullback_of_the_line_coefficients(fixture_studies, r
     rng = np.random.default_rng(8)
     for st, md in _all_oscillatory(fixture_studies, random_suite):
         n = st.network.n
-        rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+        rep = sensitivity_coefficients(st, md)
         assert rep.state_coeff.shape == md.x.shape
         dz = rng.standard_normal(md.x.size)
         dtheta = st.bundle.A.T @ dz[:n]
@@ -132,7 +132,7 @@ def test_state_coeff_is_gauge_invariant(fixture_studies, random_suite):
     # A uniform angle shift moves no line angle, so the angle part of the
     # covector sums to zero up to roundoff.
     for st, md in _all_oscillatory(fixture_studies, random_suite):
-        rep = sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn)
+        rep = sensitivity_coefficients(st, md)
         angle = rep.state_coeff[:st.network.n]
         assert abs(angle.sum()) <= 1e-13 * np.abs(rep.theta_coeff).sum()
 
@@ -143,7 +143,7 @@ def test_mode_from_the_other_voltage_model_is_rejected(fixture_studies):
     full = build_study(cv.network)
     with pytest.raises(UsageError, match="^the operating point is of the full model and "
                                          "the mode is not$"):
-        sensitivity_coefficients(cv.network, full.op, cv_mode, full.bundle, full.dyn)
+        sensitivity_coefficients(full, cv_mode)
 
 
 def test_scaling_invariance(fixture_studies):
@@ -163,8 +163,7 @@ def test_scaling_invariance(fixture_studies):
 def test_const_v_gains_undamped_relation(fixture_studies):
     _, st = fixture_studies["three_bus_s9"]
     md = st.electromechanical()[0]
-    gains = const_v_coefficients(
-        md, sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn))
+    gains = const_v_coefficients(md, sensitivity_coefficients(st, md))
     # Undamped: a_I = -a with nonnegative gains a (base flow orients every
     # p_k positive), and a_r vanishes.
     assert np.all(gains.imag <= 0)
@@ -175,8 +174,7 @@ def test_const_v_gains_decompose_dlambda(fixture_studies):
     # dsigma + j domega from the real gain split equals the complex formula.
     _, st = fixture_studies["six_bus"]
     md = st.electromechanical()[1]
-    gains = const_v_coefficients(
-        md, sensitivity_coefficients(st.network, st.op, md, st.bundle, st.dyn))
+    gains = const_v_coefficients(md, sensitivity_coefficients(st, md))
     plan = plan_between(st.network, "G2", "G3")
     dtheta = st.bundle.A.T @ flow_response(st, plan)
     dl = unit_dlambda(st, md, plan)
@@ -187,7 +185,7 @@ def test_const_v_gains_decompose_dlambda(fixture_studies):
 def test_const_v_coefficients_reject_full_model_mode(random_suite):
     net, st = random_suite[3]
     md = st.electromechanical()[0]
-    rep = sensitivity_coefficients(net, st.op, md, st.bundle, st.dyn)
+    rep = sensitivity_coefficients(st, md)
     with pytest.raises(UsageError, match="^constant-voltage coefficients need"):
         const_v_coefficients(md, rep)
 
