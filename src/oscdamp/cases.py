@@ -327,14 +327,10 @@ def random_network(seed: int) -> Study:
             )
         text = "\n".join(bus_txt) + "\n" + lines_txt + "\n"
         try:
-            net = parse_grid_file(text)
-        except ValidationError:
-            continue
-        try:
-            st = build_study(net)
+            st = build_study(parse_grid_file(text))
         except OscdampError:
             continue
-        ls = line_states(net, st.op)
+        ls = line_states(st.network, st.op)
         if float(np.max(np.abs(ls.theta))) >= MAX_THETA:
             continue
         if np.any(st.op.v_load < 0.5):

@@ -8,15 +8,15 @@ linearized load flow L dz = (dP, 0) with the least-squares pseudo-inverse.
 ``rank`` and ``sweep`` solve the adjoint (``generator_gains``) on a study
 of their (network, op) that is never eigensolved: with the bus-1 angle
 pinned (the uniform-angle vector is the only nullspace of the symmetric L),
-one Cholesky solve L y = c gives the gain g_k = -y_k / alpha of the shift
-from generator 1 to generator k. Every ordered pair is g_up - g_down, and a
-plan's slope is dp . g. Either way the right-hand side must lie in the
-range of the singular Laplacian, so the residual is checked rather than
-assumed. The first-order eigenvalue formula is evaluated once at the base
-point; predictions for finite r are lambda + r * dlambda and are compared
-against the exact eigenvalue at r. The voltage model is the one the
-operating point records; every entry point refuses a mode of the other one
-(``modal.angle_only``), before any solve.
+one solve L y = c on the study's ``grounded_factor`` gives the gain
+g_k = -y_k / alpha of the shift from generator 1 to generator k. Every
+ordered pair is g_up - g_down, and a plan's slope is dp . g. Either way the
+right-hand side must lie in the range of the singular Laplacian, so the
+residual is checked rather than assumed. The first-order eigenvalue formula
+is evaluated once at the base point; predictions for finite r are
+lambda + r * dlambda and are compared against the exact eigenvalue at r.
+The voltage model is the one the operating point records; every entry point
+refuses a mode of the other one (``modal.angle_only``), before any solve.
 
 Every re-solve goes through one ``ModePath``, whose study builds the dynamic
 matrices once, on construction: ``sweep`` has one for its slope and rows,
@@ -199,12 +199,11 @@ class ModePath:
         op = self.study.op
         try:
             shifted = self.study.network.with_redispatch(r * self.plan.dp)
-            shifted_op = solve_power_flow(shifted, initial=op, const_v=op.const_v)
         except _Unbalanced as exc:  # a balance check, which the unshifted grid passes
             raise ValidationError(
                 f"real power does not balance: redispatching by r = {r:g} lost the balance to "
                 f"rounding (sum of injections = {exc.imbalance:.3e})") from None
-        return hessian_matrix(shifted, shifted_op)
+        return hessian_matrix(shifted, solve_power_flow(shifted, initial=op, const_v=op.const_v))
 
     def _matched(self, L: np.ndarray) -> complex:
         """The eigenvalue ``match_mode`` picks for the mode out of a whole
@@ -256,10 +255,9 @@ def sweep(
     so a row that ``match_mode`` would find ambiguous can get a value. Any
     package error of the re-solve at r, as in the finite-difference oracle,
     is the row's failure and leaves the other rows standing. The slope is the
-    plan's sum of ``generator_gains``, so at a saddle of the energy function,
-    where the grounded Laplacian is not positive definite, ``sweep`` raises
-    ``SingularityError`` as ``rank`` does (exit 2). The voltage model is
-    ``op``'s and the mode's; a ``const_v`` naming the other one is rejected.
+    plan's sum of ``generator_gains``, so a saddle raises the ``SingularityError``
+    of ``Study.grounded_factor``. The voltage model is ``op``'s and the mode's;
+    a ``const_v`` naming the other one is rejected.
     """
     if const_v not in (None, modal.angle_only(network, op, mode)):
         raise UsageError("const_v disagrees with the voltage model of the mode")
@@ -289,22 +287,17 @@ def generator_gains(study: Study, mode: modal.Mode) -> np.ndarray:
     pinned to zero, so by the symmetry of L, c . dz_k = y_k for the adjoint
     L y = c (same pin), c being the state covector of the mode's sensitivity
     report, with L the Hessian of the study's bundle. The real and
-    imaginary parts of c are solved in one upper Cholesky factorization of
-    the grounded block L[1:, 1:] (LAPACK ``dpotrf`` then ``dpotrs``). A block
-    that is not positive definite, at a singular equilibrium or a saddle of
-    the energy function, raises ``SingularityError``. Entry 0 of the result
-    (generator 1 against itself) is zero, and the plan moving one unit from
-    ``down`` to ``up`` has dlambda = g[up] - g[down].
+    imaginary parts of c are solved in one LAPACK ``dpotrs`` call on the
+    study's ``grounded_factor``, which raises ``SingularityError`` at a
+    singular equilibrium or a saddle of the energy function. Entry 0 of the
+    result (generator 1 against itself) is zero, and the plan moving one
+    unit from ``down`` to ``up`` has dlambda = g[up] - g[down].
     """
     report = sensitivity.sensitivity_coefficients(study, mode)
     L, c = study.bundle.L, report.state_coeff
     y = np.zeros(L.shape[0], dtype=complex)
-    factor, info = modal._DPOTRF(L[1:, 1:], lower=0, clean=1)
-    if info != 0:
-        raise SingularityError(
-            f"grounded Laplacian is not positive definite (LAPACK dpotrf info = "
-            f"{info}); the equilibrium is singular or a saddle of the energy function")
-    parts, _ = modal._DPOTRS(factor, np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
+    parts, _ = modal._DPOTRS(study.grounded_factor,
+                             np.column_stack([c.real[1:], c.imag[1:]]), lower=0)
     y[1:] = parts[:, 0] + 1j * parts[:, 1]
     _check_in_range(L, y, c)
     return np.concatenate([[0.0], -y[1:study.network.m] / report.alpha])

@@ -29,7 +29,8 @@ class ConvergenceError(OscdampError):
 
 
 class SingularityError(OscdampError):
-    """Jacobian singular beyond the known angle-reference nullspace."""
+    """A singular power-flow Jacobian or Laplacian, or a grounded Laplacian that is
+    not positive definite (a saddle of the energy function)."""
 
 
 class DomainError(OscdampError):

@@ -25,11 +25,10 @@ from scipy's f2py modules ``scipy/linalg/_flapack`` and ``_fblas`` by
 dominate the start-up of a one-command process. They are the very objects
 ``scipy.linalg.lapack.dggev`` and ``get_blas_funcs("nrm2", ...,
 ilp64="preferred")`` return, so no output bit depends on the route. The
-ranking solve in ``dispatch.generator_gains`` calls LAPACK ``dpotrf`` and
-``dpotrs``, the upper Cholesky pair ``scipy.linalg.solve`` picks for a
-symmetric positive definite matrix, loaded here the same way; a grounded
-Laplacian that is not positive definite exits 2 there. No command imports
-``scipy.linalg``.
+upper Cholesky pair ``dpotrf`` and ``dpotrs``, which ``scipy.linalg.solve``
+picks for a symmetric positive definite matrix, is loaded the same way: the
+factor is ``study.Study.grounded_factor``, the solve on it
+``dispatch.generator_gains``. No command imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -90,8 +89,7 @@ def _linalg_extension(name: str) -> ModuleType:
 
 
 _DGGEV = _linalg_extension("_flapack").dggev
-# What scipy.linalg.solve calls for a symmetric positive definite matrix, for
-# the ranking solve of dispatch.generator_gains.
+# scipy.linalg.solve's pair for a symmetric positive definite matrix.
 _DPOTRF = _linalg_extension("_flapack").dpotrf
 _DPOTRS = _linalg_extension("_flapack").dpotrs
 # The BLAS 2-norms scipy.linalg.norm uses on a vector, for eigenvector scaling.

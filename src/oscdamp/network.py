@@ -38,7 +38,6 @@ from .errors import (
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 60.0
 
-POWER_BALANCE_TOL = 1e-9
 PF_ACCEPT_TOL = 1e-10
 PF_ACCEPT_ULPS = 64
 PF_TARGET_TOL = 1e-13
@@ -115,6 +114,12 @@ class _Topology:
     def b_sums(self) -> np.ndarray:
         b = self.susceptances
         return _read_only(self.onto_buses(b, b))
+
+    @cached_property
+    def pf_tol(self) -> float:
+        """The power flow's residual acceptance: PF_ACCEPT_TOL, or PF_ACCEPT_ULPS roundoff
+        units of the largest b_sums if larger (a stiff grid's terms cancel no better)."""
+        return max(PF_ACCEPT_TOL, PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(self.b_sums)))
 
     @cached_property
     def _bus_of_end(self) -> np.ndarray:
@@ -237,7 +242,7 @@ class Network:
         copy = object.__new__(Network)
         copy.__dict__.update(buses=gens + self.buses[self.m:], lines=self.lines,
                              omega0=self.omega0, _topology=self._topology)
-        _check_balance(copy, POWER_BALANCE_TOL)
+        _check_balance(copy)
         return copy
 
 
@@ -445,17 +450,18 @@ def validate_network(network: Network) -> None:
     if len(seen) != n:
         labels = [bus.label for i, bus in enumerate(network.buses, start=1) if i not in seen]
         raise ValidationError(f"network graph is disconnected; unreachable buses {labels}")
-    _check_balance(network, POWER_BALANCE_TOL)
+    _check_balance(network)
 
 
 class _Unbalanced(ValidationError):
     """Real injections that sum to ``imbalance``, not to zero."""
 
 
-def _check_balance(network: Network, tol: float) -> None:
-    """Raise ``_Unbalanced`` unless the real injections sum to within ``tol``."""
+def _check_balance(network: Network) -> None:
+    """Raise ``_Unbalanced`` unless the real injections sum to within ``pf_tol``: the
+    dropped bus-1 residual is -sum P at any solution, so no grid past it solves."""
     imbalance = float(np.sum(network.injections()[0]))
-    if not abs(imbalance) <= tol:
+    if not abs(imbalance) <= network._topology.pf_tol:
         exc = _Unbalanced(f"real power does not balance: sum of injections = {imbalance:.3e} "
                           "(the lossless model has no slack bus)")
         exc.imbalance = imbalance
@@ -621,11 +627,8 @@ def solve_power_flow(
     halved when the residual norm would increase. The iteration targets well
     below the acceptance tolerance so downstream finite differencing stays
     clean, but stops once the residual is accepted and a step no longer
-    lowers it. The residual is accepted at PF_ACCEPT_TOL, or at
-    PF_ACCEPT_ULPS roundoff units of the largest incident susceptance sum
-    when that is larger: the line terms of a stiff grid cancel to no better
-    than that. Real injections that do not balance to within that tolerance
-    raise ValidationError before any Newton step.
+    lowers it. The residual is accepted at the grid's ``pf_tol``, to which
+    its real injections balance from construction.
     """
     n = network.n
     op = initial if initial is not None else flat_start(network)
@@ -641,11 +644,7 @@ def solve_power_flow(
         # Real then reactive balance; the reactive part is empty under const_v.
         return np.concatenate(residual_vectors(network, point(z)))
 
-    tol = max(PF_ACCEPT_TOL,
-              PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(incident_b_sums(network))))
-    # At any solution the dropped bus-1 residual is -sum P, so no step can
-    # bring an imbalance above tol under it.
-    _check_balance(network, tol)
+    tol = network._topology.pf_tol
     res = residual(z)
     norm = float(np.max(np.abs(res)))
     for _ in range(PF_MAX_ITER):

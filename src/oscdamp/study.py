@@ -1,19 +1,23 @@
-"""One state of a network, and every modal quantity derived from it once."""
+"""One state of a network, its certificate as a minimum of the energy
+function, and every modal quantity derived from it once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import laplacian, modal
+from .errors import SingularityError
 from .network import Network, OperatingPoint, solve_power_flow
 
 
 @dataclass(frozen=True)
 class Study:
     """``network`` at its operating point ``op``, in the voltage model ``op``
-    records. The Hessian bundle, dynamic matrices and modes are derived from
-    those two on first use, once each, so every reader reads the same state."""
+    records. Its bundle, grounded factor, dynamic matrices and modes are
+    derived from those two on first use, once each, so all readers agree."""
 
     network: Network
     op: OperatingPoint
@@ -26,6 +30,18 @@ class Study:
     @cached_property
     def bundle(self) -> laplacian.LaplacianBundle:
         return laplacian.hessian(self.network, self.op)
+
+    @cached_property
+    def grounded_factor(self) -> np.ndarray:
+        """Upper Cholesky factor (LAPACK ``dpotrf``) of L[1:, 1:]. It exists exactly at
+        a minimum of the energy function, which the first-order formula assumes;
+        a singular equilibrium or a saddle raises ``SingularityError``."""
+        factor, info = modal._DPOTRF(self.bundle.L[1:, 1:], lower=0, clean=1)
+        if info != 0:
+            raise SingularityError(f"grounded Laplacian is not positive definite (LAPACK dpotrf "
+                                   f"info = {info}); the equilibrium is singular or a saddle "
+                                   "of the energy function")
+        return factor
 
     @cached_property
     def dyn(self) -> modal.DynamicMatrices:
@@ -44,14 +60,11 @@ class Study:
         return tuple(md for md in self.modes if md.electromechanical)
 
 
-def build_study(
-    network: Network,
-    const_v: bool = False,
-    initial: OperatingPoint | None = None,
-) -> Study:
-    """Solve the equilibrium of a network (valid from construction, as are its
-    redispatch copies) and its modes, so a failed power flow or eigensolve
-    raises here."""
-    st = Study(network, solve_power_flow(network, initial=initial, const_v=const_v))
+def build_study(network: Network, const_v: bool = False) -> Study:
+    """Solve the equilibrium of a network (valid from construction), certify it
+    a minimum by ``grounded_factor``, then solve its modes: a failed power flow,
+    a saddle and a failed eigensolve each raise here, in that order."""
+    st = Study(network, solve_power_flow(network, const_v=const_v))
+    st.grounded_factor
     st.modes
     return st

@@ -205,8 +205,9 @@ DRAW_COUNTED = ("oscdamp.network.parse_grid_file", "oscdamp.study.build_study",
 
 @pytest.mark.parametrize("seed, parses, raised", [
     (4, 2, [False]),          # the parser refuses the first draw's unbalanced text
-    (0, 2, [True, False]),    # the first draw's power flow raises inside build_study
+    (0, 2, [False]),          # so does a sum in (1e-10, 1e-9], past the grid's pf_tol
     (50, 3, [False, False]),  # a parser refusal, then a study with |theta| >= MAX_THETA
+    (3, 2, [True, False]),    # the first draw's power flow raises inside build_study
 ])
 def test_random_network_rejects_a_draw_at_each_check(seed, parses, raised):
     # ``raised`` says, per study built, whether build_study raised (the

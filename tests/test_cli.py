@@ -63,6 +63,11 @@ OVERFLOW_MESSAGE = ("the dynamic coefficients 2H/omega0 and D/omega0 of bus 'G1'
                     "leave the float range")
 IMBALANCE = ("real power does not balance: sum of injections = {} "
              "(the lossless model has no slack bus)")
+# The line carries at most b V_1 V_2 = 1, so a transfer of 1 + 3e-11 has no
+# equilibrium. Its residual is inside the power flow's 1e-10 acceptance, and
+# flat-start Newton stops 2.2e-6 rad past the fold, where L[1:, 1:] < 0.
+PAST_THE_FOLD = ("bus G1 G V=1 Pg=1.00000000003 H=3 D=1\nbus L2 L Pl=1.00000000003 D=1\n"
+                 "line t G1 L2 b=1\n")
 
 
 def refusal(id, command, code, message, grid=None, fault=None, marks=()):
@@ -129,9 +134,10 @@ REFUSALS = [
     refusal("no-buses", "pf {grid}", 1, "no bus records found", "# nothing but a comment\n"),
     refusal("imbalance", "pf {grid}", 1, IMBALANCE.format("4.000e-01"),
             "bus G1 G V=1 Pg=0.5 H=3\nbus L2 L Pl=0.1\nline t G1 L2 b=1\n"),
-    # Raising L5's load by 5e-10 passes the parser but not the power flow's
-    # acceptance: exit 1 before any Newton step, not a stalled exit 2.
-    refusal("imbalance-below-the-parser-bound", "pf {grid}", 1, IMBALANCE.format("-5.000e-10"),
+    # Raising L5's load by 5e-10 misses the power flow's acceptance of 1e-10,
+    # which the parser balances at: exit 1, not a stalled exit 2.
+    refusal("imbalance-past-the-power-flow-tolerance", "pf {grid}", 1,
+            IMBALANCE.format("-5.000e-10"),
             edited(TEN, "Pl=10.110245 ", "Pl=10.1102450005 ")),
     refusal("non-finite-value", "pf {grid}", 1, "line 4: Pg='nan' is not a finite number",
             edited(S7, "Pg=0.5 H=4.0", "Pg=nan H=nan")),
@@ -166,6 +172,9 @@ REFUSALS = [
     refusal("singular-jacobian", "pf {grid}", 2, SINGULAR_PF, STAR_HEAVY_Q),
     refusal("non-finite-step", "pf {grid}", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
     refusal("non-finite-step-const-v", "pf {grid} --const-v", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
+    refusal("saddle-past-the-fold", "modes {grid} --const-v", 2,
+            "grounded Laplacian is not positive definite (LAPACK dpotrf info = 1); "
+            "the equilibrium is singular or a saddle of the energy function", PAST_THE_FOLD),
     refusal("qz-failure", "modes {six_bus}", 2,
             "QZ iteration failed (LAPACK dggev info = 1)", fault=fail_qz),
     refusal("eigenpair-residual", "modes {six_bus} --const-v", 2,

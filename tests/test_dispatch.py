@@ -24,12 +24,13 @@ from oscdamp import (
     modal,
     plan_between,
     rank_pairs,
+    study,
     sweep,
     unit_dlambda,
 )
 from oscdamp.cases import FIXTURE_NAMES, _read_data, finite_difference_sensitivity, random_network
 from oscdamp.dispatch import ModePath, generator_gains, match_mode
-from oscdamp.network import OperatingPoint, line_states, parse_grid_file
+from oscdamp.network import OperatingPoint, line_states, parse_grid_file, solve_power_flow
 from oscdamp.sensitivity import const_v_coefficients, sensitivity_coefficients
 from oscdamp.study import Study, build_study
 
@@ -396,21 +397,40 @@ def test_generator_gains_is_bit_identical_to_scipy_solve(fixture_studies, random
                                   _gains_by_scipy_solve(st.bundle.L, report, st.network.m))
 
 
-def _saddle_study():
-    net = parse_grid_file(SADDLE_3BUS)
+SADDLE_MESSAGE = ("^grounded Laplacian is not positive definite \\(LAPACK dpotrf info = 1\\); "
+                  "the equilibrium is singular or a saddle of the energy function$")
+
+
+def _solve_at_saddle(net, const_v=False):
     start = OperatingPoint(delta=np.array([0.0, 0.2709, -(math.pi - math.asin(0.5))]),
                            v_load=np.ones(1))
-    st = build_study(net, const_v=True, initial=start)
+    return solve_power_flow(net, initial=start, const_v=const_v)
+
+
+def _saddle_study():
+    # build_study refuses this state, so the study is built directly.
+    net = parse_grid_file(SADDLE_3BUS)
+    st = Study(net, _solve_at_saddle(net, const_v=True))
     assert np.allclose(np.linalg.eigvalsh(st.bundle.L[1:, 1:]), [-4.354, -0.385], atol=1e-3)
     assert st.modes
+    with pytest.raises(SingularityError, match=SADDLE_MESSAGE) as info:
+        st.grounded_factor
+    assert "\n" not in str(info.value)
     return st
+
+
+def test_build_study_refuses_a_saddle_before_the_eigensolve(monkeypatch):
+    monkeypatch.setattr(study, "solve_power_flow", _solve_at_saddle)
+    with CallCounter("oscdamp.modal.solve_qep") as calls:
+        with pytest.raises(SingularityError, match=SADDLE_MESSAGE):
+            build_study(parse_grid_file(SADDLE_3BUS), const_v=True)
+    assert calls["oscdamp.modal.solve_qep"] == 0
 
 
 def test_rank_pairs_at_a_saddle_is_singularity_error():
     st = _saddle_study()
     for md in st.modes:
-        with pytest.raises(SingularityError, match="^grounded Laplacian is not positive "
-                           "definite .*saddle of the energy function$") as info:
+        with pytest.raises(SingularityError, match=SADDLE_MESSAGE) as info:
             rank_pairs(st.network, st.op, md)
         assert "\n" not in str(info.value)
 
@@ -420,8 +440,7 @@ def test_sweep_at_a_saddle_is_singularity_error():
     st = _saddle_study()
     plan = plan_between(st.network, "B1", "B2")
     for md in st.modes:
-        with pytest.raises(SingularityError, match="^grounded Laplacian is not positive "
-                           "definite .*saddle of the energy function$") as info:
+        with pytest.raises(SingularityError, match=SADDLE_MESSAGE) as info:
             sweep(st.network, st.op, md, plan, [0.003])
         assert "\n" not in str(info.value)
 
@@ -434,7 +453,8 @@ def test_rank_pairs_top_sign_confirmed_by_oracle():
     top = ranked[0]
     plan = plan_between(net, top.up, top.down)
     r = 1e-3
-    shifted = build_study(net.with_redispatch(r * plan.dp), initial=st.op)
+    shifted_net = net.with_redispatch(r * plan.dp)
+    shifted = Study(shifted_net, solve_power_flow(shifted_net, initial=st.op))
     lam_new = _matched(md, shifted.modes).lam
     zeta_new = -lam_new.real / abs(lam_new)
     zeta_old = -md.lam.real / abs(md.lam)
@@ -543,9 +563,9 @@ def _compare_re_solves(studies, r_values) -> Counter:
         plan = plan_between(net, labels[0], labels[-1])
         for r in r_values:
             def whole_study():
-                shifted = build_study(net.with_redispatch(r * plan.dp),
-                                      const_v=st.const_v, initial=st.op)
-                return _matched(md, shifted.modes).lam
+                shifted = net.with_redispatch(r * plan.dp)
+                op = solve_power_flow(shifted, initial=st.op, const_v=st.const_v)
+                return _matched(md, Study(shifted, op).modes).lam
             want = _outcome(whole_study)
             assert _outcome(lambda: ModePath(net, st.op, md, plan).exact(r)) == want
             outcomes[want[0] if isinstance(want, tuple) else complex] += 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscdamp import ModeMatchingError, parse_grid_file
+from oscdamp import ModeMatchingError, parse_grid_file, solve_power_flow
 from oscdamp.dispatch import match_mode, plan_between
 from oscdamp.modal import (
     INFINITE_EIG_TOL,
@@ -29,7 +29,7 @@ from oscdamp.modal import (
     backward_errors,
     solve_qep,
 )
-from oscdamp.study import build_study
+from oscdamp.study import Study, build_study
 
 from conftest import assert_same_bits, stiff_star_grid
 
@@ -192,8 +192,9 @@ def test_match_mode_matches_candidate_loop(studies):
         labels = st.network.gen_labels()
         plan = plan_between(st.network, labels[0], labels[-1])
         for r in SWEEP_R:
-            shifted = build_study(st.network.with_redispatch(r * plan.dp),
-                                  const_v=st.const_v, initial=st.op)
+            shifted_net = st.network.with_redispatch(r * plan.dp)
+            shifted = Study(shifted_net, solve_power_flow(shifted_net, initial=st.op,
+                                                          const_v=st.const_v))
             lams = np.array([md.lam for md in shifted.modes])
             X = np.array([md.x for md in shifted.modes])
             try:

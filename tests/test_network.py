@@ -563,7 +563,7 @@ def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_s
     # The warm copy reads arrays its parent built; the cold network, built from
     # the same buses and lines, builds its own. Every result must match bit for bit.
     from oscdamp import laplacian, modal
-    from oscdamp.study import build_study
+    from oscdamp.study import Study, build_study
 
     nets = [st.network for _, st in fixture_studies.values()] + [net for net, _ in random_suite]
     for net in nets:
@@ -575,8 +575,8 @@ def test_a_warm_copy_computes_what_a_cold_network_does(fixture_studies, random_s
             warm = net.with_redispatch(dp)
             cold = Network(buses=warm.buses, lines=warm.lines, omega0=warm.omega0)
             assert cold._topology is not net._topology
-            ws = build_study(warm, const_v=const_v, initial=base.op)
-            cs = build_study(cold, const_v=const_v, initial=base.op)
+            ws = Study(warm, solve_power_flow(warm, initial=base.op, const_v=const_v))
+            cs = Study(cold, solve_power_flow(cold, initial=base.op, const_v=const_v))
             assert_same_bits(ws.op.delta, cs.op.delta)
             assert_same_bits(ws.op.v_load, cs.op.v_load)
             for a, b in zip(residual_vectors(warm, ws.op), residual_vectors(cold, ws.op)):
@@ -636,14 +636,18 @@ def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_stud
 
 
 def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error():
-    # 5e-10 passes the parser's 1e-9 bound but not the power flow's 1e-10:
-    # the dropped bus-1 residual equals -sum P at any solution.
+    # A grid balances at its power flow's acceptance pf_tol, since the dropped
+    # bus-1 residual equals -sum P at any solution: ten_bus's is 1e-10, so
+    # the parser refuses -5e-10, and nothing reaches a Newton step.
     text = _read_data("ten_bus.grid").replace("Pl=10.110245 ", "Pl=10.1102450005 ")
-    net = parse_grid_file(text)
     with CallCounter("oscdamp.network.hessian_matrix") as steps:
-        for const_v in (False, True):
-            with pytest.raises(ValidationError, match=r"^real power does not balance: "
-                               r"sum of injections = -5\.000e-10 \(the lossless model has no "
-                               r"slack bus\)$"):
-                solve_power_flow(net, const_v=const_v)
+        with pytest.raises(ValidationError, match=r"^real power does not balance: "
+                           r"sum of injections = -5\.000e-10 \(the lossless model has no "
+                           r"slack bus\)$"):
+            parse_grid_file(text)
     assert steps["oscdamp.network.hessian_matrix"] == 0
+    # A stiff grid's pf_tol is past 1e-9, and what it accepts it solves.
+    net = parse_grid_file(stiff_star_grid(1e6).replace("Pl=0.6 ", "Pl=0.600000005 "))
+    assert 1e-9 < -float(np.sum(net.injections()[0])) <= net._topology.pf_tol
+    for const_v in (False, True):
+        assert solve_power_flow(net, const_v=const_v).residual_norm <= net._topology.pf_tol

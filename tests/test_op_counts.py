@@ -76,11 +76,26 @@ def test_sensitivity_reads_the_bundle(fixture_studies, random_suite, counts):
     assert {key: counts[key] for key in REBUILDS} == dict.fromkeys(REBUILDS, 0)
 
 
-def test_build_study_assembles_each_matrix_once(counts, tmp_path, capsys):
+@pytest.fixture
+def factored(monkeypatch) -> list[int]:
+    """Orders of the grounded blocks LAPACK ``dpotrf`` factors."""
+    orders: list[int] = []
+    dpotrf = modal._DPOTRF
+
+    def counted(a, **kwargs):
+        orders.append(a.shape[0])
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(modal, "_DPOTRF", counted)
+    return orders
+
+
+def test_build_study_assembles_each_matrix_once(counts, factored, tmp_path, capsys):
     fx = cases.load_fixture("ten_bus")
     st = study.build_study(fx.network, const_v=fx.const_v)
     for _ in range(2):  # a second read finds each piece already built
-        st.bundle, st.dyn, st.modes
+        st.bundle, st.grounded_factor, st.dyn, st.modes
+        assert factored == [st.bundle.L.shape[0] - 1]
         assert counts["oscdamp.laplacian.hessian"] == 1
         assert counts["oscdamp.laplacian.coord_jacobian"] == 1
         assert counts["oscdamp.network.build_incidence"] == 1
@@ -143,6 +158,17 @@ def qz_calls(monkeypatch) -> list[int]:
     monkeypatch.setattr(modal, "_DGGEV", counted)
     monkeypatch.setattr(scipy.linalg, "eig", eig)
     return sizes
+
+
+def test_modes_factors_once_and_rank_twice(factored, capsys):
+    # build_study certifies its state once; rank_pairs certifies the fresh
+    # Study(network, op) it builds again, until it takes the caller's study.
+    six = data_path("six_bus.grid")
+    assert cli.main(["modes", six, "--const-v"]) == 0
+    assert len(factored) == 1
+    factored.clear()
+    assert cli.main(["rank", six, "--const-v", "--mode", "2"]) == 0
+    assert len(factored) == 2
 
 
 def test_rank_and_verify_never_call_scipy_linalg_solve(counts, capsys):
@@ -286,11 +312,7 @@ def test_a_fallback_row_reuses_its_power_flow(fixture_studies, counts, qz_calls)
 
 
 @pytest.mark.parametrize("name", ["ten_bus", "six_bus"])
-def test_a_sweep_slope_is_one_cholesky_solve(monkeypatch, fixture_studies, counts, name):
-    factored = []
-    dpotrf = modal._DPOTRF
-    monkeypatch.setattr(modal, "_DPOTRF", lambda *args, **kwargs: (
-        factored.append(1) or dpotrf(*args, **kwargs)))
+def test_a_sweep_slope_is_one_cholesky_solve(factored, fixture_studies, counts, name):
     _, st = fixture_studies[name]
     labels = st.network.gen_labels()
     plan = dispatch.plan_between(st.network, labels[0], labels[-1])
@@ -364,14 +386,14 @@ def test_stiff_power_flow_stops_at_the_roundoff_floor(counts):
 
 
 def test_verify_solves_each_random_draw_once(counts, capsys):
-    # Ten studies: the four fixtures, the three accepted random draws and
-    # three draws rejected in the power flow. Each accepted draw is solved
-    # once and re-solved twice by the oracle; the eighth bundle is six_bus's
-    # ranking's.
+    # Seven studies: the four fixtures and the three accepted random draws;
+    # the parser refuses the three unbalanced draws before any power flow.
+    # Each accepted draw is solved once and re-solved twice by the oracle;
+    # the eighth bundle is six_bus's ranking's.
     assert cli.main(["verify"]) == 0
-    assert counts["oscdamp.study.build_study"] == 10
+    assert counts["oscdamp.study.build_study"] == 7
     assert counts["oscdamp.laplacian.hessian"] == 8
-    assert counts["oscdamp.network.solve_power_flow"] == 16
+    assert counts["oscdamp.network.solve_power_flow"] == 13
     assert counts["oscdamp.modal.eigenpairs"] == 13
 
 
