@@ -73,10 +73,7 @@ def _load_network(args) -> Network:
 
 
 def _load_study(args) -> Study:
-    st = build_study(_load_network(args), const_v=args.const_v)
-    if args.dump_matrices:
-        _dump_matrices(st.bundle, args.dump_matrices)
-    return st
+    return build_study(_load_network(args), const_v=args.const_v)
 
 
 def _dump_matrices(bundle: laplacian.LaplacianBundle, outdir: str) -> None:
@@ -144,13 +141,14 @@ def _emit(args, header: list[str], rows: list[list[str]],
 
 def cmd_pf(args) -> int:
     net = _load_network(args)
-    op = solve_power_flow(net, const_v=args.const_v)
+    st = Study(net, solve_power_flow(net, const_v=args.const_v))
+    st.grounded_factor  # build_study's certificate, without its eigensolve
     if args.dump_matrices:
-        _dump_matrices(Study(net, op).bundle, args.dump_matrices)
-    v = bus_voltages(net, op)
-    rows = [[b.label, b.kind, g6(op.delta[i]), g6(v[i])] for i, b in enumerate(net.buses)]
+        _dump_matrices(st.bundle, args.dump_matrices)
+    v = bus_voltages(net, st.op)
+    rows = [[b.label, b.kind, g6(st.op.delta[i]), g6(v[i])] for i, b in enumerate(net.buses)]
     print(_table(rows, ["bus", "kind", "delta_rad", "V"]))
-    ls = line_states(net, op)
+    ls = line_states(net, st.op)
     lrows = []
     for k, ln in enumerate(net.lines):
         lrows.append([
@@ -160,7 +158,7 @@ def cmd_pf(args) -> int:
     print()
     print(_table(lrows, ["line", "from", "to", "theta", "nu", "p", "q"]))
     print()
-    print(f"residual max-norm: {g6(op.residual_norm)}")
+    print(f"residual max-norm: {g6(st.op.residual_norm)}")
     return EXIT_OK
 
 
@@ -312,8 +310,6 @@ def _build_parser() -> _Parser:
         p.add_argument("grid", help="grid description file")
         p.add_argument("--const-v", action="store_true", dest="const_v",
                        help="freeze all voltage magnitudes (angle-only model)")
-        p.add_argument("--dump-matrices", metavar="DIR",
-                       help="dump L, H and the line-coordinate blocks as CSV")
         if needs_mode:
             selector = p.add_mutually_exclusive_group()
             selector.add_argument("--mode", type=int,
@@ -321,8 +317,10 @@ def _build_parser() -> _Parser:
             selector.add_argument("--mode-hz", dest="mode_hz", metavar="LO:HI",
                                   help="frequency window in Hz selecting exactly one mode")
 
-    p = sub.add_parser("pf", help="solve the power flow and print the equilibrium")
+    p = sub.add_parser("pf", help="solve the power flow, certify the energy minimum and print it")
     add_common(p)
+    p.add_argument("--dump-matrices", metavar="DIR",
+                   help="dump L, H and the line-coordinate blocks as CSV")
     p.set_defaults(func=cmd_pf)
 
     p = sub.add_parser("modes", help="print the oscillatory modes")

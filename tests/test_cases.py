@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from oscdamp.cases import (
 )
 from oscdamp.dispatch import RedispatchPlan, plan_between, unit_dlambda
 from oscdamp.network import line_states
-from oscdamp.study import build_study
+from oscdamp.study import Study, build_study
 
 from conftest import CallCounter, fail_qz, zero_damping_variant
 
@@ -223,6 +225,37 @@ def test_random_network_rejects_a_draw_at_each_check(seed, parses, raised):
     for rejected in calls.returned[:-1]:
         if rejected is not None:
             assert np.max(np.abs(line_states(rejected.network, rejected.op).theta)) >= MAX_THETA
+
+
+def _sagging_loads(st: Study) -> Study:
+    """``st`` with every load voltage at 0.49, its angles unchanged."""
+    return Study(st.network, dataclasses.replace(st.op, v_load=np.full_like(st.op.v_load, 0.49)))
+
+
+def _without_swing_modes(st: Study) -> Study:
+    """``st`` whose modes, already read, hold no electromechanical one."""
+    spoilt = Study(st.network, st.op)
+    spoilt.__dict__["modes"] = tuple(md for md in st.modes if not md.electromechanical)
+    return spoilt
+
+
+@pytest.mark.parametrize("spoil, attempts", [
+    (None, 1), (_sagging_loads, 2), (_without_swing_modes, 2)])
+def test_random_network_rejects_a_study_at_each_acceptance_check(monkeypatch, spoil, attempts):
+    # Seed 1 accepts its first study. Spoilt for one of the last two checks,
+    # that study is rejected and the next attempt's is returned.
+    built = []
+
+    def first_spoilt(net, *args, **kwargs):
+        st = build_study(net, *args, **kwargs)
+        built.append(spoil(st) if spoil and not built else st)
+        return built[-1]
+
+    monkeypatch.setattr(cases, "build_study", first_spoilt)
+    st = random_network(1)
+    assert len(built) == attempts and st is built[-1]
+    if spoil:  # a new draw, not the spoilt one built again
+        assert st.network != built[0].network
 
 
 def test_a_draw_whose_eigensolve_fails_is_rejected_inside_build_study(monkeypatch):

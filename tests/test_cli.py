@@ -68,6 +68,8 @@ IMBALANCE = ("real power does not balance: sum of injections = {} "
 # flat-start Newton stops 2.2e-6 rad past the fold, where L[1:, 1:] < 0.
 PAST_THE_FOLD = ("bus G1 G V=1 Pg=1.00000000003 H=3 D=1\nbus L2 L Pl=1.00000000003 D=1\n"
                  "line t G1 L2 b=1\n")
+SADDLE = ("grounded Laplacian is not positive definite (LAPACK dpotrf info = 1); "
+          "the equilibrium is singular or a saddle of the energy function")
 
 
 def refusal(id, command, code, message, grid=None, fault=None, marks=()):
@@ -127,6 +129,8 @@ REFUSALS = [
     # The grid file stands where the dump directory would go.
     refusal("dump-under-file", "pf {grid} --dump-matrices {grid}/mats", 64,
             "cannot write {grid}/mats: Not a directory", S7),
+    refusal("dump-is-a-pf-flag", "modes {six_bus} --const-v --dump-matrices {tmp}", 64,
+            "unrecognized arguments: --dump-matrices {tmp}"),
     # The write fails at close, where the OSError carries no file name.
     refusal("csv-device-full", "rank {ten_bus} --mode 1 --csv /dev/full", 64,
             "cannot write /dev/full: No space left on device",
@@ -172,9 +176,8 @@ REFUSALS = [
     refusal("singular-jacobian", "pf {grid}", 2, SINGULAR_PF, STAR_HEAVY_Q),
     refusal("non-finite-step", "pf {grid}", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
     refusal("non-finite-step-const-v", "pf {grid} --const-v", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
-    refusal("saddle-past-the-fold", "modes {grid} --const-v", 2,
-            "grounded Laplacian is not positive definite (LAPACK dpotrf info = 1); "
-            "the equilibrium is singular or a saddle of the energy function", PAST_THE_FOLD),
+    refusal("saddle-past-the-fold", "modes {grid} --const-v", 2, SADDLE, PAST_THE_FOLD),
+    refusal("saddle-past-the-fold-pf", "pf {grid} --const-v", 2, SADDLE, PAST_THE_FOLD),
     refusal("qz-failure", "modes {six_bus}", 2,
             "QZ iteration failed (LAPACK dggev info = 1)", fault=fail_qz),
     refusal("eigenpair-residual", "modes {six_bus} --const-v", 2,
@@ -312,30 +315,23 @@ def test_rank_lists_all_ordered_pairs():
     assert len(rows) == 6  # 3 generators, ordered pairs
 
 
-def test_dump_matrices(tmp_path):
+@pytest.mark.parametrize("flags, n_states", [([], 5), (["--const-v"], 3)],
+                         ids=["full", "const-v"])
+def test_dump_matrices(tmp_path, flags, n_states):
+    # three_bus_s7 has 3 bus angles, 2 load voltages (full model only) and 2 lines.
     outdir = tmp_path / "mats"
     code, _, _ = run_cli([
-        "pf", data_path("three_bus_s7.grid"), "--dump-matrices", str(outdir),
+        "pf", data_path("three_bus_s7.grid"), *flags, "--dump-matrices", str(outdir),
     ])
     assert code == 0
+    assert sorted(os.listdir(outdir)) == ["H.csv", "L.csv", "Lp_blocks.csv"]
     import numpy as np
     L = np.loadtxt(outdir / "L.csv", delimiter=",")
     H = np.loadtxt(outdir / "H.csv", delimiter=",")
     blocks = np.loadtxt(outdir / "Lp_blocks.csv", delimiter=",")
-    assert L.shape == (5, 5)
-    assert H.shape == (4, 5)
+    assert L.shape == (n_states, n_states)
+    assert H.shape == (n_states - 1, n_states)
     assert blocks.shape == (3, 2)
-
-
-@pytest.mark.parametrize("flags", [[], ["--const-v"]], ids=["full", "const-v"])
-def test_modes_dumps_the_matrices_pf_dumps(tmp_path, flags):
-    grid = data_path("six_bus.grid")
-    assert run_cli(["pf", grid, *flags, "--dump-matrices", str(tmp_path / "pf")])[0] == 0
-    assert run_cli(["modes", grid, *flags, "--dump-matrices", str(tmp_path / "modes")])[0] == 0
-    names = ["H.csv", "L.csv", "Lp_blocks.csv"]
-    assert sorted(os.listdir(tmp_path / "modes")) == names
-    for name in names:
-        assert (tmp_path / "modes" / name).read_bytes() == (tmp_path / "pf" / name).read_bytes()
 
 
 def test_sweep_prints_and_writes_a_failed_row_with_blank_cells(tmp_path):

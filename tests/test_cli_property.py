@@ -3,7 +3,9 @@
 Grids are drawn with zero damping on some buses and meshing edges, plus at
 most one stress or fault: a line with b = 1e-6 or b = 1e6, a negative
 damping, a power imbalance or a generator-generator tie. Each grid is run
-through ``oscdamp modes`` and ``oscdamp rank``.
+through ``oscdamp pf``, ``oscdamp modes`` and ``oscdamp rank``. ``pf`` and
+``modes`` both run the power flow and then its certificate before anything
+else, so a grid ``pf`` refuses is refused by ``modes`` in the same words.
 """
 
 from __future__ import annotations
@@ -68,10 +70,14 @@ def test_cli_maps_every_grid_to_an_exit_code(text, const_v):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         flags = ["--const-v"] if const_v else []
-        for argv in (["modes", path, *flags], ["rank", path, "--mode", "1", *flags]):
-            result = code, out, err = run_cli(argv)
+        results = {}
+        for argv in (["pf", path, *flags], ["modes", path, *flags],
+                     ["rank", path, "--mode", "1", *flags]):
+            results[argv[0]] = result = code, out, err = run_cli(argv)
             assert code in (0, 1, 2), (argv, code, err)
             if code:
                 assert_refused(result, code)
             else:
                 assert "nan" not in out.lower(), out
+        if results["pf"][0]:
+            assert results["modes"] == results["pf"]

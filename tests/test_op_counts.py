@@ -90,7 +90,7 @@ def factored(monkeypatch) -> list[int]:
     return orders
 
 
-def test_build_study_assembles_each_matrix_once(counts, factored, tmp_path, capsys):
+def test_build_study_assembles_each_matrix_once(counts, factored):
     fx = cases.load_fixture("ten_bus")
     st = study.build_study(fx.network, const_v=fx.const_v)
     for _ in range(2):  # a second read finds each piece already built
@@ -101,12 +101,18 @@ def test_build_study_assembles_each_matrix_once(counts, factored, tmp_path, caps
         assert counts["oscdamp.network.build_incidence"] == 1
         assert counts["oscdamp.modal.build_dynamic_matrices"] == 1
         assert counts["oscdamp.modal.solve_qep"] == 1
-    # The power flow's dump builds the bundle alone.
-    counts.clear()
-    assert cli.main(["pf", data_path("ten_bus.grid"), "--dump-matrices", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["print", "dump"])
+def test_pf_certifies_its_state_and_dumps_the_same_bundle(
+        counts, factored, tmp_path, capsys, dump):
+    # One bundle serves the certificate and the dump; pf never eigensolves.
+    argv = ["pf", data_path("ten_bus.grid")] + (["--dump-matrices", str(tmp_path)] if dump else [])
+    assert cli.main(argv) == 0
     assert counts["oscdamp.laplacian.hessian"] == 1
     assert counts["oscdamp.laplacian.coord_jacobian"] == 1
     assert counts["oscdamp.network.build_incidence"] == 1
+    assert len(factored) == 1
     assert counts["oscdamp.modal.build_dynamic_matrices"] == 0
     assert counts["oscdamp.modal.solve_qep"] == 0
 
@@ -161,9 +167,12 @@ def qz_calls(monkeypatch) -> list[int]:
 
 
 def test_modes_factors_once_and_rank_twice(factored, capsys):
-    # build_study certifies its state once; rank_pairs certifies the fresh
-    # Study(network, op) it builds again, until it takes the caller's study.
+    # pf and build_study certify their state once; rank_pairs certifies the
+    # fresh Study(network, op) it builds again, until it takes the caller's study.
     six = data_path("six_bus.grid")
+    assert cli.main(["pf", six, "--const-v"]) == 0
+    assert len(factored) == 1
+    factored.clear()
     assert cli.main(["modes", six, "--const-v"]) == 0
     assert len(factored) == 1
     factored.clear()
