@@ -358,7 +358,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except OscdampError as exc:

@@ -110,15 +110,15 @@ def build_dynamic_matrices(network: Network, const_v: bool = False) -> DynamicMa
     on every angle row; voltage rows are purely algebraic.
 
     A coefficient that overflows, or a generator's m_i that underflows to
-    zero, raises ValidationError naming the first such bus.
+    zero, raises ValidationError naming the first such bus; numpy warns of
+    the overflow as the caller's error state says (``cli.main``'s: never).
     """
     n, m = network.n, network.m
     size = n if const_v else 2 * n - m
     md = np.zeros(size)
     dd = np.zeros(size)
-    with np.errstate(over="ignore"):
-        md[:n] = 2.0 * np.array([b.inertia_h for b in network.buses]) / network.omega0
-        dd[:n] = np.array([b.damping_d_seconds for b in network.buses]) / network.omega0
+    md[:n] = 2.0 * np.array([b.inertia_h for b in network.buses]) / network.omega0
+    dd[:n] = np.array([b.damping_d_seconds for b in network.buses]) / network.omega0
     bad = ~(np.isfinite(md[:n]) & np.isfinite(dd[:n]))
     bad[:m] |= ~(md[:m] > 0)
     if bad.any():

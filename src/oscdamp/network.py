@@ -116,10 +116,11 @@ class _Topology:
         return _read_only(self.onto_buses(b, b))
 
     @cached_property
-    def pf_tol(self) -> float:
-        """The power flow's residual acceptance: PF_ACCEPT_TOL, or PF_ACCEPT_ULPS roundoff
-        units of the largest b_sums if larger (a stiff grid's terms cancel no better)."""
-        return max(PF_ACCEPT_TOL, PF_ACCEPT_ULPS * np.finfo(float).eps * float(np.max(self.b_sums)))
+    def pf_tol(self) -> np.ndarray:
+        """Each bus's power-flow residual acceptance: PF_ACCEPT_TOL, or PF_ACCEPT_ULPS
+        roundoff units of its b_sums if larger (a stiff bus's terms cancel no better)."""
+        return _read_only(np.maximum(PF_ACCEPT_TOL,
+                                     PF_ACCEPT_ULPS * np.finfo(float).eps * self.b_sums))
 
     @cached_property
     def _bus_of_end(self) -> np.ndarray:
@@ -432,8 +433,7 @@ def validate_network(network: Network) -> None:
                 f"line {ln.label!r} joins two generator buses; model generators "
                 "behind a common step-up transformer as one bus instead"
             )
-    with np.errstate(over="ignore"):
-        finite_sums = np.isfinite(incident_b_sums(network))
+    finite_sums = np.isfinite(incident_b_sums(network))
     if not finite_sums.all():
         label = network.buses[int(np.argmin(finite_sums))].label
         raise ValidationError(f"the line susceptances at bus {label!r} sum past the float range")
@@ -458,10 +458,10 @@ class _Unbalanced(ValidationError):
 
 
 def _check_balance(network: Network) -> None:
-    """Raise ``_Unbalanced`` unless the real injections sum to within ``pf_tol``: the
-    dropped bus-1 residual is -sum P at any solution, so no grid past it solves."""
+    """Raise ``_Unbalanced`` unless the real injections sum to within bus 1's ``pf_tol``:
+    the dropped bus-1 residual is -sum P at any solution, so no grid past it solves."""
     imbalance = float(np.sum(network.injections()[0]))
-    if not abs(imbalance) <= network._topology.pf_tol:
+    if not abs(imbalance) <= network._topology.pf_tol[0]:
         exc = _Unbalanced(f"real power does not balance: sum of injections = {imbalance:.3e} "
                           "(the lossless model has no slack bus)")
         exc.imbalance = imbalance
@@ -624,11 +624,13 @@ def solve_power_flow(
     ``const_v``, which keeps the voltages of the start; the point returned
     records that model. The angle reference z_1 = 0 is pinned and the bus-1
     real-power equation dropped (redundant under exact balance). Steps are
-    halved when the residual norm would increase. The iteration targets well
-    below the acceptance tolerance so downstream finite differencing stays
-    clean, but stops once the residual is accepted and a step no longer
-    lowers it. The residual is accepted at the grid's ``pf_tol``, to which
-    its real injections balance from construction.
+    halved when the residual norm would increase or, at a trial point that
+    overflows, is not finite. The iteration targets well below acceptance so
+    downstream finite differencing stays clean, but stops once the residual
+    is accepted and a step no longer lowers it. Each residual row is accepted
+    at its bus's ``pf_tol``, so a stiff line loosens only its own buses, and
+    the real injections balance at bus 1's from construction. A refusal
+    reports the row that misses its tolerance by the largest ratio.
     """
     n = network.n
     op = initial if initial is not None else flat_start(network)
@@ -644,7 +646,8 @@ def solve_power_flow(
         # Real then reactive balance; the reactive part is empty under const_v.
         return np.concatenate(residual_vectors(network, point(z)))
 
-    tol = network._topology.pf_tol
+    pf_tol = network._topology.pf_tol  # per bus, then per load for the reactive rows
+    tol = pf_tol if const_v else np.concatenate([pf_tol, pf_tol[network.m:]])
     res = residual(z)
     norm = float(np.max(np.abs(res)))
     for _ in range(PF_MAX_ITER):
@@ -666,20 +669,18 @@ def solve_power_flow(
             z_try = z.copy()
             z_try[1:] -= scale * step
             if not np.any(z_try[n:] <= 0):
-                # A trial point may overflow; its non-finite norm then fails
-                # the test below, so numpy's warning would report nothing.
-                with np.errstate(all="ignore"):
-                    res_try = residual(z_try)
+                res_try = residual(z_try)
                 norm_try = float(np.max(np.abs(res_try)))
                 improved = norm_try < norm
                 # An accepted residual that a step cannot lower is at roundoff.
-                if improved or norm <= tol:
+                if improved or np.all(np.abs(res) <= tol):
                     break
             scale *= 0.5
         if not improved:
             break  # no progress possible; the final check below decides
         z, res, norm = z_try, res_try, norm_try
-    if not norm <= tol:
-        raise ConvergenceError(
-            f"power flow did not converge: residual max-norm {norm:.3e} > {tol:.1e}")
+    worst = int(np.argmax(np.abs(res) / tol))
+    if not abs(res[worst]) <= tol[worst]:
+        raise ConvergenceError("power flow did not converge: residual max-norm "
+                               f"{abs(res[worst]):.3e} > {tol[worst]:.1e}")
     return replace(point(z), residual_norm=norm)

@@ -47,6 +47,20 @@ STAR_HEAVY_Q = STAR.replace("bus L1 L", "bus L1 L Ql=10")
 STAR_SUBNORMAL_B = ("bus G1 G V=1 H=3 Pg=0.2\nbus G2 G V=1 H=3 Pg=-0.2\nbus L1 L\n"
                     "line a G1 L1 b=1e-310\nline b G2 L1 b=1e-310\n")
 SINGULAR_PF = "power-flow Jacobian is singular beyond the angle-reference nullspace"
+# Each overflows one quotient of the DAE pencil: -L/m at an inertia of 1e-300
+# behind 1e10 lines, -d/m at a damping of 1e10 over it, and -L/d at a load
+# damping of 1e-300 behind 1e10 lines.
+TINY_H = STAR.replace("G V=1 H=3", "G V=1 H=1e-300", 1)
+TINY_H_STIFF = TINY_H.replace("b=5", "b=1e10")
+TINY_H_DAMPED = TINY_H.replace("H=1e-300", "H=1e-300 D=1e10")
+TINY_LOAD_D_STIFF = STAR.replace("bus L1 L", "bus L1 L D=1e-300").replace("b=5", "b=1e10")
+NON_FINITE_PENCIL = "the DAE pencil has a non-finite entry; QZ not attempted"
+# Line a's b = 1e13 puts the roundoff floor of G1 and L1 at 0.14, but G2 and
+# L2 sum b = 5 and 1: each bus's residual is accepted at its own floor, so
+# the power flow refuses the state its Newton iteration stalls at.
+STIFF_TIE = ("bus G1 G V=1 Pg=0.5 H=3 D=1\nbus G2 G V=1 Pg=0 H=3 D=1\nbus L1 L\n"
+             "bus L2 L Pl=0.5 Ql=0.2 D=1\nline a G1 L1 b=1e13\nline b G2 L1 b=5\n"
+             "line c L1 L2 b=1\n")
 # Balanced and well-formed, but the load sits beyond the static transfer
 # limit of the weak chain, so the power flow cannot converge.
 COLLAPSE = ("bus G1 G V=1.0 Pg=0.6 H=4.0\nbus B2 L\nbus L3 L Pl=0.6 Ql=0.25\n"
@@ -173,11 +187,20 @@ REFUSALS = [
             "power flow did not converge: residual max-norm 2.310e-01 > 1.0e-10", COLLAPSE),
     refusal("overflowing-trial-points", "pf {grid}", 2,
             "power flow did not converge: residual max-norm 5.000e+200 > 1.0e-10", STAR_HUGE_V),
+    *[refusal(f"stiff-tie-{command}", f"{command} {{grid}}{flags}", 2,
+              "power flow did not converge: residual max-norm 1.332e-01 > 1.0e-10", STIFF_TIE)
+      for command, flags in (("pf", ""), ("modes", ""), ("rank", " --mode 1"))],
     refusal("singular-jacobian", "pf {grid}", 2, SINGULAR_PF, STAR_HEAVY_Q),
     refusal("non-finite-step", "pf {grid}", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
     refusal("non-finite-step-const-v", "pf {grid} --const-v", 2, SINGULAR_PF, STAR_SUBNORMAL_B),
     refusal("saddle-past-the-fold", "modes {grid} --const-v", 2, SADDLE, PAST_THE_FOLD),
     refusal("saddle-past-the-fold-pf", "pf {grid} --const-v", 2, SADDLE, PAST_THE_FOLD),
+    refusal("pencil-overflow-l-over-m", "modes {grid}", 2, NON_FINITE_PENCIL, TINY_H_STIFF),
+    refusal("pencil-overflow-l-over-m-const-v", "modes {grid} --const-v", 2, NON_FINITE_PENCIL,
+            TINY_H_STIFF),
+    refusal("pencil-overflow-d-over-m", "modes {grid}", 2, NON_FINITE_PENCIL, TINY_H_DAMPED),
+    refusal("pencil-overflow-l-over-d", "modes {grid}", 2, NON_FINITE_PENCIL,
+            TINY_LOAD_D_STIFF),
     refusal("qz-failure", "modes {six_bus}", 2,
             "QZ iteration failed (LAPACK dggev info = 1)", fault=fail_qz),
     refusal("eigenpair-residual", "modes {six_bus} --const-v", 2,
@@ -221,6 +244,15 @@ def test_pf_does_not_run_the_eigensolve(monkeypatch, tmp_path):
     assert (code, err) == (0, "")
     assert_refused(run_cli(["modes", str(grid)]), 2,
                    "QZ iteration failed (LAPACK dggev info = 1)")
+
+
+def test_the_stiff_tie_solves_with_constant_voltages(tmp_path):
+    # Its angle-only power flow converges where the full one stalls.
+    grid = tmp_path / "tie.grid"
+    grid.write_text(STIFF_TIE, encoding="utf-8")
+    code, out, err = run_cli(["pf", str(grid), "--const-v"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "residual max-norm: 5.55112e-17"
 
 
 @pytest.mark.parametrize("const_v", [[], ["--const-v"]])

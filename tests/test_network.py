@@ -536,9 +536,9 @@ def test_a_redispatched_copy_shares_the_topology_read_only(fixture_studies):
     laplacian.hessian(again, st.op)
     hessian_matrix(again, replace(st.op, const_v=True))
     arrays = _read_only_arrays(net._topology)
-    # gen_v_set, endpoints (2), susceptances, b_sums, the line-end index,
-    # hessian_scatter (3) and angle_scatter.
-    assert len(arrays) == 10
+    # gen_v_set, endpoints (2), susceptances, b_sums, pf_tol, the line-end
+    # index, hessian_scatter (3) and angle_scatter.
+    assert len(arrays) == 11
     # No dense n x ell array lives as long as the grid: build_incidence
     # builds the incidence pair on each call.
     assert all(a.ndim == 1 for a in arrays)
@@ -636,8 +636,8 @@ def test_a_redispatched_copy_is_what_replacing_each_generator_gives(fixture_stud
 
 
 def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error():
-    # A grid balances at its power flow's acceptance pf_tol, since the dropped
-    # bus-1 residual equals -sum P at any solution: ten_bus's is 1e-10, so
+    # A grid balances at bus 1's power-flow acceptance pf_tol[0], since the
+    # dropped bus-1 residual equals -sum P at any solution: ten_bus's is 1e-10, so
     # the parser refuses -5e-10, and nothing reaches a Newton step.
     text = _read_data("ten_bus.grid").replace("Pl=10.110245 ", "Pl=10.1102450005 ")
     with CallCounter("oscdamp.network.hessian_matrix") as steps:
@@ -646,8 +646,8 @@ def test_an_imbalance_the_power_flow_cannot_accept_is_a_validation_error():
                            r"slack bus\)$"):
             parse_grid_file(text)
     assert steps["oscdamp.network.hessian_matrix"] == 0
-    # A stiff grid's pf_tol is past 1e-9, and what it accepts it solves.
+    # A stiff bus 1's pf_tol is past 1e-9, and what it accepts it solves.
     net = parse_grid_file(stiff_star_grid(1e6).replace("Pl=0.6 ", "Pl=0.600000005 "))
-    assert 1e-9 < -float(np.sum(net.injections()[0])) <= net._topology.pf_tol
+    assert 1e-9 < -float(np.sum(net.injections()[0])) <= net._topology.pf_tol[0]
     for const_v in (False, True):
-        assert solve_power_flow(net, const_v=const_v).residual_norm <= net._topology.pf_tol
+        assert solve_power_flow(net, const_v=const_v).residual_norm <= net._topology.pf_tol[0]
