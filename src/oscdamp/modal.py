@@ -3,19 +3,24 @@
 The second-order system is rewritten first order by adding one speed variable
 per inertial row. Rows with m = 0 but d > 0 (frequency-dependent loads) stay
 first-order dynamic; rows with m = d = 0 (connecting buses, load voltages)
-stay algebraic, which makes the generalized pencil (E, J) singular and
-produces the infinite eigenvalues that get filtered out. State ordering is
-(dynamic z rows, speeds, algebraic z rows), so E = blockdiag(I, 0).
+stay algebraic, which makes the generalized pencil (E, J) singular: QZ
+returns its infinite eigenvalues with beta = 0. The finite ones are counted,
+not thresholded: where the algebraic block of L is nonsingular, as at the
+energy minimum ``study.Study`` certifies, there are exactly ``n_dyn``, one
+per dynamic state. State ordering is (dynamic z rows, speeds, algebraic z
+rows), so E = blockdiag(I, 0).
 
 The pencil is solved by one LAPACK ``dggev`` (QZ) call per study, in ``qz``.
 ``eigenpairs`` then builds and scales only the eigenvectors it keeps, with
 the same operations ``scipy.linalg.eig`` applies, so every bit matches it;
-the tests check it against ``scipy.linalg.eig``. It filters,
-gauges and checks them and returns arrays; ``solve_qep`` summarizes those
-as ``Mode``s, and a re-solve that reads only the eigenvalues stops at the
-arrays. ``newton_eigenpair`` follows one eigenpair of Q(lam) directly: it
-refines a pair QZ leaves above the backward-error gate, and
-``dispatch.ModePath.tracked`` follows a mode through a redispatch with it.
+the tests check it against ``scipy.linalg.eig``. It filters and gauges
+them, gates each by its backward error at the homogeneous pair
+(lam, 1) / max(1, |lam|), with norms that do not overflow, and returns
+arrays; ``solve_qep`` summarizes those as ``Mode``s, and a re-solve that
+reads only the eigenvalues stops at the arrays. ``newton_eigenpair`` follows
+one eigenpair of Q(lam) directly: it refines a pair QZ leaves above the
+backward-error gate, and ``dispatch.ModePath.tracked`` follows a mode
+through a redispatch with it.
 
 The eigensolve calls three compiled routines of scipy: LAPACK ``dggev``
 and the BLAS 2-norms ``dnrm2`` and ``dznrm2``. They are loaded straight
@@ -50,7 +55,6 @@ from .errors import (
 )
 from .network import Network, OperatingPoint
 
-INFINITE_EIG_TOL = 1e-12     # |beta| below this times the pair norm is infinite
 # The rigid uniform-angle mode is a defective double zero when damping is
 # absent, so QZ noise on it reaches sqrt(eps) of the spectral scale; the
 # magnitude gate is set well above that and the uniform-eigenvector test does
@@ -92,7 +96,7 @@ _DGGEV = _linalg_extension("_flapack").dggev
 # scipy.linalg.solve's pair for a symmetric positive definite matrix.
 _DPOTRF = _linalg_extension("_flapack").dpotrf
 _DPOTRS = _linalg_extension("_flapack").dpotrs
-# The BLAS 2-norms scipy.linalg.norm uses on a vector, for eigenvector scaling.
+# The BLAS 2-norms scipy.linalg.norm uses on a vector: eigenvector scaling, backward errors.
 _DNRM2 = _linalg_extension("_fblas").dnrm2
 _DZNRM2 = _linalg_extension("_fblas").dznrm2
 
@@ -246,13 +250,10 @@ def reduced_jacobian(
     try:
         x = np.linalg.solve(J22, J21)
     except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
         raise ReductionError(
-            "algebraic block is singular; equilibrium sits at an algebraic singularity"
-        ) from None
-    if not np.all(np.isfinite(x)):
-        raise ReductionError(
-            "algebraic block is singular; equilibrium sits at an algebraic singularity"
-        )
+            "algebraic block is singular; equilibrium sits at an algebraic singularity")
     return J11 - J12 @ x
 
 
@@ -301,26 +302,23 @@ def _abs(z: np.ndarray) -> np.ndarray:
 def backward_errors(
     lams: np.ndarray, X: np.ndarray, m_diag: np.ndarray, d_diag: np.ndarray, L: np.ndarray
 ) -> np.ndarray:
-    """||Q(lam_k) x_k|| / (||x_k|| ||Q(lam_k)||_F) for each column x_k of X.
+    """||Q x_k|| / (||x_k|| ||Q||_F) for each column x_k of X, where Q =
+    alpha^2 M + alpha beta D + beta^2 L at (alpha, beta) = (lam_k, 1) / max(1, |lam_k|).
 
-    Q(lam) = L + diag(s) with s = lam^2 m + lam d, so the residual is
-    L X + S o X and ||Q||_F^2 = ||L||_F^2 + sum_i (|s_i|^2 + 2 Re(s_i) L_ii);
-    no Q(lam) is formed (Tisseur & Meerbergen, SIAM Review 2001). Each
-    ||Q(lam_k)||_F is summed in units of a power of two no smaller than
-    ||L||_F or any |s_i|, so no |s_i|^2 overflows. Scaling by a power of two
-    is exact, so a column that would not overflow keeps its bits.
+    The ratio is that of Q(lam_k) (Tisseur & Meerbergen, SIAM Review 2001),
+    but the homogeneous pair keeps the entries of Q within those of M, D and
+    L (Dedieu & Tisseur, LAA 2003). No Q is formed: the residual is
+    beta^2 L X + S o X with s = alpha^2 m + alpha beta d, ||Q||_F is the hypot
+    of beta^2 ||offdiag L||_F and ||beta^2 diag L + s||, and every norm is nrm2's.
     """
-    S = lams * lams * m_diag[:, None] + lams * d_diag[:, None]
-    R = L @ X + S * X
-    l_norm = np.linalg.norm(L)
-    s_abs = np.abs(S)
-    unit = np.ldexp(1.0, -np.frexp(np.max(s_abs, axis=0, initial=l_norm))[1])
-    s_abs *= unit
-    cross = S.real * unit
-    cross *= np.diag(L)[:, None]
-    cross *= 2.0 * unit
-    q_norm2 = (l_norm * unit) ** 2 + np.sum(s_abs * s_abs + cross, axis=0)
-    return np.linalg.norm(R, axis=0) * unit / (np.linalg.norm(X, axis=0) * np.sqrt(q_norm2))
+    beta = 1.0 / np.maximum(1.0, _abs(lams))
+    alpha = lams * beta
+    S = alpha * alpha * m_diag[:, None] + alpha * beta * d_diag[:, None]
+    R = beta * (beta * (L @ X)) + S * X
+    off_norm = _DNRM2((L - np.diag(np.diag(L))).ravel())
+    Q_diag = beta * (beta * np.diag(L)[:, None]) + S
+    r, x, q = (np.array([_DZNRM2(col) for col in A.T.copy()]) for A in (R, X, Q_diag))
+    return r / (x * np.hypot(beta * (beta * off_norm), q))
 
 
 def newton_eigenpair(
@@ -411,7 +409,9 @@ def eigenpairs(
 ) -> Eigenpairs:
     """Every finite eigenpair of the pencil that a mode is made from.
 
-    Infinite eigenvalues (singular E) and the uniform-angle zero mode are
+    The finite eigenvalues are those QZ returns with beta != 0; any count
+    but ``n_dyn`` means the algebraic block is singular, the ReductionError of
+    ``reduced_jacobian``. The infinite ones and the uniform-angle zero mode are
     discarded, and a conjugate pair is kept once, as its omega > 0 member.
     Each kept eigenvector is gauged and must pass the MODE_RESIDUAL_REL
     backward-error gate; a pair QZ leaves above it is first refined by
@@ -426,16 +426,19 @@ def eigenpairs(
         raise UsageError(f"L has shape {L.shape}, expected ({nz}, {nz})")
     if n_angles is None:
         n_angles = nz
-    E, J, zcol, gen_rows, _ = _pencil(m_diag, d_diag, L)
+    E, J, zcol, gen_rows, n_dyn = _pencil(m_diag, d_diag, L)
     if not nz:
         # LAPACK rejects an empty pencil.
         return Eigenpairs(np.zeros(0, complex), np.zeros((0, 0), complex), np.zeros(0),
                           np.zeros(0, complex), 0.0, gen_rows)
     alphar, alphai, beta, vr = qz(J, E)
+    finite = beta != 0
+    if np.count_nonzero(finite) != n_dyn:
+        raise ReductionError(
+            "algebraic block is singular; equilibrium sits at an algebraic singularity")
 
     # Eigenvalues as scipy.linalg.eig forms them, so that every digit matches.
     alph = alphar + 1j * alphai
-    finite = np.abs(beta) > INFINITE_EIG_TOL * np.hypot(np.abs(alph), np.abs(beta))
     all_lams = alph[finite] / beta[finite]
     spectral_scale = float(np.max(np.abs(all_lams))) if all_lams.size else 0.0
     # Only the upper eigenvalue of a conjugate pair is reported, so only its

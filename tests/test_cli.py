@@ -35,7 +35,7 @@ def edited(text: str, old: str, new: str) -> str:
 
 # Two generators behind one load bus. The variants are valid grids that push
 # the float range: a set-point of 1e200 overflows Newton's trial points, a
-# damping of 1e300 makes |s|^2 of the backward error overflow, a reactive
+# damping of 1e300 puts an eigenvalue at -D/(2H) = -1.7e299, a reactive
 # load of 10 zeroes the load-voltage diagonal of the flat-start Jacobian, and
 # subnormal susceptances make the first Newton step overflow.
 STAR = ("bus G1 G V=1 H=3\nbus G2 G V=1 H=3\nbus L1 L\n"
@@ -201,10 +201,20 @@ REFUSALS = [
     refusal("pencil-overflow-d-over-m", "modes {grid}", 2, NON_FINITE_PENCIL, TINY_H_DAMPED),
     refusal("pencil-overflow-l-over-d", "modes {grid}", 2, NON_FINITE_PENCIL,
             TINY_LOAD_D_STIFF),
+    # Lines of b = 1e160 or 1e200 put the swing pair at +-7.9e80j or 7.9e100j,
+    # but QZ's error on the defective rigid double zero grows with the pencil's
+    # entries of about b/m: one copy comes back at -7.7e129 or -7.7e169 with
+    # the uniform angle vector, whose backward error is 1/sqrt(3).
+    *[refusal(f"unresolved-rigid-mode-b{b}{flags.replace(' --', '-')}",
+              f"modes {{grid}}{flags}", 2,
+              f"eigenpair residual 5.77e-01 exceeds 1e-09 for lambda = {lam}+0j",
+              STAR.replace("b=5", f"b={b}"))
+      for b, lam in (("1e160", "-7.74462e+129"), ("1e200", "-7.74462e+169"))
+      for flags in ("", " --const-v")],
     refusal("qz-failure", "modes {six_bus}", 2,
             "QZ iteration failed (LAPACK dggev info = 1)", fault=fail_qz),
     refusal("eigenpair-residual", "modes {six_bus} --const-v", 2,
-            "eigenpair residual 4.90e-25 exceeds -1e+00 for lambda = -20602.1+0j",
+            "eigenpair residual 2.82e-22 exceeds -1e+00 for lambda = -20602.1+0j",
             fault=lambda mp: mp.setattr(modal, "MODE_RESIDUAL_REL", -1.0)),
 ]
 
@@ -231,8 +241,26 @@ def test_modes_of_a_damping_past_the_square_range_print_no_warning(tmp_path, cap
     assert err == ""
     assert out.splitlines()[1].split() == ["1", "0", "17.7245", "2.82095", "-0", "G2", "em"]
     # ||Q(lam)||_F stays finite, so the gate reads a residual, not 0.
-    mode, = oscdamp.build_study(oscdamp.parse_grid_file(STAR_HUGE_D)).oscillatory()
+    st = oscdamp.build_study(oscdamp.parse_grid_file(STAR_HUGE_D))
+    mode, = st.oscillatory()
     assert 0 < mode.residual <= 1e-298
+    # All n_dyn = 5 finite eigenvalues are kept, -D/(2H) of G1 among them.
+    spectrum = modal.eigenpairs(st.dyn.m, st.dyn.d, st.bundle.L, st.network.n).spectrum
+    assert spectrum.size == modal._pencil(st.dyn.m, st.dyn.d, st.bundle.L)[4] == 5
+    assert min(abs(spectrum + 1e300 / 6)) <= 1e-15 * 1e300 / 6
+
+
+@pytest.mark.parametrize("b, omega", [("1e25", "2.50663e+13"), ("1e33", "2.50663e+17")])
+@pytest.mark.parametrize("flags", [[], ["--const-v"]], ids=["full", "const-v"])
+def test_modes_of_stiff_lines_print_the_swing_pair(tmp_path, b, omega, flags):
+    # The pair lies above 1e12 |beta| of QZ, where a tolerance on |beta| would
+    # call it infinite and leave a copy of the rigid mode in the table.
+    grid = tmp_path / "star.grid"
+    grid.write_text(STAR.replace("b=5", f"b={b}"), encoding="utf-8")
+    code, out, err = run_cli(["modes", str(grid), *flags])
+    assert (code, err) == (0, "")
+    _, row = out.splitlines()
+    assert row.split()[2:3] + row.split()[5:8] == [omega, "G1", "<->", "G2"]
 
 
 def test_pf_does_not_run_the_eigensolve(monkeypatch, tmp_path):

@@ -15,6 +15,7 @@ from oscdamp import (
     ConvergenceError,
     ModeMatchingError,
     OscdampError,
+    ReductionError,
     RedispatchPlan,
     SingularityError,
     UsageError,
@@ -95,8 +96,11 @@ def _line_gains(st):
     (_line_gains, UsageError, "line gains are defined for oscillatory modes only"),
     (lambda st: modal.eigenpairs(st.dyn.m, st.dyn.d, st.bundle.L[1:, 1:]), UsageError,
      "L has shape (1, 1), expected (2, 2)"),
+    # A zero algebraic block leaves QZ no finite eigenvalue of the n_dyn = 2.
+    (lambda st: modal.eigenpairs(st.dyn.m, st.dyn.d, st.bundle.L * [[1, 1], [1, 0]]),
+     ReductionError, "algebraic block is singular; equilibrium sits at an algebraic singularity"),
 ], ids=["rank-one-generator", "redispatch-shape", "redispatch-nan", "line-gains-real-mode",
-        "eigenpairs-hessian-shape"])
+        "eigenpairs-hessian-shape", "eigenpairs-singular-algebraic-block"])
 def test_library_refusals_the_cli_cannot_reach(call, error, message):
     # The parser or an earlier check stops each of these inputs on the CLI.
     st = build_study(parse_grid_file(ONE_GENERATOR), const_v=True)

@@ -17,7 +17,9 @@ from oscdamp.modal import Mode, _pencil, alpha, backward_errors, reduced_jacobia
 from oscdamp.network import parse_grid_file
 from oscdamp.study import build_study
 
-from conftest import companion_spectrum, fail_qz, stiff_star_grid, zero_damping_variant
+from conftest import (
+    companion_spectrum, fail_qz, perfbench_module, stiff_star_grid, zero_damping_variant,
+)
 
 TOY_L = np.array([[1.0, -1.0], [-1.0, 1.0]])
 TOY_M = np.ones(2)
@@ -93,8 +95,14 @@ def test_pencil_eigenvector_correspondence(random_suite):
                 assert resid < 1e-9 * np.linalg.norm(v)
 
 
-def test_finite_spectrum_count(random_suite):
-    for net, st in random_suite[:8]:
+def test_finite_spectrum_count(fixture_studies, random_suite):
+    studies = [st for _, st in random_suite]
+    studies += [build_study(fx.network, const_v=const_v)
+                for fx, _ in fixture_studies.values() for const_v in (False, True)]
+    grids = perfbench_module("grids")  # the 50-bus meshed grids of the benchmark
+    studies += [build_study(parse_grid_file(grids.synthetic_grid(40, 10, seed)[0]))
+                for seed in range(100, 104)]
+    for st in studies:
         md, dd = st.dyn.m, st.dyn.d
         E, J = extended_jacobian(md, dd, st.bundle.L)
         alph, beta = scipy.linalg.eig(J, E, right=False, homogeneous_eigvals=True)
@@ -102,6 +110,9 @@ def test_finite_spectrum_count(random_suite):
         n_inertial = int(np.sum(md > 0))
         n_first_order = int(np.sum((md == 0) & (dd > 0)))
         assert int(finite.sum()) == 2 * n_inertial + n_first_order
+        # eigenpairs keeps exactly these n_dyn finite eigenvalues.
+        pairs = modal.eigenpairs(md, dd, st.bundle.L, n_angles=st.network.n)
+        assert pairs.spectrum.size == 2 * n_inertial + n_first_order
         # Companion view: the QEP has 2 nz eigenvalues; the infinite ones
         # number twice the algebraic variables plus the first-order rows.
         comp = companion_spectrum(md, dd, st.bundle.L)

@@ -18,7 +18,6 @@ import scipy.linalg
 from oscdamp import ModeMatchingError, parse_grid_file, solve_power_flow
 from oscdamp.dispatch import match_mode, plan_between
 from oscdamp.modal import (
-    INFINITE_EIG_TOL,
     MODE_RESIDUAL_REL,
     PARTICIPATION_THRESHOLD,
     RESONANCE_GAP_REL,
@@ -61,12 +60,12 @@ def _loop_solve_qep(m_diag, d_diag, L, n_angles=None, gen_labels=None):
     nz = m_diag.size
     if n_angles is None:
         n_angles = nz
-    E, J, zcol, gen_rows, _ = _pencil(m_diag, d_diag, L)
+    E, J, zcol, gen_rows, n_dyn = _pencil(m_diag, d_diag, L)
     if gen_labels is None:
         gen_labels = tuple(str(i + 1) for i in range(gen_rows.size))
     (alph, beta), vr = scipy.linalg.eig(J, E, right=True, homogeneous_eigvals=True)
-    pair_scale = np.hypot(np.abs(alph), np.abs(beta))
-    finite = np.abs(beta) > INFINITE_EIG_TOL * pair_scale
+    finite = beta != 0
+    assert np.count_nonzero(finite) == n_dyn
     lams = alph[finite] / beta[finite]
     vecs = vr[:, finite]
     spectral_scale = float(np.max(np.abs(lams))) if lams.size else 0.0
